@@ -9,6 +9,8 @@ order, no data-dependent threading, stable tie-breaking.
 
 from __future__ import annotations
 
+import functools
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,25 +260,15 @@ def pinv(m, tol: float = RANK_TOL):
     return (v[:, :r] * inv_s) @ u[:, :r].conj().T
 
 
-def _polar_with_rank(m, tol: float = RANK_TOL):
-    a = _as_square(m)
-    n = a.shape[0]
-    u, s, v = svd(a)
-    rank = rank_from_singular_values(s, n, tol)
-    u0 = u[:, :rank] @ v[:, :rank].conj().T
-    p = (v * s) @ v.conj().T
-    p = 0.5 * (p + p.conj().T)
-    return u0, p, rank, s
-
-
 def complex_polar(m, tol: float = RANK_TOL):
     """Classical polar decomposition m = u0 @ p of a square complex matrix.
 
     p is the PSD factor sqrt(m* m) and u0 the partial isometry with
     N(u0) = N(m), realized as m applied to the pseudoinverse of p.
     """
-    u0, p, _, _ = _polar_with_rank(m, tol)
-    return u0, p
+    a = _as_square(m)
+    fac = Factorization(a)
+    return fac.polar(rank_from_singular_values(fac.s, a.shape[0], tol))
 
 
 def gauss_inv(m, tol: float = 1e-13):
@@ -322,6 +314,80 @@ def denman_beavers_sqrt(m, tol: float = 1e-13, max_iter: int = 100):
     return 0.5 * (y + y.conj().T)
 
 
+class Factorization:
+    """The SVD (u, s, v) of a square complex matrix m, taken once.
+
+    lam_min, the smallest eigenvalue of the Hermitian part of m, is
+    computed on first use and kept.
+    """
+
+    def __init__(self, m):
+        self.m = m
+        self.u, self.s, self.v = svd(m)
+
+    @functools.cached_property
+    def lam_min(self) -> float:
+        values = hermitian_eig(0.5 * (self.m + self.m.conj().T)).values
+        return values[-1] if values.size else 0.0
+
+    def polar(self, rank: int):
+        """Polar factors (u0, p) of m, with u0 of the given rank."""
+        u0 = self.u[:, :rank] @ self.v[:, :rank].conj().T
+        p = (self.v * self.s) @ self.v.conj().T
+        return u0, 0.5 * (p + p.conj().T)
+
+
+# what class_residuals needs from a matrix algebra: adjoint, Frobenius
+# norm, identity(n), rank(s) from the singular values of the complex image,
+# and coimage(v, rank), an orthonormal basis of N(a)-perp built from its
+# right singular vectors
+Algebra = namedtuple("Algebra", "adjoint norm identity rank coimage")
+
+
+COMPLEX = Algebra(adjoint=lambda a: a.conj().T, norm=frobenius,
+                  identity=lambda n: np.eye(n, dtype=complex),
+                  rank=lambda s: rank_from_singular_values(s, s.size),
+                  coimage=lambda v, rank: v.T[:rank])
+
+
+def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
+    """Structural class residuals of a square operator a in algebra alg.
+
+    fac factors the complex image of a (a itself for a complex matrix).
+    Returns (residuals, flags, rank, sigma_max), each flag meaning a
+    residual within tol * max(1, sigma_max).
+    """
+    astar = alg.adjoint(a)
+    g = astar @ a
+    gg = a @ astar
+    eye = alg.identity(a.shape[0])
+    smax = fac.s[0] if fac.s.size else 0.0
+    res = {
+        "self_adjoint": alg.norm(a - astar),
+        "anti_self_adjoint": alg.norm(a + astar),
+        "normal": alg.norm(g - gg),
+        "unitary": max(alg.norm(g - eye), alg.norm(gg - eye)),
+        "projection": max(alg.norm(a @ a - a), alg.norm(a - astar)),
+    }
+    thresh = tol * max(1.0, smax)
+    if res["self_adjoint"] <= thresh:
+        res["positive"] = max(res["self_adjoint"], max(0.0, -fac.lam_min))
+    else:
+        res["positive"] = res["self_adjoint"]
+    # partial isometry: a* a is an orthogonal projection, and a preserves
+    # norms on the orthogonal complement of its null space
+    pi_alg = max(alg.norm(g @ g - g), alg.norm(g - alg.adjoint(g)))
+    rank = alg.rank(fac.s)
+    spot = 0.0
+    for w in alg.coimage(fac.v, rank):
+        spot = max(spot, abs(alg.norm(a @ w) - 1.0))
+    res["partial_isometry"] = max(pi_alg, spot)
+    flags = {name: bool(val <= thresh) for name, val in res.items()}
+    if flags["unitary"]:
+        flags["normal"] = True
+    return res, flags, rank, smax
+
+
 def classify_cmatrix(m, tol: float = 1e-10) -> dict:
     """Structural class residuals of a complex square matrix.
 
@@ -330,36 +396,5 @@ def classify_cmatrix(m, tol: float = 1e-10) -> dict:
     a quaternionic operator with its complex block image.
     """
     a = _as_square(m)
-    n = a.shape[0]
-    astar = a.conj().T
-    g = astar @ a
-    gg = a @ astar
-    eye = np.eye(n, dtype=complex)
-    u, s, v = svd(a)
-    smax = s[0] if s.size else 0.0
-    res = {
-        "self_adjoint": frobenius(a - astar),
-        "anti_self_adjoint": frobenius(a + astar),
-        "normal": frobenius(g - gg),
-        "unitary": max(frobenius(g - eye), frobenius(gg - eye)),
-        "projection": max(frobenius(a @ a - a), frobenius(a - astar)),
-    }
-    thresh = tol * max(1.0, smax)
-    if res["self_adjoint"] <= thresh:
-        herm = hermitian_eig(0.5 * (a + astar))
-        lam_min = herm.values[-1] if n else 0.0
-        res["positive"] = max(res["self_adjoint"], max(0.0, -lam_min))
-    else:
-        res["positive"] = res["self_adjoint"]
-    # partial isometry: a* a is an orthogonal projection, and a preserves
-    # norms on the orthogonal complement of its null space
-    pi_alg = max(frobenius(g @ g - g), frobenius(g - g.conj().T))
-    rank = rank_from_singular_values(s, n, RANK_TOL)
-    spot = 0.0
-    for k in range(rank):
-        spot = max(spot, abs(np.linalg.norm(a @ v[:, k]) - 1.0))
-    res["partial_isometry"] = max(pi_alg, spot)
-    flags = {name: bool(val <= thresh) for name, val in res.items()}
-    if flags["unitary"]:
-        flags["normal"] = True
+    res, flags, rank, smax = class_residuals(a, Factorization(a), COMPLEX, tol)
     return {"residuals": res, "flags": flags, "rank": rank, "sigma_max": smax}

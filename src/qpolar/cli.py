@@ -23,7 +23,8 @@ from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, modulus,
                     perturb_polar, polar_decompose)
 from .qlinalg import (QMatrix, QVector, RANK_TOL, classify, null_range_bases,
-                      operator_norm, quaternionic_rank, _chi_block, _pair_rank)
+                      operator_norm, quaternionic_rank, _chi_block, _pair_rank,
+                      _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
@@ -139,10 +140,8 @@ _CHECKS = {
     "transform.normal_preserved": (1e-9, "max"),
 }
 
-_SUITE_TAGS = {"chi": 1, "sqrt": 2, "polar": 3, "dichotomy": 4, "transform": 5}
 
-
-def _chi_trial(dim: int, tol: float, rr) -> list:
+def _chi_trial(dim: int, tol: float, rr, trial: int) -> list:
     n = 1 + rr.randint(dim)
     a = random_ops.rand_qmatrix(rr, n)
     b = random_ops.rand_qmatrix(rr, n)
@@ -191,7 +190,7 @@ def _class_constructions(rr, n: int) -> list:
     ]
 
 
-def _sqrt_trial(dim: int, tol: float, rr) -> list:
+def _sqrt_trial(dim: int, tol: float, rr, trial: int) -> list:
     from .polar import (sqrt_positive_spectral, sqrt_positive_composite,
                         sqrt_strictly_positive)
     n = 1 + rr.randint(dim)
@@ -212,27 +211,30 @@ def _sqrt_trial(dim: int, tol: float, rr) -> list:
     return out
 
 
-def _polar_trial(dim: int, tol: float, rr) -> list:
+def _polar_identities(t: QMatrix, f) -> list:
+    """(name, value) of the four polar identities, relative to ||T||."""
+    scale = max(1.0, t.frobenius_norm())
+    u0, p = f.u0, f.abs_t
+    u0s = u0.adjoint()
+    return [
+        ("reconstruction_rel", (u0 @ p - t).frobenius_norm() / scale),
+        ("identity_isometry_rel", (u0s @ u0 @ p - p).frobenius_norm() / scale),
+        ("identity_adjoint_rel", (u0s @ t - p).frobenius_norm() / scale),
+        ("identity_range_rel", (u0 @ u0s @ t - t).frobenius_norm() / scale),
+    ]
+
+
+def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
     n = 1 + rr.randint(dim)
     rank = rr.randint(n + 1)
     t = (random_ops.rand_qmatrix(rr, n) if rank == n
          else random_ops.rank_deficient(rr, n, rank))
     f = polar_decompose(t)
-    scale = max(1.0, t.frobenius_norm())
-    u0, p = f.u0, f.abs_t
-    u0s = u0.adjoint()
-    out = [
-        ("polar.reconstruction_rel", (u0 @ p - t).frobenius_norm() / scale),
-        ("polar.identity_isometry_rel",
-         (u0s @ u0 @ p - p).frobenius_norm() / scale),
-        ("polar.identity_adjoint_rel",
-         (u0s @ t - p).frobenius_norm() / scale),
-        ("polar.identity_range_rel",
-         (u0 @ u0s @ t - t).frobenius_norm() / scale),
-        ("polar.null_rank_mismatches",
-         0.0 if quaternionic_rank(u0) == quaternionic_rank(t) else 1.0),
-    ]
-    null_basis, _ = null_range_bases(t)
+    u0, scale = f.u0, max(1.0, t.frobenius_norm())
+    out = [("polar." + name, value) for name, value in _polar_identities(t, f)]
+    out.append(("polar.null_rank_mismatches",
+                0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
+    null_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
     annihilation = max((u0.matvec(v).norm() for v in null_basis), default=0.0)
     out.append(("polar.null_annihilation_rel", annihilation / scale))
     # structure transfer on class-constructed draws
@@ -258,7 +260,7 @@ def _polar_trial(dim: int, tol: float, rr) -> list:
     return out
 
 
-def _dichotomy_trial(dim: int, tol: float, rr, trial: int = 0) -> list:
+def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
     n = 1 + rr.randint(dim)
     # plant full rank on a fixed cadence so both verdicts occur
     rank = n if trial % 5 == 0 else rr.randint(n + 1)
@@ -298,7 +300,7 @@ def _dichotomy_trial(dim: int, tol: float, rr, trial: int = 0) -> list:
     return out
 
 
-def _transform_trial(dim: int, tol: float, rr) -> list:
+def _transform_trial(dim: int, tol: float, rr, trial: int) -> list:
     n = 1 + rr.randint(dim)
     t = random_ops.bounded_norm(rr, n, 10.0)
     scale = max(1.0, t.frobenius_norm())
@@ -323,20 +325,23 @@ def _transform_trial(dim: int, tol: float, rr) -> list:
     return out
 
 
+# suite name -> (stream tag, trial function), in battery order; the tag
+# seeds the suite's trial streams, so changing it changes every report
+_SUITES = {
+    "chi": (1, _chi_trial),
+    "sqrt": (2, _sqrt_trial),
+    "polar": (3, _polar_trial),
+    "dichotomy": (4, _dichotomy_trial),
+    "transform": (5, _transform_trial),
+}
+
+
 def _run_suite_trial(args) -> list:
     suite, dim, tol, seed, trial = args
-    rr = rng.stream(rng.mix64(seed ^ _SUITE_TAGS[suite]), trial)
-    if suite == "chi":
-        return _chi_trial(dim, tol, rr)
-    if suite == "sqrt":
-        return _sqrt_trial(dim, tol, rr)
-    if suite == "polar":
-        return _polar_trial(dim, tol, rr)
-    if suite == "dichotomy":
-        return _dichotomy_trial(dim, tol, rr, trial)
-    if suite == "transform":
-        return _transform_trial(dim, tol, rr)
-    raise ValueError(f"unknown suite {suite!r}")
+    if suite not in _SUITES:
+        raise ValueError(f"unknown suite {suite!r}")
+    tag, run_trial = _SUITES[suite]
+    return run_trial(dim, tol, rng.stream(rng.mix64(seed ^ tag), trial), trial)
 
 
 def run_suite(suite: str, cfg: SuiteConfig, jobs: int = 1) -> list:
@@ -359,13 +364,10 @@ def run_suite(suite: str, cfg: SuiteConfig, jobs: int = 1) -> list:
             for name in sorted(totals)]
 
 
-SUITE_ORDER = ("chi", "sqrt", "polar", "dichotomy", "transform")
-
-
 def cmd_verify(cfg: SuiteConfig, jobs: int = 1) -> Report:
     """Run the whole battery and assemble the report."""
     checks = []
-    for suite in SUITE_ORDER:
+    for suite in _SUITES:
         checks.extend(run_suite(suite, cfg, jobs))
     header = [f"qpolar verify dim={cfg.dim} trials={cfg.trials} "
               f"seed={cfg.seed} tol={cfg.tol:.6e}"]
@@ -378,24 +380,16 @@ def cmd_verify(cfg: SuiteConfig, jobs: int = 1) -> Report:
 
 def polar_report(a: QMatrix, tol: float):
     f = polar_decompose(a)
-    scale = max(1.0, a.frobenius_norm())
-    u0, p = f.u0, f.abs_t
-    u0s = u0.adjoint()
-    checks = [
-        CheckResult("reconstruction_rel",
-                    (u0 @ p - a).frobenius_norm() / scale, tol),
-        CheckResult("identity_isometry_rel",
-                    (u0s @ u0 @ p - p).frobenius_norm() / scale, tol),
-        CheckResult("identity_adjoint_rel",
-                    (u0s @ a - p).frobenius_norm() / scale, tol),
-        CheckResult("identity_range_rel",
-                    (u0 @ u0s @ a - a).frobenius_norm() / scale, tol),
+    u0_class = classify(f.u0)
+    checks = [CheckResult(name, value, tol)
+              for name, value in _polar_identities(a, f)]
+    checks += [
         CheckResult("u0_partial_isometry",
-                    classify(u0).residuals["partial_isometry"], tol),
+                    u0_class.residuals["partial_isometry"], tol),
         CheckResult("abs_positive",
-                    classify(p).residuals["positive"], tol),
+                    classify(f.abs_t).residuals["positive"], tol),
         CheckResult("null_rank_match",
-                    0.0 if quaternionic_rank(u0) == quaternionic_rank(a)
+                    0.0 if u0_class.rank == a.shape[0] - f.null_rank
                     else 1.0, 0.0),
     ]
     header = [f"qpolar polar tol={tol:.6e}",
@@ -481,7 +475,7 @@ def example_report(which: str, n: int, tol: float = 1e-10) -> Report:
                 for k in range(6, n + 1)),
         )
         checks.append(CheckResult("isometry_action", act, tol))
-        null_basis, _ = null_range_bases(a)
+        null_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
         corange_basis = null_range_bases(a.adjoint())[0]
         checks.append(CheckResult(
             "null_space_span",

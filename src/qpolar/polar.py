@@ -20,7 +20,8 @@ import numpy as np
 
 from . import ckernel
 from .qlinalg import (QMatrix, RANK_TOL, ShapeMismatch, classify, inner,
-                      null_range_bases, projector_onto, _chi_block, _pair_rank)
+                      null_range_bases, projector_onto, _chi_block, _classify,
+                      _pair_rank, _svd_bases)
 from .quaternion import Quaternion
 from .slices import PULLBACK_SQRT_TOL, chi_pullback
 
@@ -46,14 +47,20 @@ class PolarFactors:
     """Factors of T = U0 |T| plus the rank bookkeeping behind uniqueness.
 
     unique is true exactly when the null space or the corange is trivial;
-    otherwise distinct partial isometries U with U |T| = T exist.
+    otherwise distinct partial isometries U with U |T| = T exist. chi_svd
+    factors the block image of T; what is later derived from T reads it.
     """
 
     u0: QMatrix
     abs_t: QMatrix
     null_rank: int
-    corange_rank: int
     unique: bool
+    chi_svd: ckernel.Factorization
+
+    @property
+    def corange_rank(self) -> int:
+        """dim R(T)-perp, which equals dim N(T) for a square T."""
+        return self.null_rank
 
 
 def _require_positive(p: QMatrix, tol: float):
@@ -137,27 +144,17 @@ def polar_decompose(t: QMatrix, tol: float = RANK_TOL) -> PolarFactors:
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("polar decomposition needs a square operator")
     n = t.shape[0]
-    m = _chi_block(t)
-    u, s, v = ckernel.svd(m)
+    fac = ckernel.Factorization(_chi_block(t))
     # block-image singular values come in pairs; cutting between the two
     # members of a pair would break the block structure of u0, so the
     # rank is decided per pair
-    rank_h = _pair_rank(s, 2 * n, tol)
-    rc = 2 * rank_h
-    u0c = u[:, :rc] @ v[:, :rc].conj().T
-    pc = (v * s) @ v.conj().T
-    pc = 0.5 * (pc + pc.conj().T)
-    u0 = chi_pullback(u0c, PULLBACK_SQRT_TOL)
-    abs_t = chi_pullback(pc, PULLBACK_SQRT_TOL)
+    rank_h = _pair_rank(fac.s, 2 * n, tol)
+    u0c, pc = fac.polar(2 * rank_h)
     null_rank = n - rank_h
-    corange_rank = n - rank_h
-    return PolarFactors(
-        u0=u0,
-        abs_t=abs_t,
-        null_rank=null_rank,
-        corange_rank=corange_rank,
-        unique=(null_rank == 0 or corange_rank == 0),
-    )
+    return PolarFactors(u0=chi_pullback(u0c, PULLBACK_SQRT_TOL),
+                        abs_t=chi_pullback(pc, PULLBACK_SQRT_TOL),
+                        null_rank=null_rank, unique=null_rank == 0,
+                        chi_svd=fac)
 
 
 @dataclass
@@ -187,22 +184,16 @@ def structure_report(t: QMatrix, f: PolarFactors,
 
     Normal T: U0 is normal, commutes with |T|, and restricts to a unitary
     on the range of T. Self-adjoint or anti-self-adjoint T: so is U0.
-    Failures are reported, not raised.
+    Failures are reported, not raised. f must be polar_decompose(t).
     """
-    oc = classify(t, max(tol, 1e-9))
+    oc = _classify(t, f.chi_svd, max(tol, 1e-9))
     u0 = f.u0
-    scale = max(1.0, t.frobenius_norm())
-    rows = []
     u0c = classify(u0, max(tol, 1e-9))
-    rows.append(StructureRow(
-        "normal_u0_normal", oc.normal, u0c.residuals["normal"], tol * scale))
-    rows.append(StructureRow(
-        "normal_u0_commutes_abs_t", oc.normal,
-        (u0 @ f.abs_t - f.abs_t @ u0).frobenius_norm(), tol * scale))
+    thresh = tol * max(1.0, t.frobenius_norm())
+    stay = 0.0
+    gram = 0.0
     if oc.normal:
-        _, range_basis = null_range_bases(t)
-        stay = 0.0
-        gram = 0.0
+        _, range_basis = _svd_bases(f.chi_svd, f.null_rank)
         images = [u0.matvec(r) for r in range_basis]
         for idx, w in enumerate(images):
             # component outside the range of T
@@ -214,29 +205,31 @@ def structure_report(t: QMatrix, f: PolarFactors,
                 g = inner(w, w2)
                 want = Quaternion(1.0 if idx == jdx else 0.0)
                 gram = max(gram, (g - want).norm())
-        rows.append(StructureRow(
-            "normal_u0_unitary_on_range", True, max(stay, gram), tol * scale))
-    else:
-        rows.append(StructureRow("normal_u0_unitary_on_range", False, 0.0,
-                                 tol * scale))
-    rows.append(StructureRow(
-        "self_adjoint_u0_self_adjoint", oc.self_adjoint,
-        u0c.residuals["self_adjoint"], tol * scale))
-    rows.append(StructureRow(
-        "anti_self_adjoint_u0_anti_self_adjoint", oc.anti_self_adjoint,
-        u0c.residuals["anti_self_adjoint"], tol * scale))
-    return StructureReport(rows)
+    return StructureReport([
+        StructureRow("normal_u0_normal", oc.normal, u0c.residuals["normal"],
+                     thresh),
+        StructureRow("normal_u0_commutes_abs_t", oc.normal,
+                     (u0 @ f.abs_t - f.abs_t @ u0).frobenius_norm(), thresh),
+        StructureRow("normal_u0_unitary_on_range", oc.normal,
+                     max(stay, gram), thresh),
+        StructureRow("self_adjoint_u0_self_adjoint", oc.self_adjoint,
+                     u0c.residuals["self_adjoint"], thresh),
+        StructureRow("anti_self_adjoint_u0_anti_self_adjoint",
+                     oc.anti_self_adjoint, u0c.residuals["anti_self_adjoint"],
+                     thresh),
+    ])
 
 
 def unitary_extension(t: QMatrix, f: PolarFactors,
                       tol: float = 1e-9) -> QMatrix:
     """Extend U0 of a normal operator to a unitary W with W |T| = T.
 
-    W acts as U0 on the range of |T| and as the identity on N(T).
+    W acts as U0 on the range of |T| and as the identity on N(T). f must
+    be polar_decompose(t).
     """
-    if not classify(t, max(tol, 1e-9)).normal:
+    if not _classify(t, f.chi_svd, max(tol, 1e-9)).normal:
         raise NotNormal("unitary extension needs a normal operator")
-    null_basis, _ = null_range_bases(t)
+    null_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
     if not null_basis:
         return f.u0.copy()
     return f.u0 + projector_onto(null_basis)
@@ -248,20 +241,21 @@ def perturb_polar(t: QMatrix, f: PolarFactors, v: QMatrix,
 
     V must vanish on N(T)-perp (initial space inside N(T)) and map into
     the corange R(T)-perp; P projects onto N(T). Violations raise
-    BadPerturbation. The zero V returns U0 itself.
+    BadPerturbation. The zero V returns U0 itself. N(T) and R(T) are read
+    from f, which must be polar_decompose(t).
     """
     scale = max(1.0, v.frobenius_norm())
-    null_basis, range_basis = null_range_bases(t)
     if v.frobenius_norm() == 0.0:
         return f.u0.copy()
+    if f.null_rank == 0:
+        raise BadPerturbation(
+            "N(T) is trivial, only the zero perturbation is admissible")
     oc = classify(v, max(tol, 1e-9))
     if not oc.partial_isometry:
         raise BadPerturbation(
             f"perturbation is not a partial isometry "
             f"(residual {oc.residuals['partial_isometry']:.3e})")
-    if not null_basis:
-        raise BadPerturbation(
-            "N(T) is trivial, only the zero perturbation is admissible")
+    null_basis, range_basis = _svd_bases(f.chi_svd, f.null_rank)
     p_null = projector_onto(null_basis)
     off_initial = (v - v @ p_null).frobenius_norm()
     if off_initial > tol * scale:

@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ckernel
+from .ckernel import RANK_TOL
 from .quaternion import ComplexPair, Quaternion
 
-# singular values below RANK_TOL * sigma_max * dim are treated as zero;
-# also the drop threshold for dependent vectors in Gram-Schmidt
-RANK_TOL = 1e-10
 DEFAULT_CLASS_TOL = 1e-9
 
 
@@ -91,8 +89,7 @@ class QVector:
         return NotImplemented
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.a1) ** 2)
-                             + np.sum(np.abs(self.a2) ** 2)))
+        return frobenius_norm(self)
 
     def copy(self) -> "QVector":
         return QVector(self.a1.copy(), self.a2.copy())
@@ -223,8 +220,7 @@ class QMatrix:
         return NotImplemented
 
     def frobenius_norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.a1) ** 2)
-                             + np.sum(np.abs(self.a2) ** 2)))
+        return frobenius_norm(self)
 
     def copy(self) -> "QMatrix":
         return QMatrix(self.a1.copy(), self.a2.copy())
@@ -233,8 +229,10 @@ class QMatrix:
         return f"QMatrix(shape={self.shape})"
 
 
-def frobenius_norm(a: QMatrix) -> float:
-    return a.frobenius_norm()
+def frobenius_norm(a) -> float:
+    """Frobenius norm of a QMatrix, or the norm of a QVector."""
+    return float(np.sqrt(np.sum(np.abs(a.a1) ** 2)
+                         + np.sum(np.abs(a.a2) ** 2)))
 
 
 def adjoint(a: QMatrix) -> QMatrix:
@@ -261,7 +259,8 @@ def gram_schmidt(vectors, drop_tol: float = RANK_TOL) -> list[QVector]:
     """Orthonormalize over H with two-pass re-orthogonalization.
 
     Dependent inputs (residual norm below drop_tol relative to the input)
-    are dropped, so rank-deficient input shrinks the output.
+    are dropped, so rank-deficient input shrinks the output. The default
+    drop_tol is the rank cut of the block-image singular values.
     """
     basis: list[QVector] = []
     for v in vectors:
@@ -321,7 +320,7 @@ def operator_norm(a: QMatrix) -> float:
 
 @dataclass
 class OperatorClass:
-    """Structural flags of an operator, each with its residual magnitude."""
+    """Structural flags of an operator with their residuals, and its rank."""
 
     self_adjoint: bool
     anti_self_adjoint: bool
@@ -331,6 +330,14 @@ class OperatorClass:
     projection: bool
     partial_isometry: bool
     residuals: dict = field(default_factory=dict)
+    rank: int = 0
+
+
+QUATERNION = ckernel.Algebra(
+    adjoint=adjoint, norm=frobenius_norm, identity=QMatrix.identity,
+    rank=lambda s: _pair_rank(s, s.size, RANK_TOL),
+    coimage=lambda v, rank: gram_schmidt(
+        [_pull_vector(v[:, k]) for k in range(2 * rank)]))
 
 
 def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
@@ -343,53 +350,16 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("classify needs a square operator")
-    astar = a.adjoint()
-    g = astar @ a
-    gg = a @ astar
-    eye = QMatrix.identity(n)
-    m = _chi_block(a)
-    u, s, v = ckernel.svd(m)
-    smax = s[0] if s.size else 0.0
-    res = {
-        "self_adjoint": (a - astar).frobenius_norm(),
-        "anti_self_adjoint": (a + astar).frobenius_norm(),
-        "normal": (g - gg).frobenius_norm(),
-        "unitary": max((g - eye).frobenius_norm(),
-                       (gg - eye).frobenius_norm()),
-        "projection": max((a @ a - a).frobenius_norm(),
-                          (a - astar).frobenius_norm()),
-    }
-    thresh = tol * max(1.0, smax)
-    if res["self_adjoint"] <= thresh:
-        herm = ckernel.hermitian_eig(0.5 * (m + m.conj().T))
-        lam_min = herm.values[-1]
-        res["positive"] = max(res["self_adjoint"], max(0.0, -lam_min))
-    else:
-        res["positive"] = res["self_adjoint"]
-    pi_alg = max((g @ g - g).frobenius_norm(),
-                 (g - g.adjoint()).frobenius_norm())
-    rank_c = ckernel.rank_from_singular_values(s, 2 * n, RANK_TOL)
-    coimage = gram_schmidt([_pull_vector(v[:, k]) for k in range(rank_c)])
-    spot = 0.0
-    for w in coimage:
-        spot = max(spot, abs(a.matvec(w).norm() - 1.0))
-    res["partial_isometry"] = max(pi_alg, spot)
-    flags = {name: bool(val <= thresh) for name, val in res.items()}
-    if flags["unitary"]:
-        flags["normal"] = True
-    return OperatorClass(
-        self_adjoint=flags["self_adjoint"],
-        anti_self_adjoint=flags["anti_self_adjoint"],
-        positive=flags["positive"],
-        normal=flags["normal"],
-        unitary=flags["unitary"],
-        projection=flags["projection"],
-        partial_isometry=flags["partial_isometry"],
-        residuals=res,
-    )
+    return _classify(a, ckernel.Factorization(_chi_block(a)), tol)
+
+
+def _classify(a: QMatrix, fac: ckernel.Factorization,
+              tol: float) -> OperatorClass:
+    """classify(a), reading the given factorization of its block image."""
+    res, flags, rank, _ = ckernel.class_residuals(a, fac, QUATERNION, tol)
+    return OperatorClass(**flags, residuals=res, rank=rank)
 
 
 def _pair_rank(s, dim: int, tol: float) -> int:
@@ -399,11 +369,7 @@ def _pair_rank(s, dim: int, tol: float) -> int:
     quaternionic rank counts pairs above the cut (the larger of each pair
     decides, which keeps borderline ties deterministic).
     """
-    s = np.asarray(s)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    cut = tol * s[0] * dim
-    return int(np.count_nonzero(s[0::2] > cut))
+    return ckernel.rank_from_singular_values(np.asarray(s)[0::2], dim, tol)
 
 
 def quaternionic_rank(a: QMatrix, tol: float = RANK_TOL) -> int:
@@ -421,11 +387,15 @@ def null_range_bases(a: QMatrix, tol: float = RANK_TOL):
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("null_range_bases needs a square operator")
     n = a.shape[0]
-    m = _chi_block(a)
-    u, s, v = ckernel.svd(m)
-    rank_h = _pair_rank(s, 2 * n, tol)
+    fac = ckernel.Factorization(_chi_block(a))
+    return _svd_bases(fac, n - _pair_rank(fac.s, 2 * n, tol))
+
+
+def _svd_bases(fac: ckernel.Factorization, null_rank: int):
+    """null_range_bases of A from the factorization of its block image."""
+    rc = fac.s.size - 2 * null_rank
     null_basis = gram_schmidt(
-        [_pull_vector(v[:, k]) for k in range(2 * rank_h, 2 * n)])
+        [_pull_vector(fac.v[:, k]) for k in range(rc, fac.s.size)])
     range_basis = gram_schmidt(
-        [_pull_vector(u[:, k]) for k in range(2 * rank_h)])
+        [_pull_vector(fac.u[:, k]) for k in range(rc)])
     return null_basis, range_basis

@@ -2,7 +2,8 @@
 
 Grammar: any number of comment lines starting with '#', a header line
 "QMAT <rows> <cols>", then one line per row holding cols entries, each
-entry four space-separated decimal reals (w x y z). Blank lines are
+entry four space-separated finite decimal reals (w x y z); NaN, infinities
+and literals that overflow a double are rejected. Blank lines are
 ignored. Emission uses 17 significant digits, so parse(emit(A)) is
 bit-exact.
 """
@@ -79,9 +80,12 @@ def parse_qmat(text) -> QMatrix:
             comps = []
             for f in fields[4 * c:4 * c + 4]:
                 try:
-                    comps.append(float(f))
+                    value = float(f)
                 except ValueError:
                     raise BadNumber(f"cannot parse {f!r}", line_no) from None
+                if not np.isfinite(value):
+                    raise BadNumber(f"{f!r} is not a finite number", line_no)
+                comps.append(value)
             a1[r, c] = complex(comps[0], comps[1])
             a2[r, c] = complex(comps[2], comps[3])
     for line_no, line in lines:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel
-from .qlinalg import (QMatrix, QVector, classify, inner,
-                      _chi_block, _embed, _pull_vector)
+from .qlinalg import (QMatrix, QUATERNION, QVector, ShapeMismatch, _chi_block,
+                      _embed, _pull_vector)
 
 # default relative tolerance on the block-structure invariants; square
 # roots amplify rounding, so pullbacks after them use PULLBACK_SQRT_TOL
@@ -182,24 +182,24 @@ def equivalence_suite(a: QMatrix, tol: float = 1e-9) -> EquivalenceReport:
 
     Covers the seven operator classes plus compatibility of the adjoint
     with the embedding (chi of A* equals the conjugate transpose of
-    chi of A). Disagreement is reported, not raised.
+    chi of A). Both sides read one factorization of chi of A, but each
+    computes its residuals in its own algebra. Disagreement is reported,
+    not raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    oc = classify(a, tol)
-    cc = ckernel.classify_cmatrix(_chi_block(a), tol)
-    rows = []
-    for name in _CLASS_NAMES:
-        rows.append(EquivalenceRow(
-            name=name,
-            flag_quaternionic=getattr(oc, name),
-            flag_complex=cc["flags"][name],
-            residual_quaternionic=oc.residuals[name],
-            residual_complex=cc["residuals"][name],
-        ))
-    adj_res = float(np.linalg.norm(
-        _chi_block(a.adjoint()) - _chi_block(a).conj().T))
-    scale = max(1.0, cc["sigma_max"])
+    if a.shape[0] != a.shape[1]:
+        raise ShapeMismatch("equivalence_suite needs a square operator")
+    m = _chi_block(a)
+    fac = ckernel.Factorization(m)
+    res_q, flags_q, _, _ = ckernel.class_residuals(a, fac, QUATERNION, tol)
+    res_c, flags_c, _, smax = ckernel.class_residuals(
+        m, fac, ckernel.COMPLEX, tol)
+    rows = [EquivalenceRow(name, flags_q[name], flags_c[name], res_q[name],
+                           res_c[name])
+            for name in _CLASS_NAMES]
+    adj_res = float(np.linalg.norm(_chi_block(a.adjoint()) - m.conj().T))
+    scale = max(1.0, smax)
     ok = adj_res <= tol * scale
     rows.append(EquivalenceRow("adjoint_compatible", ok, ok, adj_res, adj_res))
     return EquivalenceReport(rows)

@@ -2,12 +2,13 @@
 
 Matrix products here are expanded entrywise with scalar Hamilton
 arithmetic, never through the complex-pair fast path, so agreement with
-the library is a real check of the regrouped formulas.
+the library is a real check of the regrouped formulas. A recorder of
+the kernel SVD inputs lets tests pin how often an operator is factored.
 """
 
 import numpy as np
 
-from qpolar import QMatrix, QVector, Quaternion, q_mul
+from qpolar import QMatrix, QVector, Quaternion, ckernel, q_mul
 from qpolar.rng import SplitMix64, stream
 
 
@@ -48,3 +49,16 @@ def qmat_close(a: QMatrix, b: QMatrix, tol: float) -> bool:
 
 def trial_rng(seed: int, k: int = 0) -> SplitMix64:
     return stream(seed, k)
+
+
+def record_svd_inputs(monkeypatch) -> list:
+    """Patch ckernel.svd to keep a copy of every input; returns the copies."""
+    inputs = []
+    real = ckernel.svd
+
+    def recording(m, *args, **kwargs):
+        inputs.append(np.array(m, dtype=complex))
+        return real(m, *args, **kwargs)
+
+    monkeypatch.setattr(ckernel, "svd", recording)
+    return inputs

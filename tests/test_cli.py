@@ -2,9 +2,11 @@ import math
 
 import pytest
 
+from helpers import record_svd_inputs
 from qpolar import QMatrix, emit_qmat, weight_matrix
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
-                        default_tol, example_report, main, run_suite)
+                        default_tol, example_report, main, polar_report,
+                        run_suite)
 
 
 @pytest.fixture
@@ -66,6 +68,24 @@ def test_cmd_polar_parse_error(tmp_path):
     rect = tmp_path / "rect.qmat"
     rect.write_text("QMAT 1 2\n1 0 0 0 0 0 0 0\n")
     assert cmd_polar(str(rect), 1e-9, None) == 2
+    for bad in ("nan", "inf", "-inf", "1e400"):
+        path = tmp_path / f"{bad}.qmat"
+        path.write_text(f"QMAT 2 2\n1 0 0 0 0 0 0 0\n0 0 0 0 {bad} 0 0 0\n")
+        assert cmd_polar(str(path), 1e-9, None) == 2
+        assert main(["polar", "--in", str(path)]) == 2
+
+
+def test_polar_report_factors_each_operator_once(monkeypatch):
+    # one SVD each for T, U0 and |T|: the rank of T comes from the polar
+    # factorization and the rank of U0 from its classification
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    t = random_ops.rank_deficient(SplitMix64(11), 5, 3)
+    inputs = record_svd_inputs(monkeypatch)
+    report, f = polar_report(t, 1e-9)
+    assert report.passed and f.null_rank == 2
+    assert len(inputs) == 3
+    assert len({m.tobytes() for m in inputs}) == 3
 
 
 def test_cmd_polar_invariant_failure_exit(tmp_path):
@@ -111,6 +131,8 @@ def test_run_suite_minimal_dims():
     for suite in ("chi", "sqrt", "polar", "dichotomy", "transform"):
         for check in run_suite(suite, cfg):
             assert check.passed, check.format()
+    with pytest.raises(ValueError):
+        run_suite("bogus", cfg)
 
 
 def test_cmd_verify_scalar_degenerate_case():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import matmul_oracle, trial_rng
+from helpers import matmul_oracle, record_svd_inputs, trial_rng
 from qpolar import (BadPerturbation, NotNormal, NotPositive,
                     NotStrictlyPositive, QMatrix, QVector, Quaternion,
                     adjoint, canonical_perturbation, chi, chi_pullback,
@@ -276,6 +276,18 @@ def test_perturb_polar_rejections():
     wrong.a1[0, 0] = 1.0  # e1 -> e1, but e1 is not in N(A)
     with pytest.raises(BadPerturbation):
         perturb_polar(a, fa, wrong)
+
+
+def test_perturb_polar_trivial_null_space_rejected_first(monkeypatch):
+    # a nonzero V on an invertible T is refused before V is classified,
+    # and N(T) comes from the factorization f already carries
+    rr = trial_rng(62)
+    t = random_ops.rand_qmatrix(rr, 3) + QMatrix.identity(3) * 3.0
+    f = polar_decompose(t)
+    inputs = record_svd_inputs(monkeypatch)
+    with pytest.raises(BadPerturbation, match="trivial"):
+        perturb_polar(t, f, random_ops.rand_qmatrix(rr, 3))
+    assert inputs == []
 
 
 def test_uniqueness_verdict_and_dichotomy():

@@ -232,6 +232,7 @@ def test_null_range_bases_planted_rank():
     null_basis, range_basis = null_range_bases(a)
     assert len(null_basis) == 2 and len(range_basis) == 2
     assert quaternionic_rank(a) == 2
+    assert classify(a).rank == 2
 
 
 def test_rank_nullity_and_corange_orthogonality():

@@ -40,6 +40,11 @@ def test_bad_number():
     with pytest.raises(BadNumber) as exc:
         parse_qmat("QMAT 1 1\n0 0 one 0")
     assert exc.value.line == 2
+    # non-finite values and literals that overflow a double
+    for bad in ("nan", "NaN", "inf", "-inf", "Infinity", "1e400", "-1e400"):
+        with pytest.raises(BadNumber) as exc:
+            parse_qmat(f"# comment\nQMAT 1 2\n1 0 0 0 0 {bad} 0 0")
+        assert exc.value.line == 3
 
 
 def test_roundtrip_bit_exact():

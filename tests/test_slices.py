@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import matvec_oracle, trial_rng
+from helpers import matvec_oracle, record_svd_inputs, trial_rng
 from qpolar import (BlockStructureViolation, NotInPlusSlice, QMatrix, QVector,
                     Quaternion, StandardJ, adjoint, anti_iso_phi, chi,
                     chi_pullback, classify, embed_vector, equivalence_suite,
@@ -216,3 +216,19 @@ def test_classify_positive_matches_complex_side():
     assert classify(p).positive
     cc = ckernel.classify_cmatrix(chi(p).m)
     assert cc["flags"]["positive"]
+
+
+def test_equivalence_suite_factors_chi_once(monkeypatch):
+    # both classifiers read one SVD of chi(A), each computing its own
+    # residuals: chi holds every entry twice, so Frobenius residuals grow
+    # by sqrt(2) on the complex side
+    a = random_ops.rand_qmatrix(trial_rng(44), 4)
+    inputs = record_svd_inputs(monkeypatch)
+    rep = equivalence_suite(a)
+    assert rep.all_agree
+    assert len(inputs) == 1
+    byname = {r.name: r for r in rep.rows}
+    for name in ("self_adjoint", "anti_self_adjoint", "normal", "unitary",
+                 "projection"):
+        assert byname[name].residual_complex == pytest.approx(
+            np.sqrt(2.0) * byname[name].residual_quaternionic, rel=1e-9)
