@@ -36,6 +36,14 @@ class SingularMatrix(ValueError):
     pass
 
 
+class NonFiniteInput(ValueError):
+    """A NaN or infinite entry, or a norm that overflows a double.
+
+    For a finite operator this means overflow: with entries above about
+    1e75, the norm of its Gram matrix exceeds the largest double.
+    """
+
+
 @dataclass
 class EigResult:
     """Eigenvalues (real, descending) and the unitary matrix of eigenvectors."""
@@ -99,11 +107,16 @@ def hermitian_eig(m, tol: float = 1e-12) -> EigResult:
     together as a single unitary. Eigenvalues are returned in descending
     order (stable sort, so equal values keep the sweep output order).
 
-    Raises NotHermitian if ||M - M*|| > tol * max(1, ||M||).
+    Raises NonFiniteInput if M has a NaN or infinite entry or its
+    Frobenius norm overflows, and NotHermitian if
+    ||M - M*|| > tol * max(1, ||M||).
     """
     a = _as_square(m)
     n = a.shape[0]
     scale = frobenius(a)
+    if not np.isfinite(scale):
+        raise NonFiniteInput(
+            "matrix has a NaN or infinite entry, or its norm overflows")
     if frobenius(a - a.conj().T) > tol * max(1.0, scale):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     a = 0.5 * (a + a.conj().T)
@@ -154,11 +167,13 @@ def svd(m, tol: float = RANK_TOL):
     is refined one level: re-diagonalize the Gram matrix of m restricted
     to that cluster's right subspace. Left singular vectors are formed as
     m v / sigma for the numerically nonzero sigma, re-orthonormalized,
-    and completed to a full unitary basis from the standard basis in
-    index order (deterministic).
+    and completed to a full unitary basis by standard basis vectors,
+    each step taking the one with the largest residual against the span
+    so far (deterministic).
 
     Returns (u, s, v) with u, v square unitary and s descending,
-    len(s) = min(m.shape).
+    len(s) = min(m.shape). Raises NonFiniteInput if m has a NaN or
+    infinite entry, or if m* m or its norm overflows.
     """
     a = np.array(m, dtype=complex)
     if a.ndim != 2:
@@ -192,9 +207,11 @@ def svd(m, tol: float = RANK_TOL):
 def _complete_unitary(cols, n: int) -> np.ndarray:
     """Orthonormalize `cols` (in order) and extend to an n x n unitary.
 
-    Completion picks, among the standard basis vectors, the one with the
-    largest residual against the current span (greedy, first index on
-    ties), which always succeeds and is deterministic.
+    Each completion step takes all n standard basis vectors at once, as
+    the columns of the identity, removes their components along the
+    current basis in two passes (w - Q (Q* w), twice), and appends the
+    column with the largest residual norm (greedy, first index on ties
+    within 1e-12), which always succeeds and is deterministic.
     """
     basis = []
 
@@ -209,17 +226,21 @@ def _complete_unitary(cols, n: int) -> np.ndarray:
         nw = np.linalg.norm(w)
         if nw > 0.0:
             basis.append(w / nw)
-    while len(basis) < n:
-        best, best_norm = None, -1.0
+    u = np.zeros((n, n), dtype=complex)
+    for j, b in enumerate(basis):
+        u[:, j] = b
+    for j in range(len(basis), n):
+        q = u[:, :j]
+        w = np.eye(n, dtype=complex)
+        for _ in range(2):
+            w = w - q @ (q.conj().T @ w)
+        norms = np.linalg.norm(w, axis=0)
+        best, best_norm = 0, -1.0
         for k in range(n):
-            w = np.zeros(n, dtype=complex)
-            w[k] = 1.0
-            w = _orthogonalize(w)
-            nw = np.linalg.norm(w)
-            if nw > best_norm + 1e-12:
-                best, best_norm = w, nw
-        basis.append(best / best_norm)
-    return np.stack(basis, axis=1)
+            if norms[k] > best_norm + 1e-12:
+                best, best_norm = k, norms[k]
+        u[:, j] = w[:, best] / best_norm
+    return u
 
 
 def rank_from_singular_values(s, dim: int, tol: float = RANK_TOL) -> int:

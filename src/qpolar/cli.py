@@ -415,7 +415,13 @@ def cmd_polar(in_path: str, tol: float, out_path: str | None = None) -> int:
         print(f"error: operator must be square, got {a.shape}",
               file=sys.stderr)
         return 2
-    report, factors = polar_report(a, tol)
+    try:
+        report, factors = polar_report(a, tol)
+    except ckernel.NonFiniteInput as exc:
+        # parse_qmat admits only finite entries, so this is an overflow
+        print(f"error: operator overflows when factored: {exc}",
+              file=sys.stderr)
+        return 3
     body = report.format()
     body += "# U0\n" + emit_qmat(factors.u0)
     body += "# |T|\n" + emit_qmat(factors.abs_t)

@@ -3,9 +3,10 @@ import pytest
 import scipy.linalg
 
 from qpolar import ckernel
-from qpolar.ckernel import (NegativeEigenvalue, NotHermitian, SingularMatrix,
-                            complex_polar, denman_beavers_sqrt, frobenius,
-                            gauss_inv, hermitian_eig, pinv, psd_sqrt, svd)
+from qpolar.ckernel import (NegativeEigenvalue, NonFiniteInput, NotHermitian,
+                            SingularMatrix, complex_polar, denman_beavers_sqrt,
+                            frobenius, gauss_inv, hermitian_eig, pinv,
+                            psd_sqrt, svd)
 
 RNG = np.random.default_rng(1234)
 
@@ -187,3 +188,96 @@ def test_classify_cmatrix_basics():
     out = ckernel.classify_cmatrix(1j * np.eye(2))
     assert out["flags"]["anti_self_adjoint"] and out["flags"]["unitary"]
     assert not out["flags"]["self_adjoint"]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = m[2, 1] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
+        hermitian_eig(m)
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
+        svd(m)
+
+
+def test_svd_gram_overflow_rejected():
+    # every entry is finite, but m* m overflows
+    m = 2.0 ** 996 * rand_complex(4)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteInput):
+        svd(m)
+
+
+def complete_unitary_per_candidate(cols, n):
+    """Reference completion: every standard basis candidate built and
+    orthogonalized on its own, one basis vector at a time."""
+    basis = []
+
+    def orthogonalize(w):
+        for _ in range(2):
+            for b in basis:
+                w = w - b * np.vdot(b, w)
+        return w
+
+    for w in cols:
+        w = orthogonalize(w.astype(complex))
+        nw = np.linalg.norm(w)
+        if nw > 0.0:
+            basis.append(w / nw)
+    while len(basis) < n:
+        best, best_norm = None, -1.0
+        for k in range(n):
+            w = np.zeros(n, dtype=complex)
+            w[k] = 1.0
+            w = orthogonalize(w)
+            nw = np.linalg.norm(w)
+            if nw > best_norm + 1e-12:
+                best, best_norm = w, nw
+        basis.append(best / best_norm)
+    return np.stack(basis, axis=1)
+
+
+def range_columns(m):
+    """The columns m v / sigma that svd hands to the completion."""
+    _, s, v = svd(m)
+    rank = ckernel.rank_from_singular_values(s, max(m.shape))
+    return [m @ v[:, k] / s[k] for k in range(rank)]
+
+
+def check_completion(cols, n):
+    u = ckernel._complete_unitary(cols, n)
+    assert u.shape == (n, n)
+    # within 1e-12 of the reference means the same candidate at every step
+    assert np.max(np.abs(u - complete_unitary_per_candidate(cols, n))) < 1e-12
+    assert frobenius(u.conj().T @ u - np.eye(n)) < 1e-12
+    return u
+
+
+@pytest.mark.parametrize("n2", [8, 16, 32, 64])
+def test_complete_unitary_rank_deficient_square(n2):
+    for rank in (n2 // 4, n2 // 2, 3 * n2 // 4):
+        m = rand_complex(n2, rank) @ rand_complex(rank, n2)
+        cols = range_columns(m)
+        assert len(cols) == rank
+        check_completion(cols, n2)
+
+
+@pytest.mark.parametrize("rows, cols", [(5, 3), (33, 8)])
+def test_complete_unitary_tall(rows, cols):
+    m = rand_complex(rows, cols)
+    range_cols = range_columns(m)
+    assert len(range_cols) == cols
+    u = check_completion(range_cols, rows)
+    assert np.array_equal(svd(m)[0], u)
+
+
+def test_complete_unitary_zero_matrix_and_empty_cols():
+    assert np.array_equal(svd(np.zeros((6, 6), dtype=complex))[0], np.eye(6))
+    assert np.array_equal(ckernel._complete_unitary([], 5), np.eye(5))
+    check_completion([], 5)
+
+
+def test_complete_unitary_deterministic():
+    cols = range_columns(rand_complex(16, 6) @ rand_complex(6, 16))
+    assert np.array_equal(ckernel._complete_unitary(cols, 16),
+                          ckernel._complete_unitary(cols, 16))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from helpers import record_svd_inputs
@@ -73,6 +74,20 @@ def test_cmd_polar_parse_error(tmp_path):
         path.write_text(f"QMAT 2 2\n1 0 0 0 0 0 0 0\n0 0 0 0 {bad} 0 0 0\n")
         assert cmd_polar(str(path), 1e-9, None) == 2
         assert main(["polar", "--in", str(path)]) == 2
+
+
+def test_cmd_polar_overflow_exit(tmp_path, capsys):
+    # finite entries near 1e300 overflow the Gram matrix of the block image
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    path = tmp_path / "huge.qmat"
+    path.write_text(emit_qmat(random_ops.rand_qmatrix(SplitMix64(3), 4)
+                              * 2.0 ** 996))
+    out = tmp_path / "r.txt"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cmd_polar(str(path), 1e-9, str(out)) == 3
+    assert "error: operator overflows when factored" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_polar_report_factors_each_operator_once(monkeypatch):

@@ -325,3 +325,11 @@ def test_canonical_perturbation_zero_when_unique():
     rr = trial_rng(61)
     t = random_ops.rand_qmatrix(rr, 3) + QMatrix.identity(3) * 3.0
     assert canonical_perturbation(t).frobenius_norm() == 0.0
+
+
+def test_polar_decompose_rejects_nan():
+    from qpolar.ckernel import NonFiniteInput
+    t = random_ops.rand_qmatrix(trial_rng(70), 3)
+    t.a1[1, 1] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
+        polar_decompose(t)
