@@ -53,7 +53,14 @@ class EigResult:
 
 
 def frobenius(m) -> float:
-    return float(np.linalg.norm(np.asarray(m).ravel()))
+    """Frobenius norm; rescaled by the largest |entry| if the squares underflow."""
+    a = np.asarray(m).ravel()
+    norm = float(np.linalg.norm(a))
+    if norm == 0.0 and a.size:
+        big = float(np.max(np.abs(a)))
+        if big > 0.0:
+            norm = big * float(np.linalg.norm(a / big))
+    return norm
 
 
 def _as_square(m) -> np.ndarray:
@@ -336,15 +343,27 @@ def denman_beavers_sqrt(m, tol: float = 1e-13, max_iter: int = 100):
 
 
 class Factorization:
-    """The SVD (u, s, v) of a square complex matrix m, taken once.
+    """Factors of a square complex matrix m, each computed on first use and kept.
 
-    lam_min, the smallest eigenvalue of the Hermitian part of m, is
-    computed on first use and kept.
+    The SVD (u, s, v) is taken on the first read of u, s, v or sigma_max,
+    so building a Factorization costs nothing. lam_min, the smallest
+    eigenvalue of the Hermitian part of m, is a separate eigensolve.
     """
 
     def __init__(self, m):
         self.m = m
-        self.u, self.s, self.v = svd(m)
+
+    @functools.cached_property
+    def _svd(self):
+        return svd(self.m)
+
+    u = property(lambda self: self._svd[0])
+    s = property(lambda self: self._svd[1])
+    v = property(lambda self: self._svd[2])
+
+    @property
+    def sigma_max(self) -> float:
+        return self.s[0] if self.s.size else 0.0
 
     @functools.cached_property
     def lam_min(self) -> float:
@@ -371,6 +390,24 @@ COMPLEX = Algebra(adjoint=lambda a: a.conj().T, norm=frobenius,
                   coimage=lambda v, rank: v.T[:rank])
 
 
+def positivity(sa: float, fac: Factorization, tol: float):
+    """(residual, flag) of positivity for an operator with self-adjoint residual sa.
+
+    fac factors its complex image. The residual is sa, or max(sa, -lam_min)
+    when sa is within tol * max(1, sigma_max); the flag is the residual
+    within that threshold. sigma_max (and so the SVD) is read only when a
+    value exceeds tol, because a value within tol is within
+    tol * max(1, sigma_max) too.
+    """
+    def within(x):
+        return x <= tol or x <= tol * max(1.0, fac.sigma_max)
+
+    if not within(sa):
+        return sa, False
+    res = max(sa, max(0.0, -fac.lam_min))
+    return res, within(res)
+
+
 def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
     """Structural class residuals of a square operator a in algebra alg.
 
@@ -382,7 +419,7 @@ def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
     g = astar @ a
     gg = a @ astar
     eye = alg.identity(a.shape[0])
-    smax = fac.s[0] if fac.s.size else 0.0
+    smax = fac.sigma_max
     res = {
         "self_adjoint": alg.norm(a - astar),
         "anti_self_adjoint": alg.norm(a + astar),
@@ -391,10 +428,7 @@ def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
         "projection": max(alg.norm(a @ a - a), alg.norm(a - astar)),
     }
     thresh = tol * max(1.0, smax)
-    if res["self_adjoint"] <= thresh:
-        res["positive"] = max(res["self_adjoint"], max(0.0, -fac.lam_min))
-    else:
-        res["positive"] = res["self_adjoint"]
+    res["positive"], _ = positivity(res["self_adjoint"], fac, tol)
     # partial isometry: a* a is an orthogonal projection, and a preserves
     # norms on the orthogonal complement of its null space
     pi_alg = max(alg.norm(g @ g - g), alg.norm(g - alg.adjoint(g)))

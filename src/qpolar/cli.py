@@ -23,8 +23,8 @@ from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, modulus,
                     perturb_polar, polar_decompose)
 from .qlinalg import (QMatrix, QVector, RANK_TOL, classify, null_range_bases,
-                      operator_norm, quaternionic_rank, _chi_block, _pair_rank,
-                      _svd_bases)
+                      operator_norm, positivity, quaternionic_rank, _chi_block,
+                      _pair_rank, _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
@@ -386,8 +386,7 @@ def polar_report(a: QMatrix, tol: float):
     checks += [
         CheckResult("u0_partial_isometry",
                     u0_class.residuals["partial_isometry"], tol),
-        CheckResult("abs_positive",
-                    classify(f.abs_t).residuals["positive"], tol),
+        CheckResult("abs_positive", positivity(f.abs_t)[0], tol),
         CheckResult("null_rank_match",
                     0.0 if u0_class.rank == a.shape[0] - f.null_rank
                     else 1.0, 0.0),

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import ckernel
 from .qlinalg import (QMatrix, RANK_TOL, ShapeMismatch, classify, inner,
-                      null_range_bases, projector_onto, _chi_block, _classify,
-                      _pair_rank, _svd_bases)
+                      null_range_bases, positivity, projector_onto,
+                      _chi_block, _classify, _pair_rank, _svd_bases)
 from .quaternion import Quaternion
 from .slices import PULLBACK_SQRT_TOL, chi_pullback
 
@@ -63,11 +63,16 @@ class PolarFactors:
         return self.null_rank
 
 
-def _require_positive(p: QMatrix, tol: float):
-    oc = classify(p, tol)
-    if not oc.positive:
+def _require_positive(p: QMatrix, tol: float) -> ckernel.Factorization:
+    """Raise NotPositive unless classify(p, tol) would find p positive.
+
+    Returns the factorization of chi(p), whose lam_min is then computed.
+    """
+    residual, positive, fac = positivity(p, tol)
+    if not positive:
         raise NotPositive(
-            f"positivity residual {oc.residuals['positive']:.3e} above tolerance")
+            f"positivity residual {residual:.3e} above tolerance")
+    return fac
 
 
 def sqrt_positive_spectral(p: QMatrix, tol: float = 1e-8) -> QMatrix:
@@ -113,13 +118,11 @@ def sqrt_strictly_positive(p: QMatrix, lambda_min: float,
     """
     if lambda_min <= 0.0:
         raise ValueError("lambda_min must be positive")
-    _require_positive(p, max(tol, 1e-9))
-    m = _chi_block(p)
-    eig = ckernel.hermitian_eig(0.5 * (m + m.conj().T))
-    if eig.values[-1] < lambda_min:
+    fac = _require_positive(p, max(tol, 1e-9))
+    if fac.lam_min < lambda_min:
         raise NotStrictlyPositive(
-            f"minimum eigenvalue {eig.values[-1]:.3e} below {lambda_min:.3e}")
-    s = ckernel.gauss_inv(m)
+            f"minimum eigenvalue {fac.lam_min:.3e} below {lambda_min:.3e}")
+    s = ckernel.gauss_inv(fac.m)
     s = 0.5 * (s + s.conj().T)
     s_half = ckernel.psd_sqrt(s)
     c = ckernel.gauss_inv(s_half)

@@ -340,19 +340,41 @@ QUATERNION = ckernel.Algebra(
         [_pull_vector(v[:, k]) for k in range(2 * rank)]))
 
 
-def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
-    """Classify a square operator by residuals below tol * max(1, ||A||).
-
-    Positivity is self-adjointness plus a nonnegative spectrum of the
-    complex block image; the partial isometry check combines "A* A is an
-    orthogonal projection" with a norm spot-check on an orthonormal basis
-    of the orthogonal complement of the null space.
-    """
+def _check_square(a: QMatrix, tol: float, what: str):
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch("classify needs a square operator")
+        raise ShapeMismatch(f"{what} needs a square operator")
+
+
+def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
+    """Classify a square operator by residuals below tol * max(1, ||A||).
+
+    ||A|| here is sigma_max of the complex block image. Positivity is
+    self-adjointness plus a nonnegative spectrum of the block image, as
+    in positivity(a, tol); the partial isometry check combines "A* A is
+    an orthogonal projection" with a norm spot-check on an orthonormal
+    basis of the orthogonal complement of the null space. Every class
+    but positivity reads the SVD of the block image.
+    """
+    _check_square(a, tol, "classify")
     return _classify(a, ckernel.Factorization(_chi_block(a)), tol)
+
+
+def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
+    """The positivity residual and flag of classify(a, tol), and the factors.
+
+    Returns (residual, positive, fac), residual and positive equal to
+    classify's, with fac the Factorization of the block image. A positive
+    A costs one eigensolve, of the block image's Hermitian part
+    (fac.lam_min, then already computed); the SVD is taken only when a
+    residual exceeds tol.
+    """
+    _check_square(a, tol, "positivity")
+    fac = ckernel.Factorization(_chi_block(a))
+    residual, positive = ckernel.positivity(
+        frobenius_norm(a - adjoint(a)), fac, tol)
+    return residual, positive, fac
 
 
 def _classify(a: QMatrix, fac: ckernel.Factorization,

@@ -3,7 +3,7 @@
 Matrix products here are expanded entrywise with scalar Hamilton
 arithmetic, never through the complex-pair fast path, so agreement with
 the library is a real check of the regrouped formulas. A recorder of
-the kernel SVD inputs lets tests pin how often an operator is factored.
+kernel inputs lets tests pin how often an operator is factored.
 """
 
 import numpy as np
@@ -51,14 +51,18 @@ def trial_rng(seed: int, k: int = 0) -> SplitMix64:
     return stream(seed, k)
 
 
-def record_svd_inputs(monkeypatch) -> list:
-    """Patch ckernel.svd to keep a copy of every input; returns the copies."""
+def record_kernel_inputs(monkeypatch, name: str) -> list:
+    """Patch ckernel.<name> to keep a copy of every input; returns the copies."""
     inputs = []
-    real = ckernel.svd
+    real = getattr(ckernel, name)
 
     def recording(m, *args, **kwargs):
         inputs.append(np.array(m, dtype=complex))
         return real(m, *args, **kwargs)
 
-    monkeypatch.setattr(ckernel, "svd", recording)
+    monkeypatch.setattr(ckernel, name, recording)
     return inputs
+
+
+def record_svd_inputs(monkeypatch) -> list:
+    return record_kernel_inputs(monkeypatch, "svd")

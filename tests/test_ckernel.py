@@ -46,6 +46,20 @@ def test_eig_random_residuals():
         assert np.max(np.abs(out.values - ref)) < 1e-11 * max(1.0, scale)
 
 
+def test_eig_underflowing_norm():
+    # every square of an entry near 1e-211 underflows to zero
+    m = rand_hermitian(6)
+    tiny = 2.0 ** -700 * m
+    out = hermitian_eig(tiny)
+    ref = np.linalg.eigvalsh(m)[::-1]
+    assert np.max(np.abs(out.values / 2.0 ** -700 - ref)) \
+        <= 1e-12 * np.max(np.abs(ref))
+    d = out.vectors.conj().T @ m @ out.vectors
+    assert frobenius(d - np.diag(np.diag(d))) <= 1e-12 * frobenius(m)
+    assert frobenius(tiny) == pytest.approx(2.0 ** -700 * frobenius(m),
+                                            rel=1e-15)
+
+
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
         hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))

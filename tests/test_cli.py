@@ -91,16 +91,46 @@ def test_cmd_polar_overflow_exit(tmp_path, capsys):
 
 
 def test_polar_report_factors_each_operator_once(monkeypatch):
-    # one SVD each for T, U0 and |T|: the rank of T comes from the polar
-    # factorization and the rank of U0 from its classification
+    # one SVD each for T and U0: the rank of T comes from the polar
+    # factorization and the rank of U0 from its classification; the
+    # positivity of |T| needs only its lowest eigenvalue, no SVD
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
     t = random_ops.rank_deficient(SplitMix64(11), 5, 3)
     inputs = record_svd_inputs(monkeypatch)
     report, f = polar_report(t, 1e-9)
     assert report.passed and f.null_rank == 2
-    assert len(inputs) == 3
-    assert len({m.tobytes() for m in inputs}) == 3
+    assert len(inputs) == 2
+    assert len({m.tobytes() for m in inputs}) == 2
+
+
+def _scaled_rank_deficient_file(tmp_path, exponent: int) -> str:
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    path = tmp_path / f"scaled{exponent}.qmat"
+    path.write_text(emit_qmat(random_ops.rank_deficient(SplitMix64(3), 8, 4)
+                              * 2.0 ** exponent))
+    return str(path)
+
+
+def test_cmd_polar_tiny_scale_rank_deficient(tmp_path):
+    # entries near 1e-100: the squares of the Gram matrix entries underflow,
+    # and the eigensolver must still rotate
+    out = tmp_path / "r.txt"
+    assert cmd_polar(_scaled_rank_deficient_file(tmp_path, -332), 1e-9,
+                     str(out)) == 0
+    body = out.read_text()
+    assert "# null_rank 4\n" in body and "FAIL" not in body
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cmd_polar_large_scale_no_overflow_warning(tmp_path):
+    # entries near 1e72: no residual of the report may overflow on the way
+    out = tmp_path / "r.txt"
+    assert cmd_polar(_scaled_rank_deficient_file(tmp_path, 240), 1e-9,
+                     str(out)) == 0
+    body = out.read_text()
+    assert "summary 7 checks 7 passed 0 failed" in body
 
 
 def test_cmd_polar_invariant_failure_exit(tmp_path):

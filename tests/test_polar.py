@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import matmul_oracle, record_svd_inputs, trial_rng
+from helpers import (matmul_oracle, record_kernel_inputs,
+                     record_svd_inputs, trial_rng)
 from qpolar import (BadPerturbation, NotNormal, NotPositive,
                     NotStrictlyPositive, QMatrix, QVector, Quaternion,
                     adjoint, canonical_perturbation, chi, chi_pullback,
@@ -74,6 +75,28 @@ def test_sqrt_routes_agree():
         composite_pd = sqrt_positive_composite(pd)
         assert (strict - spectral_pd).frobenius_norm() < 1e-7
         assert (composite_pd - spectral_pd).frobenius_norm() < 1e-7
+
+
+def test_sqrt_routes_take_no_svd_on_psd_input(monkeypatch):
+    # positivity of a PSD input reads one eigensolve, never an SVD
+    p = random_ops.psd(trial_rng(53), 5)
+    pd = p + QMatrix.identity(5)
+    inputs = record_svd_inputs(monkeypatch)
+    sqrt_positive_spectral(p)
+    sqrt_positive_composite(p)
+    sqrt_strictly_positive(pd, 1.0)
+    assert inputs == []
+
+
+def test_sqrt_strictly_positive_one_eigensolve_of_hermitian_part(monkeypatch):
+    pd = random_ops.psd(trial_rng(54), 5) + QMatrix.identity(5)
+    m = chi(pd).m
+    hermitian_part = 0.5 * (m + m.conj().T)
+    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    sqrt_strictly_positive(pd, 1.0)
+    assert sum(np.array_equal(x, hermitian_part) for x in inputs) == 1
+    with pytest.raises(NotStrictlyPositive):
+        sqrt_strictly_positive(pd, 1e3)
 
 
 def test_sqrt_commutant_property():

@@ -8,6 +8,7 @@ from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
                     classify, gram_schmidt, inner, matrix_in_basis,
                     null_range_bases, operator_norm, projector_onto,
                     quaternionic_rank, weight_matrix)
+from qpolar.qlinalg import positivity
 from qpolar.quaternion import I, J, K
 from qpolar import random_ops
 
@@ -205,6 +206,30 @@ def test_classify_expected_flags_per_class():
     assert classify(random_ops.normal(rr, 4)).normal
     assert classify(random_ops.projection(rr, 4, rank=2)).projection
     assert classify(random_ops.partial_isometry(rr, 4, rank=2)).partial_isometry
+
+
+def test_positivity_matches_classify():
+    rr = trial_rng(22)
+    h = random_ops.hermitian(rr, 4)
+    ops = [h, random_ops.psd(rr, 4), random_ops.projection(rr, 4, rank=2),
+           random_ops.anti_self_adjoint(rr, 4), random_ops.rand_qmatrix(rr, 4),
+           QMatrix.zeros(3), QMatrix.diag([2.0, -1e-3]),
+           # lowest eigenvalue -5e-8: within 1e-9 * sigma_max, not within 1e-9
+           QMatrix.diag([100.0, -5e-8])]
+    flags = []
+    for a in ops:
+        for tol in (1e-9, 1e-6):
+            oc = classify(a, tol)
+            residual, positive, _ = positivity(a, tol)
+            assert residual == oc.residuals["positive"]
+            assert positive == oc.positive
+            flags.append(positive)
+    assert True in flags and False in flags
+    assert positivity(QMatrix.diag([100.0, -5e-8]), 1e-9)[1]
+    with pytest.raises(ShapeMismatch):
+        positivity(QMatrix.zeros(2, 3))
+    with pytest.raises(ValueError):
+        positivity(h, tol=0.0)
 
 
 def test_null_range_bases_zero_matrix():
