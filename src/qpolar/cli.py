@@ -23,10 +23,11 @@ from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, modulus,
                     perturb_polar, polar_decompose)
 from .qlinalg import (QMatrix, QVector, RANK_TOL, classify, null_range_bases,
-                      operator_norm, positivity, quaternionic_rank, _chi_block,
-                      _pair_rank, _svd_bases)
+                      operator_norm, quaternionic_rank, _chi_block, _pair_rank,
+                      _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
-from .slices import chi, chi_pullback, equivalence_suite
+from .slices import (BlockStructureViolation, chi, chi_pullback,
+                     equivalence_suite)
 
 DEFAULT_TOL = 1e-9
 ENV_TOL = "QPOLAR_TOL"
@@ -386,7 +387,7 @@ def polar_report(a: QMatrix, tol: float):
     checks += [
         CheckResult("u0_partial_isometry",
                     u0_class.residuals["partial_isometry"], tol),
-        CheckResult("abs_positive", positivity(f.abs_t)[0], tol),
+        CheckResult("abs_positive", f.abs_positivity()[0], tol),
         CheckResult("null_rank_match",
                     0.0 if u0_class.rank == a.shape[0] - f.null_rank
                     else 1.0, 0.0),
@@ -419,6 +420,12 @@ def cmd_polar(in_path: str, tol: float, out_path: str | None = None) -> int:
     except ckernel.NonFiniteInput as exc:
         # parse_qmat admits only finite entries, so this is an overflow
         print(f"error: operator overflows when factored: {exc}",
+              file=sys.stderr)
+        return 3
+    except BlockStructureViolation as exc:
+        # the Gram-route SVD loses the quaternionic pairing of the singular
+        # vectors of an ill-conditioned operator
+        print(f"error: operator too ill-conditioned to factor: {exc}",
               file=sys.stderr)
         return 3
     body = report.format()

@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel
-from .qlinalg import (QMatrix, RANK_TOL, ShapeMismatch, classify, inner,
-                      null_range_bases, positivity, projector_onto,
-                      _chi_block, _classify, _pair_rank, _svd_bases)
+from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, RANK_TOL, ShapeMismatch,
+                      classify, frobenius_norm, inner, null_range_bases,
+                      positivity, projector_onto, _chi_block, _classify,
+                      _pair_rank, _svd_bases)
 from .quaternion import Quaternion
 from .slices import PULLBACK_SQRT_TOL, chi_pullback
 
@@ -61,6 +62,28 @@ class PolarFactors:
     def corange_rank(self) -> int:
         """dim R(T)-perp, which equals dim N(T) for a square T."""
         return self.null_rank
+
+    def abs_positivity(self, tol: float = DEFAULT_CLASS_TOL):
+        """(residual, positive) of positivity(abs_t, tol), equal to it.
+
+        At full rank it needs no eigensolve. If every singular value s of
+        chi(T) is above the library rank cut, s[-1] > RANK_TOL * 2n * s[0],
+        then chi(|T|) is V diag(s) V*, V the right singular vectors of
+        chi(T), averaged with its block-structured twin. By Weyl's theorem
+        its lowest eigenvalue is at least s[-1] less the rounding of
+        forming it, O(n eps s[0]). The cut is more than 1e3 times that
+        rounding and the error of the Jacobi solve, so the solve would
+        find lam_min > 0, and positivity's residual is the self-adjoint
+        residual alone. Below the cut, or when that residual exceeds tol
+        (the flag then reads sigma_max of chi(|T|)), this is
+        positivity(abs_t, tol) itself.
+        """
+        s = self.chi_svd.s
+        if ckernel.rank_from_singular_values(s, s.size) == s.size:
+            sa = frobenius_norm(self.abs_t - self.abs_t.adjoint())
+            if sa <= tol:
+                return sa, True
+        return positivity(self.abs_t, tol)[:2]
 
 
 def _require_positive(p: QMatrix, tol: float) -> ckernel.Factorization:

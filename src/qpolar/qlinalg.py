@@ -231,8 +231,26 @@ class QMatrix:
 
 def frobenius_norm(a) -> float:
     """Frobenius norm of a QMatrix, or the norm of a QVector."""
-    return float(np.sqrt(np.sum(np.abs(a.a1) ** 2)
-                         + np.sum(np.abs(a.a2) ** 2)))
+    return _planes_norm(a.a1, a.a2)
+
+
+def _planes_norm(a1, a2) -> float:
+    """Frobenius norm of the complex planes (a1, a2).
+
+    Recomputed scaled by the largest |entry| when the plain sum of squares
+    underflows to 0 with an entry nonzero, or overflows with every entry
+    finite, as ckernel.frobenius does; other values keep their bytes.
+    """
+    with np.errstate(over="ignore"):
+        norm = float(np.sqrt(np.sum(np.abs(a1) ** 2)
+                             + np.sum(np.abs(a2) ** 2)))
+    if norm == 0.0 or norm == np.inf:
+        big = max(np.max(np.abs(a1), initial=0.0),
+                  np.max(np.abs(a2), initial=0.0))
+        if 0.0 < big < np.inf:
+            norm = big * float(np.sqrt(np.sum(np.abs(a1 / big) ** 2)
+                                       + np.sum(np.abs(a2 / big) ** 2)))
+    return norm
 
 
 def adjoint(a: QMatrix) -> QMatrix:
@@ -261,18 +279,29 @@ def gram_schmidt(vectors, drop_tol: float = RANK_TOL) -> list[QVector]:
     Dependent inputs (residual norm below drop_tol relative to the input)
     are dropped, so rank-deficient input shrinks the output. The default
     drop_tol is the rank cut of the block-image singular values.
+
+    Works on the complex planes (a1, a2) of each vector: removing the
+    component u * <u|w> is, with alpha + beta j = <u|w>,
+    w1 -= u1 alpha - u2 conj(beta) and w2 -= u1 beta + u2 conj(alpha).
+    These are the floating-point operations of inner() and of the right
+    scalar action, in the same order, so the result is the same as
+    looping with QVector and Quaternion objects, bit for bit.
     """
-    basis: list[QVector] = []
+    basis = []
     for v in vectors:
-        w = v.copy()
-        orig = w.norm()
+        w1, w2 = v.a1, v.a2
+        orig = _planes_norm(w1, w2)
         for _ in range(2):
-            for u in basis:
-                w = w - u * inner(u, w)
-        nw = w.norm()
+            for u1, u2 in basis:
+                alpha = np.vdot(u1, w1) + np.vdot(w2, u2)
+                beta = np.vdot(u1, w2) - np.vdot(w1, u2)
+                w1 = w1 - (u1 * alpha - u2 * np.conj(beta))
+                w2 = w2 - (u1 * beta + u2 * np.conj(alpha))
+        nw = _planes_norm(w1, w2)
         if nw > drop_tol * max(1.0, orig):
-            basis.append(w * (1.0 / nw))
-    return basis
+            scale = 1.0 / nw
+            basis.append((w1 * scale, w2 * scale))
+    return [QVector(u1, u2) for u1, u2 in basis]
 
 
 def projector_onto(vectors) -> QMatrix:

@@ -66,3 +66,19 @@ def record_kernel_inputs(monkeypatch, name: str) -> list:
 
 def record_svd_inputs(monkeypatch) -> list:
     return record_kernel_inputs(monkeypatch, "svd")
+
+
+def gaussian_qmatrix(g: np.random.Generator, n: int) -> QMatrix:
+    """n x n quaternion matrix with independent standard normal components."""
+    def plane():
+        return g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+    return QMatrix(plane(), plane())
+
+
+def conditioned_qmatrix(seed: int, n: int, cond: float) -> QMatrix:
+    """W1 diag(logspace(0, -log10(cond), n)) W2, each W the U0 of a Gaussian draw."""
+    from qpolar import polar_decompose
+    g = np.random.default_rng(seed)
+    w1 = polar_decompose(gaussian_qmatrix(g, n)).u0
+    w2 = polar_decompose(gaussian_qmatrix(g, n)).u0
+    return w1 @ QMatrix.diag(list(np.logspace(0, -np.log10(cond), n))) @ w2

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import record_svd_inputs
+from helpers import (conditioned_qmatrix, gaussian_qmatrix,
+                     record_kernel_inputs, record_svd_inputs)
 from qpolar import QMatrix, emit_qmat, weight_matrix
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         default_tol, example_report, main, polar_report,
@@ -102,6 +103,37 @@ def test_polar_report_factors_each_operator_once(monkeypatch):
     assert report.passed and f.null_rank == 2
     assert len(inputs) == 2
     assert len({m.tobytes() for m in inputs}) == 2
+
+
+def test_polar_report_eigensolves(monkeypatch):
+    # full rank: one eigensolve for the SVD of chi(T), one for that of
+    # chi(U0), and none for |T|, whose positivity follows from the singular
+    # values of T; rank-deficient: the two SVDs refine their trailing
+    # cluster (one more eigensolve each) and |T| takes its own
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    full = gaussian_qmatrix(np.random.default_rng(12), 6)
+    deficient = random_ops.rank_deficient(SplitMix64(12), 6, 3)
+    for t, want in ((full, 2), (deficient, 5)):
+        inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+        report, f = polar_report(t, 1e-9)
+        assert report.passed and f.unique == (t is full)
+        assert len(inputs) == want
+        monkeypatch.undo()
+
+
+def test_cmd_polar_ill_conditioned_exit(tmp_path, capsys):
+    # condition number 1e6: the Gram-route SVD loses the block pairing of
+    # the singular vectors, so U0 cannot be pulled back
+    path = tmp_path / "cond.qmat"
+    path.write_text(emit_qmat(conditioned_qmatrix(0, 8, 1e6)))
+    out = tmp_path / "r.txt"
+    assert cmd_polar(str(path), 1e-9, str(out)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: operator too ill-conditioned to factor")
+    assert not out.exists()
+    assert main(["polar", "--in", str(path)]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def _scaled_rank_deficient_file(tmp_path, exponent: int) -> str:

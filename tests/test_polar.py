@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (matmul_oracle, record_kernel_inputs,
-                     record_svd_inputs, trial_rng)
+from helpers import (conditioned_qmatrix, gaussian_qmatrix, matmul_oracle,
+                     record_kernel_inputs, record_svd_inputs, trial_rng)
 from qpolar import (BadPerturbation, NotNormal, NotPositive,
                     NotStrictlyPositive, QMatrix, QVector, Quaternion,
                     adjoint, canonical_perturbation, chi, chi_pullback,
@@ -15,6 +15,7 @@ from qpolar import (BadPerturbation, NotNormal, NotPositive,
                     sqrt_strictly_positive, structure_report,
                     unitary_extension, uniqueness_verdict, weight_matrix)
 from qpolar import random_ops
+from qpolar.qlinalg import positivity
 from qpolar.quaternion import I, J, K
 
 
@@ -132,6 +133,40 @@ def test_modulus_weight_matrix_against_diagonal_oracle():
     gram = matmul_oracle(adjoint(a), a)
     expected = QMatrix.diag([math.sqrt(gram.entry(k, k).w) for k in range(10)])
     assert (modulus(a) - expected).frobenius_norm() < 1e-10
+
+
+def _certificate_cases():
+    g = np.random.default_rng(57)
+    for n in range(1, 33):
+        yield f"gaussian n={n}", gaussian_qmatrix(g, n)
+    for n, cond in ((2, 1e8), (4, 1e6), (8, 1e3), (16, 1e3)):
+        yield f"cond {cond:.0e} n={n}", conditioned_qmatrix(n, n, cond)
+
+
+def test_abs_positivity_certificate_matches_eigensolve(monkeypatch):
+    # at full rank the certificate reads the singular values of chi(T) and
+    # must give positivity(|T|) exactly, without solving for lam_min
+    eig_inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    for name, t in _certificate_cases():
+        f = polar_decompose(t)
+        assert f.unique, name
+        del eig_inputs[:]
+        certified = f.abs_positivity()
+        assert eig_inputs == [], name
+        residual, positive, fac = positivity(f.abs_t)
+        assert fac.lam_min > 0.0, name
+        assert positive and certified == (residual, positive), name
+
+
+def test_abs_positivity_rank_deficient_takes_the_eigensolve(monkeypatch):
+    rr = trial_rng(58)
+    for n, rank in ((4, 2), (8, 4), (8, 7)):
+        f = polar_decompose(random_ops.rank_deficient(rr, n, rank))
+        eig_inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+        certified = f.abs_positivity()
+        assert len(eig_inputs) == 1
+        monkeypatch.undo()
+        assert certified == positivity(f.abs_t)[:2]
 
 
 def test_polar_decompose_invertible():

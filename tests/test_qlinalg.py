@@ -8,9 +8,9 @@ from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
                     classify, gram_schmidt, inner, matrix_in_basis,
                     null_range_bases, operator_norm, projector_onto,
                     quaternionic_rank, weight_matrix)
-from qpolar.qlinalg import positivity
+from qpolar.qlinalg import _chi_block, _pull_vector, frobenius_norm, positivity
 from qpolar.quaternion import I, J, K
-from qpolar import random_ops
+from qpolar import ckernel, random_ops
 
 
 def test_inner_examples():
@@ -130,6 +130,59 @@ def test_gram_schmidt_rank_deficient_shrinks():
               + vs[1] * random_ops.rand_quaternion(rr))
     out = gram_schmidt(vs)
     assert len(out) == 2
+
+
+def gram_schmidt_objects(vectors, drop_tol=1e-10):
+    """Reference: the loop over QVector and Quaternion objects."""
+    basis = []
+    for v in vectors:
+        w = v.copy()
+        orig = w.norm()
+        for _ in range(2):
+            for u in basis:
+                w = w - u * inner(u, w)
+        nw = w.norm()
+        if nw > drop_tol * max(1.0, orig):
+            basis.append(w * (1.0 / nw))
+    return basis
+
+
+def _gram_schmidt_cases():
+    rr = trial_rng(19)
+    yield []
+    for n in (1, 3, 8):
+        yield [random_ops.rand_qvector(rr, n) for _ in range(n)]
+        yield [random_ops.rand_qvector(rr, n) for _ in range(n + 2)]
+    # pulled-back singular vectors of block images come in dependent
+    # pairs, as in the coimage and null/range bases
+    for n, rank in ((2, 2), (5, 3), (8, 8), (8, 1)):
+        v = ckernel.svd(_chi_block(random_ops.rank_deficient(rr, n, rank)))[2]
+        yield [_pull_vector(v[:, k]) for k in range(2 * n)]
+        yield [_pull_vector(v[:, k]) for k in range(2 * rank, 2 * n)]
+
+
+def test_gram_schmidt_matches_object_loop_bytes():
+    for vectors in _gram_schmidt_cases():
+        got = gram_schmidt(vectors)
+        want = gram_schmidt_objects(vectors)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.a1.tobytes() == w.a1.tobytes()
+            assert g.a2.tobytes() == w.a2.tobytes()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("exponent", [-600, 600])
+def test_frobenius_norm_extreme_scales(exponent):
+    rr = trial_rng(20)
+    a = random_ops.rand_qmatrix(rr, 3)
+    scaled = a * 2.0 ** exponent
+    # scaling by a power of two is exact, so the norm scales exactly too
+    assert frobenius_norm(scaled) == pytest.approx(
+        frobenius_norm(a) * 2.0 ** exponent, rel=1e-14, abs=0.0)
+    x = random_ops.rand_qvector(rr, 4)
+    assert (x * 2.0 ** exponent).norm() == pytest.approx(
+        x.norm() * 2.0 ** exponent, rel=1e-14, abs=0.0)
 
 
 def test_operator_norm_examples():
