@@ -19,7 +19,7 @@ from .slices import (BlockStructureViolation, ChiImage, NotInPlusSlice,
 from .ckernel import (EigResult, NegativeEigenvalue, NotHermitian,
                       SingularMatrix, complex_polar, denman_beavers_sqrt,
                       gauss_inv, hermitian_eig, pinv, psd_sqrt, svd)
-from .polar import (BadPerturbation, NotNormal, NotPositive,
+from .polar import (BadPerturbation, IllConditioned, NotNormal, NotPositive,
                     NotStrictlyPositive, PolarFactors, canonical_perturbation,
                     modulus, perturb_polar, polar_decompose,
                     sqrt_positive_spectral, sqrt_positive_composite,
@@ -51,7 +51,7 @@ __all__ = [
     "sqrt_strictly_positive", "modulus", "polar_decompose",
     "structure_report", "unitary_extension", "perturb_polar",
     "canonical_perturbation", "uniqueness_verdict", "NotPositive",
-    "NotStrictlyPositive", "NotNormal", "BadPerturbation",
+    "NotStrictlyPositive", "NotNormal", "BadPerturbation", "IllConditioned",
     "z_transform", "z_inverse", "TruncatedWeightOp", "truncated_example",
     "weight_matrix", "null_swap_perturbation", "NormTooLarge",
     "DimensionTooSmall",

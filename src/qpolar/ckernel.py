@@ -376,6 +376,18 @@ class Factorization:
         p = (self.v * self.s) @ self.v.conj().T
         return u0, 0.5 * (p + p.conj().T)
 
+    @property
+    def p_definite(self) -> bool:
+        """Whether the p of polar() is positive definite beyond rounding.
+
+        p is V diag(s) V* from this SVD. When every s is above the rank
+        cut, s[-1] > RANK_TOL * dim * s[0], Weyl's theorem puts the lowest
+        eigenvalue of p (and of any O(dim eps s[0]) perturbation of it,
+        such as its rounding or a Jacobi solve for it) at s[-1] less that
+        perturbation, so above zero: the cut exceeds it more than 1e3-fold.
+        """
+        return rank_from_singular_values(self.s, self.s.size) == self.s.size
+
 
 # what class_residuals needs from a matrix algebra: adjoint, Frobenius
 # norm, identity(n), rank(s) from the singular values of the complex image,

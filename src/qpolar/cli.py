@@ -20,14 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel, random_ops, rng, transform
-from .polar import (BadPerturbation, canonical_perturbation, modulus,
-                    perturb_polar, polar_decompose)
+from .polar import (BadPerturbation, IllConditioned, canonical_perturbation,
+                    modulus, perturb_polar, polar_decompose)
 from .qlinalg import (QMatrix, QVector, RANK_TOL, classify, null_range_bases,
                       operator_norm, quaternionic_rank, _chi_block, _pair_rank,
                       _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
-from .slices import (BlockStructureViolation, chi, chi_pullback,
-                     equivalence_suite)
+from .slices import chi, chi_pullback, equivalence_suite
 
 DEFAULT_TOL = 1e-9
 ENV_TOL = "QPOLAR_TOL"
@@ -422,9 +421,7 @@ def cmd_polar(in_path: str, tol: float, out_path: str | None = None) -> int:
         print(f"error: operator overflows when factored: {exc}",
               file=sys.stderr)
         return 3
-    except BlockStructureViolation as exc:
-        # the Gram-route SVD loses the quaternionic pairing of the singular
-        # vectors of an ill-conditioned operator
+    except IllConditioned as exc:
         print(f"error: operator too ill-conditioned to factor: {exc}",
               file=sys.stderr)
         return 3

@@ -24,7 +24,7 @@ from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, RANK_TOL, ShapeMismatch,
                       positivity, projector_onto, _chi_block, _classify,
                       _pair_rank, _svd_bases)
 from .quaternion import Quaternion
-from .slices import PULLBACK_SQRT_TOL, chi_pullback
+from .slices import PULLBACK_SQRT_TOL, BlockStructureViolation, chi_pullback
 
 
 class NotPositive(ValueError):
@@ -41,6 +41,14 @@ class NotNormal(ValueError):
 
 class BadPerturbation(ValueError):
     pass
+
+
+class IllConditioned(BlockStructureViolation):
+    """polar_decompose found no quaternionic block structure in a factor.
+
+    The Gram-route SVD of chi(T) loses the pairing of the singular vectors
+    of an ill-conditioned T, so its polar factors cannot be pulled back.
+    """
 
 
 @dataclass
@@ -63,27 +71,23 @@ class PolarFactors:
         """dim R(T)-perp, which equals dim N(T) for a square T."""
         return self.null_rank
 
-    def abs_positivity(self, tol: float = DEFAULT_CLASS_TOL):
-        """(residual, positive) of positivity(abs_t, tol), equal to it.
+    def abs_positivity(self):
+        """(residual, positive), equal to positivity(abs_t)[:2].
 
-        At full rank it needs no eigensolve. If every singular value s of
-        chi(T) is above the library rank cut, s[-1] > RANK_TOL * 2n * s[0],
-        then chi(|T|) is V diag(s) V*, V the right singular vectors of
-        chi(T), averaged with its block-structured twin. By Weyl's theorem
-        its lowest eigenvalue is at least s[-1] less the rounding of
-        forming it, O(n eps s[0]). The cut is more than 1e3 times that
-        rounding and the error of the Jacobi solve, so the solve would
-        find lam_min > 0, and positivity's residual is the self-adjoint
-        residual alone. Below the cut, or when that residual exceeds tol
-        (the flag then reads sigma_max of chi(|T|)), this is
-        positivity(abs_t, tol) itself.
+        At full rank it needs no eigensolve. abs_t is the pullback of the
+        p of chi_svd.polar(), which differs from its chi image only by
+        the pullback's averaging with the block-structured twin, a
+        rounding-size change. When chi_svd.p_definite holds, the lowest
+        eigenvalue of chi(abs_t) is therefore above zero, and positivity's
+        residual is the self-adjoint residual alone. Otherwise, or when
+        that residual exceeds DEFAULT_CLASS_TOL (the flag then reads
+        sigma_max of chi(|T|)), this is positivity(abs_t) itself.
         """
-        s = self.chi_svd.s
-        if ckernel.rank_from_singular_values(s, s.size) == s.size:
+        if self.chi_svd.p_definite:
             sa = frobenius_norm(self.abs_t - self.abs_t.adjoint())
-            if sa <= tol:
+            if sa <= DEFAULT_CLASS_TOL:
                 return sa, True
-        return positivity(self.abs_t, tol)[:2]
+        return positivity(self.abs_t)[:2]
 
 
 def _require_positive(p: QMatrix, tol: float) -> ckernel.Factorization:
@@ -165,7 +169,8 @@ def polar_decompose(t: QMatrix, tol: float = RANK_TOL) -> PolarFactors:
 
     Computed as the classical complex polar decomposition of the block
     image, pulled back; tol is the rank cut for deciding the null and
-    corange dimensions.
+    corange dimensions. Raises IllConditioned when a factor cannot be
+    pulled back.
     """
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("polar decomposition needs a square operator")
@@ -176,11 +181,14 @@ def polar_decompose(t: QMatrix, tol: float = RANK_TOL) -> PolarFactors:
     # rank is decided per pair
     rank_h = _pair_rank(fac.s, 2 * n, tol)
     u0c, pc = fac.polar(2 * rank_h)
+    try:
+        u0 = chi_pullback(u0c, PULLBACK_SQRT_TOL)
+        abs_t = chi_pullback(pc, PULLBACK_SQRT_TOL)
+    except BlockStructureViolation as exc:
+        raise IllConditioned(str(exc)) from exc
     null_rank = n - rank_h
-    return PolarFactors(u0=chi_pullback(u0c, PULLBACK_SQRT_TOL),
-                        abs_t=chi_pullback(pc, PULLBACK_SQRT_TOL),
-                        null_rank=null_rank, unique=null_rank == 0,
-                        chi_svd=fac)
+    return PolarFactors(u0=u0, abs_t=abs_t, null_rank=null_rank,
+                        unique=null_rank == 0, chi_svd=fac)
 
 
 @dataclass

@@ -171,6 +171,22 @@ def test_complex_polar_singular_and_identities():
         assert frobenius(u0 @ u0.conj().T @ m - m) < 1e-9 * scale
 
 
+def test_factorization_p_definite():
+    # every singular value above the rank cut 1e-10 * dim * s[0]: the p of
+    # polar() has a positive lowest eigenvalue; one below it clears the flag
+    g = np.random.default_rng(7)
+    for n in (1, 4, 16):
+        m = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
+        fac = ckernel.Factorization(m)
+        assert fac.p_definite
+        assert hermitian_eig(fac.polar(n)[1]).values[-1] > 0.0
+    m = g.standard_normal((6, 3)) @ g.standard_normal((3, 6))
+    assert not ckernel.Factorization(m.astype(complex)).p_definite
+    for smallest, definite in ((1e-9, True), (1e-12, False)):
+        m = np.diag([1.0, 1e-3, smallest]).astype(complex)
+        assert ckernel.Factorization(m).p_definite == definite
+
+
 def test_complex_polar_hermitian_gives_hermitian_isometry():
     for _ in range(10):
         m = rand_hermitian(5)

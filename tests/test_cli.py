@@ -5,7 +5,8 @@ import pytest
 
 from helpers import (conditioned_qmatrix, gaussian_qmatrix,
                      record_kernel_inputs, record_svd_inputs)
-from qpolar import QMatrix, emit_qmat, weight_matrix
+from qpolar import (BlockStructureViolation, IllConditioned, QMatrix,
+                    emit_qmat, polar_decompose, weight_matrix)
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         default_tol, example_report, main, polar_report,
                         run_suite)
@@ -133,6 +134,24 @@ def test_cmd_polar_ill_conditioned_exit(tmp_path, capsys):
     assert err.startswith("error: operator too ill-conditioned to factor")
     assert not out.exists()
     assert main(["polar", "--in", str(path)]) == 3
+    with pytest.raises(IllConditioned):
+        polar_decompose(conditioned_qmatrix(0, 8, 1e6))
+
+
+def test_cmd_polar_block_violation_after_factoring_propagates(
+        tmp_path, monkeypatch, capsys):
+    # only a failed pullback in polar_decompose means an ill-conditioned
+    # input; a violation raised later is a fault and keeps its traceback
+    from qpolar import cli
+
+    def planted(*args, **kwargs):
+        raise BlockStructureViolation("planted")
+
+    path = tmp_path / "eye.qmat"
+    path.write_text(emit_qmat(QMatrix.identity(3)))
+    monkeypatch.setattr(cli, "classify", planted)
+    with pytest.raises(BlockStructureViolation, match="planted"):
+        cmd_polar(str(path), 1e-9)
     assert capsys.readouterr().out == ""
 
 
