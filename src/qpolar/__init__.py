@@ -7,24 +7,21 @@ spaces, ranges, and every structural operator class, so one complex
 kernel (Jacobi eigendecomposition and friends) carries the whole theory.
 """
 
-from .quaternion import ComplexPair, Quaternion, q_conj_norm, q_mul, q_split
+from .quaternion import ComplexPair, Quaternion, q_mul
 from .qlinalg import (OperatorClass, QMatrix, QVector, ShapeMismatch,
                       adjoint, classify, frobenius_norm, gram_schmidt, inner,
-                      matrix_in_basis, null_range_bases, operator_norm,
-                      projector_onto, quaternionic_rank)
-from .slices import (BlockStructureViolation, ChiImage, NotInPlusSlice,
-                     SliceSplit, StandardJ, anti_iso_phi, chi, chi_pullback,
-                     embed_vector, equivalence_suite, pullback_vector,
-                     slice_project, split_operator)
+                      null_range_bases, operator_norm, projector_onto,
+                      quaternionic_rank)
+from .slices import (BlockStructureViolation, ChiImage, chi, chi_pullback,
+                     embed_vector, equivalence_suite, pullback_vector)
 from .ckernel import (EigResult, NegativeEigenvalue, NotHermitian,
-                      SingularMatrix, complex_polar, denman_beavers_sqrt,
-                      gauss_inv, hermitian_eig, pinv, psd_sqrt, svd)
+                      SingularMatrix, denman_beavers_sqrt, gauss_inv,
+                      hermitian_eig, pinv, psd_sqrt, svd)
 from .polar import (BadPerturbation, IllConditioned, NotNormal, NotPositive,
                     NotStrictlyPositive, PolarFactors, canonical_perturbation,
                     modulus, perturb_polar, polar_decompose,
                     sqrt_positive_spectral, sqrt_positive_composite,
-                    sqrt_strictly_positive, structure_report,
-                    unitary_extension, uniqueness_verdict)
+                    sqrt_strictly_positive, unitary_extension)
 from .transform import (DimensionTooSmall, NormTooLarge, TruncatedWeightOp,
                         null_swap_perturbation, truncated_example,
                         weight_matrix, z_inverse, z_transform)
@@ -35,22 +32,20 @@ from .rng import SplitMix64, stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion", "ComplexPair", "q_mul", "q_split", "q_conj_norm",
+    "Quaternion", "ComplexPair", "q_mul",
     "QVector", "QMatrix", "OperatorClass", "ShapeMismatch",
     "inner", "gram_schmidt", "adjoint", "operator_norm", "classify",
     "null_range_bases", "quaternionic_rank", "frobenius_norm",
-    "projector_onto", "matrix_in_basis",
-    "StandardJ", "SliceSplit", "ChiImage", "slice_project", "anti_iso_phi",
-    "split_operator", "chi", "chi_pullback", "embed_vector",
-    "pullback_vector", "equivalence_suite", "BlockStructureViolation",
-    "NotInPlusSlice",
-    "EigResult", "hermitian_eig", "psd_sqrt", "pinv", "svd", "complex_polar",
-    "gauss_inv", "denman_beavers_sqrt", "NotHermitian", "NegativeEigenvalue",
+    "projector_onto",
+    "ChiImage", "chi", "chi_pullback", "embed_vector", "pullback_vector",
+    "equivalence_suite", "BlockStructureViolation",
+    "EigResult", "hermitian_eig", "psd_sqrt", "pinv", "svd", "gauss_inv",
+    "denman_beavers_sqrt", "NotHermitian", "NegativeEigenvalue",
     "SingularMatrix",
     "PolarFactors", "sqrt_positive_spectral", "sqrt_positive_composite",
     "sqrt_strictly_positive", "modulus", "polar_decompose",
-    "structure_report", "unitary_extension", "perturb_polar",
-    "canonical_perturbation", "uniqueness_verdict", "NotPositive",
+    "unitary_extension", "perturb_polar", "canonical_perturbation",
+    "NotPositive",
     "NotStrictlyPositive", "NotNormal", "BadPerturbation", "IllConditioned",
     "z_transform", "z_inverse", "TruncatedWeightOp", "truncated_example",
     "weight_matrix", "null_swap_perturbation", "NormTooLarge",

@@ -3,8 +3,9 @@
 Everything quaternionic in this library is ultimately computed here:
 a cyclic Jacobi eigensolver for Hermitian matrices, an SVD built from it,
 the PSD square root, the Moore-Penrose pseudoinverse, and the classical
-complex polar decomposition. All routines are deterministic: fixed sweep
-order, no data-dependent threading, stable tie-breaking.
+complex polar decomposition (Factorization.polar). All routines are
+deterministic: fixed sweep order, no data-dependent threading, stable
+tie-breaking.
 """
 
 from __future__ import annotations
@@ -59,8 +60,22 @@ def frobenius(m) -> float:
     if norm == 0.0 and a.size:
         big = float(np.max(np.abs(a)))
         if big > 0.0:
-            norm = big * float(np.linalg.norm(a / big))
+            norm = rescaled_norm(big, a)
     return norm
+
+
+def rescaled_norm(big: float, *parts) -> float:
+    """Frobenius norm of the arrays parts, whose largest |entry| is big.
+
+    For 0 < big < inf. The real and imaginary parts are scaled by the
+    exact power of two 2**-e, e the binary exponent of big, so no square
+    underflows or overflows; dividing by a subnormal big would overflow.
+    """
+    e = int(np.frexp(big)[1])
+    sq = sum(np.sum(np.ldexp(p.real, -e) ** 2 + np.ldexp(p.imag, -e) ** 2)
+             for p in parts)
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(np.sqrt(sq), e))
 
 
 def _as_square(m) -> np.ndarray:
@@ -286,17 +301,6 @@ def pinv(m, tol: float = RANK_TOL):
     inv_s = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
     r = min(a.shape)
     return (v[:, :r] * inv_s) @ u[:, :r].conj().T
-
-
-def complex_polar(m, tol: float = RANK_TOL):
-    """Classical polar decomposition m = u0 @ p of a square complex matrix.
-
-    p is the PSD factor sqrt(m* m) and u0 the partial isometry with
-    N(u0) = N(m), realized as m applied to the pseudoinverse of p.
-    """
-    a = _as_square(m)
-    fac = Factorization(a)
-    return fac.polar(rank_from_singular_values(fac.s, a.shape[0], tol))
 
 
 def gauss_inv(m, tol: float = 1e-13):

@@ -21,10 +21,10 @@ import numpy as np
 
 from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, IllConditioned, canonical_perturbation,
-                    modulus, perturb_polar, polar_decompose)
-from .qlinalg import (QMatrix, QVector, RANK_TOL, classify, null_range_bases,
-                      operator_norm, quaternionic_rank, _chi_block, _pair_rank,
-                      _svd_bases)
+                    perturb_polar, polar_decompose)
+from .qlinalg import (QMatrix, QVector, RANK_TOL, classify, operator_norm,
+                      projector_onto, quaternionic_rank, _chi_block,
+                      _pair_rank, _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
@@ -234,7 +234,7 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
     out = [("polar." + name, value) for name, value in _polar_identities(t, f)]
     out.append(("polar.null_rank_mismatches",
                 0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
-    null_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
+    null_basis = _svd_bases(f.chi_svd, f.null_rank)[0]
     annihilation = max((u0.matvec(v).norm() for v in null_basis), default=0.0)
     out.append(("polar.null_annihilation_rel", annihilation / scale))
     # structure transfer on class-constructed draws
@@ -272,8 +272,7 @@ def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
             0.0 if f.unique == want_unique else 1.0)]
     scale = max(1.0, t.frobenius_norm())
     if not f.unique:
-        v = canonical_perturbation(t)
-        u = perturb_polar(t, f, v)
+        u = perturb_polar(f, canonical_perturbation(f))
         recon = (u @ f.abs_t - t).frobenius_norm() / scale
         out.append(("dichotomy.second_factorization_rel", recon))
         distinct = (u - f.u0).frobenius_norm()
@@ -290,7 +289,7 @@ def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
             v = (QMatrix.from_columns([v_dst])
                  @ QMatrix.from_columns([v_src]).adjoint())
             try:
-                perturb_polar(t, f, v)
+                perturb_polar(f, v)
                 survivors += 1
             except BadPerturbation:
                 pass
@@ -306,16 +305,16 @@ def _transform_trial(dim: int, tol: float, rr, trial: int) -> list:
     scale = max(1.0, t.frobenius_norm())
     z = transform.z_transform(t)
     back = transform.z_inverse(z, 1e-8)
+    fz, ft = polar_decompose(z), polar_decompose(t)
     out = [
         ("transform.roundtrip_rel", (back - t).frobenius_norm() / scale),
         ("transform.contraction_excess", max(0.0, operator_norm(z) - 1.0)),
         ("transform.adjoint_identity",
          (transform.z_transform(t.adjoint()) - z.adjoint()).frobenius_norm()),
         ("transform.modulus_identity",
-         (modulus(z) - modulus(t)
+         (fz.abs_t - ft.abs_t
           @ transform.inv_sqrt_shifted_gram(t)).frobenius_norm()),
-        ("transform.polar_transport",
-         (polar_decompose(z).u0 - polar_decompose(t).u0).frobenius_norm()),
+        ("transform.polar_transport", (fz.u0 - ft.u0).frobenius_norm()),
     ]
     nm = random_ops.normal(rr, n)
     zn = transform.z_transform(nm)
@@ -484,8 +483,7 @@ def example_report(which: str, n: int, tol: float = 1e-10) -> Report:
                 for k in range(6, n + 1)),
         )
         checks.append(CheckResult("isometry_action", act, tol))
-        null_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
-        corange_basis = null_range_bases(a.adjoint())[0]
+        null_basis, _, corange_basis = _svd_bases(f.chi_svd, f.null_rank)
         checks.append(CheckResult(
             "null_space_span",
             _span_residual(null_basis, [3, 4, 5], n), tol))
@@ -493,7 +491,7 @@ def example_report(which: str, n: int, tol: float = 1e-10) -> Report:
             "corange_span",
             _span_residual(corange_basis, [1, 3, 5], n), tol))
         v = transform.null_swap_perturbation(n)
-        u = perturb_polar(a, f, v)
+        u = perturb_polar(f, v)
         checks.append(CheckResult(
             "second_factorization",
             (u @ f.abs_t - a).frobenius_norm(), tol))
@@ -520,7 +518,6 @@ def example_report(which: str, n: int, tol: float = 1e-10) -> Report:
 
 def _span_residual(basis, coords, n: int) -> float:
     """Frobenius distance between span(basis) and span of the given axes."""
-    from .qlinalg import projector_onto
     want = QMatrix.zeros(n)
     for k in coords:
         want.a1[k - 1, k - 1] = 1.0

@@ -2,8 +2,10 @@
 
 U0 is the partial isometry with initial space N(T)-perp and final space
 R(T), uniquely determined by N(U0) = N(T). All heavy computation routes
-through the complex block image: one trusted numerical path, with the
-native quaternionic formula T pinv(|T|) kept as a cross-check for tests.
+through the complex block image: polar_decompose factors chi(T) once and
+keeps the factorization as PolarFactors.chi_svd. The modulus |T|, the
+bases of N(T), R(T) and R(T)-perp, the unitary extension and the second
+factorizations U0 + V P all read it; none factors T again.
 
 Besides the spectral square root there are two constructive routes for
 positive operators: inversion of a strictly positive operator (take the
@@ -20,10 +22,8 @@ import numpy as np
 
 from . import ckernel
 from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, RANK_TOL, ShapeMismatch,
-                      classify, frobenius_norm, inner, null_range_bases,
-                      positivity, projector_onto, _chi_block, _classify,
-                      _pair_rank, _svd_bases)
-from .quaternion import Quaternion
+                      classify, frobenius_norm, positivity, projector_onto,
+                      _chi_block, _classify, _pair_rank, _svd_bases)
 from .slices import PULLBACK_SQRT_TOL, BlockStructureViolation, chi_pullback
 
 
@@ -159,9 +159,7 @@ def sqrt_strictly_positive(p: QMatrix, lambda_min: float,
 
 def modulus(t: QMatrix) -> QMatrix:
     """The modulus |T|, the unique positive square root of T* T."""
-    m = _chi_block(t)
-    r = ckernel.psd_sqrt(m.conj().T @ m)
-    return chi_pullback(r, PULLBACK_SQRT_TOL)
+    return polar_decompose(t).abs_t
 
 
 def polar_decompose(t: QMatrix, tol: float = RANK_TOL) -> PolarFactors:
@@ -191,69 +189,6 @@ def polar_decompose(t: QMatrix, tol: float = RANK_TOL) -> PolarFactors:
                         unique=null_rank == 0, chi_svd=fac)
 
 
-@dataclass
-class StructureRow:
-    name: str
-    applicable: bool
-    residual: float
-    threshold: float
-
-    @property
-    def passed(self) -> bool:
-        return (not self.applicable) or self.residual <= self.threshold
-
-
-@dataclass
-class StructureReport:
-    rows: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r.passed for r in self.rows)
-
-
-def structure_report(t: QMatrix, f: PolarFactors,
-                     tol: float = 1e-8) -> StructureReport:
-    """Check that U0 inherits the structure of T.
-
-    Normal T: U0 is normal, commutes with |T|, and restricts to a unitary
-    on the range of T. Self-adjoint or anti-self-adjoint T: so is U0.
-    Failures are reported, not raised. f must be polar_decompose(t).
-    """
-    oc = _classify(t, f.chi_svd, max(tol, 1e-9))
-    u0 = f.u0
-    u0c = classify(u0, max(tol, 1e-9))
-    thresh = tol * max(1.0, t.frobenius_norm())
-    stay = 0.0
-    gram = 0.0
-    if oc.normal:
-        _, range_basis = _svd_bases(f.chi_svd, f.null_rank)
-        images = [u0.matvec(r) for r in range_basis]
-        for idx, w in enumerate(images):
-            # component outside the range of T
-            w_out = w.copy()
-            for r in range_basis:
-                w_out = w_out - r * inner(r, w_out)
-            stay = max(stay, w_out.norm())
-            for jdx, w2 in enumerate(images):
-                g = inner(w, w2)
-                want = Quaternion(1.0 if idx == jdx else 0.0)
-                gram = max(gram, (g - want).norm())
-    return StructureReport([
-        StructureRow("normal_u0_normal", oc.normal, u0c.residuals["normal"],
-                     thresh),
-        StructureRow("normal_u0_commutes_abs_t", oc.normal,
-                     (u0 @ f.abs_t - f.abs_t @ u0).frobenius_norm(), thresh),
-        StructureRow("normal_u0_unitary_on_range", oc.normal,
-                     max(stay, gram), thresh),
-        StructureRow("self_adjoint_u0_self_adjoint", oc.self_adjoint,
-                     u0c.residuals["self_adjoint"], thresh),
-        StructureRow("anti_self_adjoint_u0_anti_self_adjoint",
-                     oc.anti_self_adjoint, u0c.residuals["anti_self_adjoint"],
-                     thresh),
-    ])
-
-
 def unitary_extension(t: QMatrix, f: PolarFactors,
                       tol: float = 1e-9) -> QMatrix:
     """Extend U0 of a normal operator to a unitary W with W |T| = T.
@@ -263,23 +198,21 @@ def unitary_extension(t: QMatrix, f: PolarFactors,
     """
     if not _classify(t, f.chi_svd, max(tol, 1e-9)).normal:
         raise NotNormal("unitary extension needs a normal operator")
-    null_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
+    null_basis = _svd_bases(f.chi_svd, f.null_rank)[0]
     if not null_basis:
         return f.u0.copy()
     return f.u0 + projector_onto(null_basis)
 
 
-def perturb_polar(t: QMatrix, f: PolarFactors, v: QMatrix,
-                  tol: float = 1e-9) -> QMatrix:
-    """Second factorization U = U0 + V P from a partial isometry V.
+def perturb_polar(f: PolarFactors, v: QMatrix, tol: float = 1e-9) -> QMatrix:
+    """Second factorization U = U0 + V P of T from a partial isometry V.
 
-    V must vanish on N(T)-perp (initial space inside N(T)) and map into
-    the corange R(T)-perp; P projects onto N(T). Violations raise
-    BadPerturbation. The zero V returns U0 itself. N(T) and R(T) are read
-    from f, which must be polar_decompose(t).
+    f is polar_decompose(T). V must vanish on N(T)-perp (initial space
+    inside N(T)) and map into the corange R(T)-perp; P projects onto
+    N(T). Violations raise BadPerturbation. The zero V returns U0 itself.
     """
-    scale = max(1.0, v.frobenius_norm())
-    if v.frobenius_norm() == 0.0:
+    v_norm = v.frobenius_norm()
+    if v_norm == 0.0:
         return f.u0.copy()
     if f.null_rank == 0:
         raise BadPerturbation(
@@ -289,7 +222,8 @@ def perturb_polar(t: QMatrix, f: PolarFactors, v: QMatrix,
         raise BadPerturbation(
             f"perturbation is not a partial isometry "
             f"(residual {oc.residuals['partial_isometry']:.3e})")
-    null_basis, range_basis = _svd_bases(f.chi_svd, f.null_rank)
+    scale = max(1.0, v_norm)
+    null_basis, range_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
     p_null = projector_onto(null_basis)
     off_initial = (v - v @ p_null).frobenius_norm()
     if off_initial > tol * scale:
@@ -304,27 +238,16 @@ def perturb_polar(t: QMatrix, f: PolarFactors, v: QMatrix,
     return f.u0 + v @ p_null
 
 
-def canonical_perturbation(t: QMatrix, tol: float = RANK_TOL) -> QMatrix:
+def canonical_perturbation(f: PolarFactors) -> QMatrix:
     """Deterministic nonzero V for a non-unique decomposition.
 
-    Maps the k-th null basis vector to the k-th corange basis vector, up
-    to the smaller of the two ranks. Returns the zero matrix when either
-    space is trivial.
+    Maps the k-th basis vector of N(T) to the k-th basis vector of
+    R(T)-perp, both read from f = polar_decompose(T). Returns the zero
+    matrix when the decomposition is unique.
     """
-    n = t.shape[0]
-    null_basis, _ = null_range_bases(t, tol)
-    corange_basis = null_range_bases(t.adjoint(), tol)[0]
+    null_basis, _, corange_basis = _svd_bases(f.chi_svd, f.null_rank)
     k = min(len(null_basis), len(corange_basis))
-    v = QMatrix.zeros(n)
-    for idx in range(k):
-        src = QMatrix.from_columns([null_basis[idx]])
-        dst = QMatrix.from_columns([corange_basis[idx]])
-        # rank-1 map x -> dst * <src|x>
-        v = v + dst @ src.adjoint()
-    return v
-
-
-def uniqueness_verdict(t: QMatrix, tol: float = RANK_TOL) -> bool:
-    """True when U0 is the only partial isometry U with U |T| = T."""
-    f = polar_decompose(t, tol)
-    return f.unique
+    if k == 0:
+        return QMatrix.zeros(f.u0.shape[0])
+    return (QMatrix.from_columns(corange_basis[:k])
+            @ QMatrix.from_columns(null_basis[:k]).adjoint())

@@ -237,9 +237,9 @@ def frobenius_norm(a) -> float:
 def _planes_norm(a1, a2) -> float:
     """Frobenius norm of the complex planes (a1, a2).
 
-    Recomputed scaled by the largest |entry| when the plain sum of squares
+    Recomputed by ckernel.rescaled_norm when the plain sum of squares
     underflows to 0 with an entry nonzero, or overflows with every entry
-    finite, as ckernel.frobenius does; other values keep their bytes.
+    finite; other values keep their bytes.
     """
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.sum(np.abs(a1) ** 2)
@@ -248,8 +248,7 @@ def _planes_norm(a1, a2) -> float:
         big = max(np.max(np.abs(a1), initial=0.0),
                   np.max(np.abs(a2), initial=0.0))
         if 0.0 < big < np.inf:
-            norm = big * float(np.sqrt(np.sum(np.abs(a1 / big) ** 2)
-                                       + np.sum(np.abs(a2 / big) ** 2)))
+            norm = ckernel.rescaled_norm(big, a1, a2)
     return norm
 
 
@@ -310,12 +309,6 @@ def projector_onto(vectors) -> QMatrix:
         raise ValueError("need the ambient dimension; use QMatrix.zeros")
     f = QMatrix.from_columns(vectors)
     return f @ f.adjoint()
-
-
-def matrix_in_basis(a: QMatrix, basis) -> QMatrix:
-    """Matrix of the operator w.r.t. an orthonormal basis: entries <f_r|A f_s>."""
-    f = QMatrix.from_columns(basis)
-    return f.adjoint() @ a @ f
 
 
 def operator_norm(a: QMatrix) -> float:
@@ -439,14 +432,19 @@ def null_range_bases(a: QMatrix, tol: float = RANK_TOL):
         raise ShapeMismatch("null_range_bases needs a square operator")
     n = a.shape[0]
     fac = ckernel.Factorization(_chi_block(a))
-    return _svd_bases(fac, n - _pair_rank(fac.s, 2 * n, tol))
+    return _svd_bases(fac, n - _pair_rank(fac.s, 2 * n, tol))[:2]
 
 
 def _svd_bases(fac: ckernel.Factorization, null_rank: int):
-    """null_range_bases of A from the factorization of its block image."""
+    """Orthonormal bases of N(A), R(A) and R(A)-perp, in that order.
+
+    fac factors the block image of A. The bases pull back the right
+    singular vectors after the first rc = 2 (n - null_rank), the left
+    singular vectors up to rc, and the left singular vectors after rc.
+    """
     rc = fac.s.size - 2 * null_rank
-    null_basis = gram_schmidt(
-        [_pull_vector(fac.v[:, k]) for k in range(rc, fac.s.size)])
-    range_basis = gram_schmidt(
-        [_pull_vector(fac.u[:, k]) for k in range(rc)])
-    return null_basis, range_basis
+
+    def pulled(w):
+        return gram_schmidt([_pull_vector(col) for col in w.T])
+
+    return pulled(fac.v[:, rc:]), pulled(fac.u[:, :rc]), pulled(fac.u[:, rc:])

@@ -117,13 +117,3 @@ def q_mul(p: Quaternion, q: Quaternion) -> Quaternion:
         p.w * q.y - p.x * q.z + p.y * q.w + p.z * q.x,
         p.w * q.z + p.x * q.y - p.y * q.x + p.z * q.w,
     )
-
-
-def q_split(q: Quaternion) -> ComplexPair:
-    """Split q = alpha + beta * j into its C_i components."""
-    return q.split()
-
-
-def q_conj_norm(q: Quaternion) -> tuple[Quaternion, float]:
-    """Return the conjugate and the Euclidean norm of q."""
-    return q.conjugate(), q.norm()

@@ -32,36 +32,6 @@ class BlockStructureViolation(ValueError):
     pass
 
 
-class NotInPlusSlice(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class StandardJ:
-    """The standard anti-self-adjoint unitary J acting by (x1 + x2 j) -> (x1 - x2 j) i."""
-
-    dimension: int
-
-    @property
-    def matrix(self) -> QMatrix:
-        # componentwise the action collapses to left multiplication by i
-        return QMatrix(1j * np.eye(self.dimension, dtype=complex))
-
-    def apply(self, x: QVector) -> QVector:
-        return QVector(1j * x.a1, 1j * x.a2)
-
-
-@dataclass(frozen=True)
-class SliceSplit:
-    """The unique pair of complex matrices with A = A1 + A2 * j."""
-
-    a1: np.ndarray
-    a2: np.ndarray
-
-    def reassemble(self) -> QMatrix:
-        return QMatrix(self.a1.copy(), self.a2.copy())
-
-
 @dataclass(frozen=True)
 class ChiImage:
     """A 2n x 2n complex matrix with the block structure of an embedded operator."""
@@ -80,28 +50,6 @@ class ChiImage:
         return float(np.sqrt(
             np.sum(np.abs(r + np.conj(q)) ** 2)
             + np.sum(np.abs(s - np.conj(p)) ** 2)))
-
-
-def slice_project(x: QVector) -> tuple[QVector, QVector]:
-    """Split x = p_plus + p_minus with J p_plus = p_plus * i, J p_minus = -p_minus * i.
-
-    Pure regrouping of components, so the sum reproduces x bit-exactly.
-    """
-    n = len(x)
-    return (QVector(x.a1.copy(), np.zeros(n, dtype=complex)),
-            QVector(np.zeros(n, dtype=complex), x.a2.copy()))
-
-
-def anti_iso_phi(x: QVector, tol: float = 1e-12) -> QVector:
-    """The anti-linear isomorphism x -> x * j from the plus slice onto the minus slice."""
-    if np.sqrt(np.sum(np.abs(x.a2) ** 2)) > tol * max(1.0, x.norm()):
-        raise NotInPlusSlice("input has a component outside the plus slice")
-    return QVector(np.zeros(len(x), dtype=complex), x.a1.copy())
-
-
-def split_operator(a: QMatrix) -> SliceSplit:
-    """The unique split A = A1 + A2 * j of a quaternion matrix."""
-    return SliceSplit(a.a1.copy(), a.a2.copy())
 
 
 def chi(a: QMatrix) -> ChiImage:

@@ -45,7 +45,7 @@ def test_criterion_1_bounded_example():
     corange_err = (projector_onto(corange_basis)
                    - _axes_projector(n, (1, 3, 5))).frobenius_norm()
 
-    u = perturb_polar(a, f, null_swap_perturbation(n))
+    u = perturb_polar(f, null_swap_perturbation(n))
     recon_err = (u @ f.abs_t - a).frobenius_norm()
     e3, e4 = QVector.basis(n, 2), QVector.basis(n, 3)
     swap_err = (u.matvec(e4) - e3).norm()

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from qpolar import (BlockStructureViolation, IllConditioned, QMatrix,
                     emit_qmat, polar_decompose, weight_matrix)
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         default_tol, example_report, main, polar_report,
-                        run_suite)
+                        run_suite, _run_suite_trial)
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -245,6 +248,22 @@ def test_cmd_verify_small_battery():
     assert bad == 0 and good == len(report.checks)
     text = report.format()
     assert "summary" in text
+
+
+def test_verify_report_matches_committed_bytes():
+    # a change in any report byte at this fixed config shows up as a diff
+    # of the committed file, to be made deliberately and explained
+    want = (DATA / "verify_d8_t10_s42.txt").read_text(encoding="utf-8")
+    cfg = SuiteConfig(dim=8, trials=10, seed=42, tol=1e-9)
+    assert cmd_verify(cfg).format() == want
+
+
+def test_transform_trial_reads_abs_t_from_polar_decompose(monkeypatch):
+    # the four transforms take one psd_sqrt each, z_inverse one more; |Z|
+    # and |T| come from the two polar_decompose calls, not a square root
+    inputs = record_kernel_inputs(monkeypatch, "psd_sqrt")
+    _run_suite_trial(("transform", 4, 1e-9, 42, 0))
+    assert len(inputs) == 5
 
 
 def test_cmd_verify_deterministic_and_parallel():

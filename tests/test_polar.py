@@ -12,10 +12,10 @@ from qpolar import (BadPerturbation, NotNormal, NotPositive,
                     null_swap_perturbation, operator_norm, perturb_polar,
                     polar_decompose, quaternionic_rank,
                     sqrt_positive_spectral, sqrt_positive_composite,
-                    sqrt_strictly_positive, structure_report,
-                    unitary_extension, uniqueness_verdict, weight_matrix)
+                    sqrt_strictly_positive, unitary_extension,
+                    weight_matrix)
 from qpolar import random_ops
-from qpolar.qlinalg import positivity
+from qpolar.qlinalg import _svd_bases, positivity
 from qpolar.quaternion import I, J, K
 
 
@@ -247,29 +247,55 @@ def test_polar_invariants_random():
             assert t.matvec(v).norm() <= 1e-8 * scale
 
 
-def test_structure_report_anti_diag():
-    t = QMatrix.diag([I, K])
+def _structure_residuals(t: QMatrix) -> dict:
+    """Residuals of the structure U0 inherits from T, for each class T has.
+
+    Self-adjoint or anti-self-adjoint T: so is U0. Normal T: U0 is normal,
+    commutes with |T|, and maps R(T) isometrically into R(T).
+    """
     f = polar_decompose(t)
-    rep = structure_report(t, f)
-    assert rep.all_passed
-    assert classify(f.u0).anti_self_adjoint
+    oc, u0 = classify(t), f.u0
+    u0s = adjoint(u0)
+    out = {}
+    if oc.self_adjoint:
+        out["self_adjoint"] = (u0 - u0s).frobenius_norm()
+    if oc.anti_self_adjoint:
+        out["anti_self_adjoint"] = (u0 + u0s).frobenius_norm()
+    if oc.normal:
+        out["normal"] = (u0 @ u0s - u0s @ u0).frobenius_norm()
+        out["commutes_abs_t"] = (u0 @ f.abs_t - f.abs_t @ u0).frobenius_norm()
+        r = QMatrix.from_columns(null_range_bases(t)[1])
+        images = u0 @ r
+        gram = adjoint(images) @ images - QMatrix.identity(r.shape[1])
+        leak = images - r @ (adjoint(r) @ images)
+        out["unitary_on_range"] = max(gram.frobenius_norm(),
+                                      leak.frobenius_norm())
+    return out
 
 
-def test_structure_report_random_classes():
+def test_structure_transfer_anti_diag():
+    t = QMatrix.diag([I, K])
+    res = _structure_residuals(t)
+    assert set(res) == {"anti_self_adjoint", "normal", "commutes_abs_t",
+                        "unitary_on_range"}
+    assert max(res.values()) <= 1e-8
+    assert classify(polar_decompose(t).u0).anti_self_adjoint
+
+
+def test_structure_transfer_random_classes():
     rr = trial_rng(57)
     for _ in range(5):
         h = random_ops.hermitian(rr, 4)
-        rep = structure_report(h, polar_decompose(h))
-        assert rep.all_passed
-        u0 = polar_decompose(h).u0
-        assert (u0 - adjoint(u0)).frobenius_norm() < 1e-9 * max(1.0, h.frobenius_norm())
+        res = _structure_residuals(h)
+        assert {"self_adjoint", "normal", "unitary_on_range"} <= set(res)
+        assert max(res.values()) <= 1e-8 * max(1.0, h.frobenius_norm())
+        assert res["self_adjoint"] < 1e-9 * max(1.0, h.frobenius_norm())
 
         nm = random_ops.normal(rr, 4)
-        fn = polar_decompose(nm)
-        rep = structure_report(nm, fn)
-        assert rep.all_passed
-        assert (fn.u0 @ fn.abs_t - fn.abs_t @ fn.u0).frobenius_norm() \
-            < 1e-9 * max(1.0, nm.frobenius_norm())
+        res = _structure_residuals(nm)
+        assert {"normal", "commutes_abs_t", "unitary_on_range"} <= set(res)
+        assert max(res.values()) <= 1e-8 * max(1.0, nm.frobenius_norm())
+        assert res["commutes_abs_t"] < 1e-9 * max(1.0, nm.frobenius_norm())
 
 
 def test_unitary_extension_examples():
@@ -306,9 +332,9 @@ def test_unitary_extension_random_normal():
 def test_perturb_polar_zero_and_weight_example():
     a = weight_matrix(10)
     f = polar_decompose(a)
-    assert (perturb_polar(a, f, QMatrix.zeros(10)) - f.u0).frobenius_norm() == 0.0
+    assert (perturb_polar(f, QMatrix.zeros(10)) - f.u0).frobenius_norm() == 0.0
     v = null_swap_perturbation(10)
-    u = perturb_polar(a, f, v)
+    u = perturb_polar(f, v)
     e3 = QVector.basis(10, 2)
     e4 = QVector.basis(10, 3)
     assert (u @ f.abs_t - a).frobenius_norm() < 1e-10
@@ -323,17 +349,17 @@ def test_perturb_polar_rejections():
     f = polar_decompose(t)
     v = random_ops.partial_isometry(rr, 3, rank=1)
     with pytest.raises(BadPerturbation):
-        perturb_polar(t, f, v)  # invertible T admits only V = 0
+        perturb_polar(f, v)  # invertible T admits only V = 0
 
     a = weight_matrix(7)
     fa = polar_decompose(a)
     with pytest.raises(BadPerturbation):
-        perturb_polar(a, fa, random_ops.rand_qmatrix(rr, 7))  # not an isometry
+        perturb_polar(fa, random_ops.rand_qmatrix(rr, 7))  # not an isometry
     # partial isometry with the wrong initial space
     wrong = QMatrix.zeros(7)
     wrong.a1[0, 0] = 1.0  # e1 -> e1, but e1 is not in N(A)
     with pytest.raises(BadPerturbation):
-        perturb_polar(a, fa, wrong)
+        perturb_polar(fa, wrong)
 
 
 def test_perturb_polar_trivial_null_space_rejected_first(monkeypatch):
@@ -344,15 +370,15 @@ def test_perturb_polar_trivial_null_space_rejected_first(monkeypatch):
     f = polar_decompose(t)
     inputs = record_svd_inputs(monkeypatch)
     with pytest.raises(BadPerturbation, match="trivial"):
-        perturb_polar(t, f, random_ops.rand_qmatrix(rr, 3))
+        perturb_polar(f, random_ops.rand_qmatrix(rr, 3))
     assert inputs == []
 
 
 def test_uniqueness_verdict_and_dichotomy():
     rr = trial_rng(60)
     t = random_ops.rand_qmatrix(rr, 4) + QMatrix.identity(4) * 3.0
-    assert uniqueness_verdict(t)
-    assert not uniqueness_verdict(weight_matrix(10))
+    assert polar_decompose(t).unique
+    assert not polar_decompose(weight_matrix(10)).unique
 
     # false verdict: the canonical perturbation gives a distinct valid U
     for _ in range(10):
@@ -361,8 +387,7 @@ def test_uniqueness_verdict_and_dichotomy():
         t = random_ops.rank_deficient(rr, n, rank)
         f = polar_decompose(t)
         assert not f.unique
-        v = canonical_perturbation(t)
-        u = perturb_polar(t, f, v)
+        u = perturb_polar(f, canonical_perturbation(f))
         assert (u @ f.abs_t - t).frobenius_norm() \
             <= 1e-9 * max(1.0, t.frobenius_norm())
         assert (u - f.u0).frobenius_norm() > 0.5
@@ -376,13 +401,55 @@ def test_uniqueness_verdict_and_dichotomy():
         v = (QMatrix.from_columns([dst * (1.0 / dst.norm())])
              @ adjoint(QMatrix.from_columns([src * (1.0 / src.norm())])))
         with pytest.raises(BadPerturbation):
-            perturb_polar(t, f, v)
+            perturb_polar(f, v)
 
 
 def test_canonical_perturbation_zero_when_unique():
     rr = trial_rng(61)
     t = random_ops.rand_qmatrix(rr, 3) + QMatrix.identity(3) * 3.0
-    assert canonical_perturbation(t).frobenius_norm() == 0.0
+    assert canonical_perturbation(polar_decompose(t)).frobenius_norm() == 0.0
+
+
+def test_canonical_perturbation_reads_the_factorization(monkeypatch):
+    # N(T) and R(T)-perp both come from the SVD of chi(T) that f carries
+    rr = trial_rng(63)
+    t = random_ops.rank_deficient(rr, 5, 2)
+    f = polar_decompose(t)
+    inputs = record_svd_inputs(monkeypatch)
+    assert canonical_perturbation(f).frobenius_norm() > 0.5
+    assert inputs == []
+
+
+def test_corange_basis_on_rank_deficient_draws():
+    rr = trial_rng(64)
+    for _ in range(20):
+        n = 2 + rr.randint(7)
+        t = random_ops.rank_deficient(rr, n, rr.randint(n))
+        f = polar_decompose(t)
+        corange = _svd_bases(f.chi_svd, f.null_rank)[2]
+        assert len(corange) == f.null_rank
+        for j, c in enumerate(corange):
+            for k, d in enumerate(corange):
+                want = Quaternion(1.0 if j == k else 0.0)
+                assert (inner(c, d) - want).norm() < 1e-12
+        scale = max(1.0, t.frobenius_norm())
+        for _ in range(5):
+            y = t.matvec(random_ops.rand_qvector(rr, n))
+            for c in corange:
+                assert inner(c, y).norm() <= 1e-12 * scale
+        u = perturb_polar(f, canonical_perturbation(f))
+        assert (u @ f.abs_t - t).frobenius_norm() <= 1e-9 * scale
+        assert (u - f.u0).frobenius_norm() > 0.5
+
+
+def test_modulus_is_the_abs_t_of_polar_decompose():
+    rr = trial_rng(65)
+    draws = [random_ops.bounded_norm(rr, 1 + rr.randint(8), 10.0)
+             for _ in range(10)]
+    draws += [random_ops.rank_deficient(rr, 6, 3), weight_matrix(9)]
+    for t in draws:
+        m, p = modulus(t), polar_decompose(t).abs_t
+        assert np.array_equal(m.a1, p.a1) and np.array_equal(m.a2, p.a2)
 
 
 def test_polar_decompose_rejects_nan():

@@ -5,9 +5,9 @@ import pytest
 
 from helpers import inner_oracle, matmul_oracle, matvec_oracle, trial_rng
 from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
-                    classify, gram_schmidt, inner, matrix_in_basis,
-                    null_range_bases, operator_norm, projector_onto,
-                    quaternionic_rank, weight_matrix)
+                    classify, gram_schmidt, inner, null_range_bases,
+                    operator_norm, projector_onto, quaternionic_rank,
+                    weight_matrix)
 from qpolar.qlinalg import _chi_block, _pull_vector, frobenius_norm, positivity
 from qpolar.quaternion import I, J, K
 from qpolar import ckernel, random_ops
@@ -185,6 +185,18 @@ def test_frobenius_norm_extreme_scales(exponent):
         x.norm() * 2.0 ** exponent, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("entry", [3e-310 + 1e-310j, 3e-300 + 1e-300j])
+def test_frobenius_norms_tiny_entries(entry):
+    # a subnormal largest entry, then squares that underflow to 0: both
+    # norms rescale by a power of two, never by dividing by the entry
+    want = math.hypot(*[entry.real, entry.imag] * 4)
+    a = np.full((2, 2), entry)
+    assert ckernel.frobenius(a) == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert frobenius_norm(QMatrix(a)) == pytest.approx(want, rel=1e-12,
+                                                       abs=0.0)
+
+
 def test_operator_norm_examples():
     a = QMatrix.diag([J, Quaternion(0)])
     assert abs(operator_norm(a) - 1.0) < 1e-12
@@ -330,6 +342,11 @@ def test_rank_nullity_and_corange_orthogonality():
 
 
 def test_matrix_in_basis():
+    # F* A F, F the columns of an orthonormal basis, has entries <f_r|A f_s>
+    def matrix_in_basis(a, basis):
+        f = QMatrix.from_columns(basis)
+        return f.adjoint() @ a @ f
+
     rr = trial_rng(24)
     a = random_ops.rand_qmatrix(rr, 4)
     std = [QVector.basis(4, k) for k in range(4)]

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from qpolar import ComplexPair, Quaternion, q_conj_norm, q_mul, q_split
+from qpolar import ComplexPair, Quaternion, q_mul
 from qpolar.quaternion import I, J, K, ONE
 from qpolar.rng import SplitMix64
 
@@ -38,20 +38,19 @@ def test_anticommuting_slice_units():
 
 
 def test_conj_norm_examples():
-    c, n = q_conj_norm(Quaternion(1, 1, 1, 1))
-    assert c == Quaternion(1, -1, -1, -1)
-    assert n == 2.0
-    assert q_conj_norm(Quaternion()) == (Quaternion(), 0.0)
-    c, n = q_conj_norm(q_mul(I, J))
-    assert c == -K
-    assert n == 1.0
+    q = Quaternion(1, 1, 1, 1)
+    assert q.conjugate() == Quaternion(1, -1, -1, -1)
+    assert q.norm() == 2.0
+    assert (Quaternion().conjugate(), Quaternion().norm()) == (Quaternion(), 0.0)
+    assert q_mul(I, J).conjugate() == -K
+    assert q_mul(I, J).norm() == 1.0
 
 
 def test_split_examples():
-    pair = q_split(Quaternion(1, 2, 3, 4))
+    pair = Quaternion(1, 2, 3, 4).split()
     assert pair == ComplexPair(1 + 2j, 3 + 4j)
-    assert q_split(Quaternion(5)) == ComplexPair(5 + 0j, 0j)
-    assert q_split(J) == ComplexPair(0j, 1 + 0j)
+    assert Quaternion(5).split() == ComplexPair(5 + 0j, 0j)
+    assert J.split() == ComplexPair(0j, 1 + 0j)
 
 
 def test_split_roundtrip_bit_exact():
@@ -59,7 +58,7 @@ def test_split_roundtrip_bit_exact():
     for _ in range(1000):
         q = Quaternion(rr.uniform(-1e8, 1e8), rr.uniform(-1e8, 1e8),
                        rr.uniform(-1e8, 1e8), rr.uniform(-1e8, 1e8))
-        assert q_split(q).reassemble() == q
+        assert q.split().reassemble() == q
 
 
 @given(quaternions, quaternions)

@@ -2,61 +2,69 @@ import numpy as np
 import pytest
 
 from helpers import matvec_oracle, record_svd_inputs, trial_rng
-from qpolar import (BlockStructureViolation, NotInPlusSlice, QMatrix, QVector,
-                    Quaternion, StandardJ, adjoint, anti_iso_phi, chi,
-                    chi_pullback, classify, embed_vector, equivalence_suite,
-                    inner, operator_norm, pullback_vector, quaternionic_rank,
-                    slice_project, split_operator, weight_matrix)
+from qpolar import (BlockStructureViolation, QMatrix, QVector, Quaternion,
+                    adjoint, chi, chi_pullback, classify, embed_vector,
+                    equivalence_suite, inner, operator_norm, pullback_vector,
+                    quaternionic_rank, weight_matrix)
 from qpolar import ckernel, random_ops
 from qpolar.quaternion import I, J, K
 
 
+# The slice device of the paper, in the arithmetic of QVector and QMatrix:
+# J = i * I acts as x -> i x, the plus slice holds the vectors with entries
+# in C_i (a2 = 0), the minus slice its image under x -> x * j (a1 = 0), and
+# A = A1 + A2 * j splits into the planes (a1, a2).
+
+def _plus_minus(x: QVector):
+    n = len(x)
+    return (QVector(x.a1, np.zeros(n, dtype=complex)),
+            QVector(np.zeros(n, dtype=complex), x.a2))
+
+
 def test_standard_j_invariants():
-    j = StandardJ(4)
-    m = j.matrix
+    m = QMatrix(1j * np.eye(4, dtype=complex))
     assert (adjoint(m) + m).frobenius_norm() == 0.0
     assert (adjoint(m) @ m - QMatrix.identity(4)).frobenius_norm() == 0.0
     rr = trial_rng(31)
     x = random_ops.rand_qvector(rr, 4)
     q = random_ops.rand_quaternion(rr)
-    assert (j.apply(x * q) - j.apply(x) * q).norm() < 1e-13
-    assert (j.apply(x) - m.matvec(x)).norm() == 0.0
+    assert (m.matvec(x * q) - m.matvec(x) * q).norm() < 1e-13
+    assert (m.matvec(x) - QVector(1j * x.a1, 1j * x.a2)).norm() == 0.0
 
 
 def test_slice_project_examples():
     x = QVector.from_quaternions([Quaternion(1), Quaternion(-2)])
-    plus, minus = slice_project(x)
+    plus, minus = _plus_minus(x)
     assert (plus - x).norm() == 0.0 and minus.norm() == 0.0
 
     y = QVector.basis(3, 0) * J
-    plus, minus = slice_project(y)
+    plus, minus = _plus_minus(y)
     assert plus.norm() == 0.0 and (minus - y).norm() == 0.0
 
 
 def test_slice_project_structure():
     rr = trial_rng(32)
-    j = StandardJ(5)
+    j = QMatrix(1j * np.eye(5, dtype=complex))
     for _ in range(50):
         x = random_ops.rand_qvector(rr, 5)
-        plus, minus = slice_project(x)
+        plus, minus = _plus_minus(x)
         assert (plus + minus - x).norm() == 0.0  # bit-exact regrouping
-        assert (j.apply(plus) - plus * I).norm() == 0.0
-        assert (j.apply(minus) + minus * I).norm() == 0.0
+        assert (j.matvec(plus) - plus * I).norm() == 0.0
+        assert (j.matvec(minus) + minus * I).norm() == 0.0
         # opposite-slice inner products anticommute with conjugation
         cross = inner(plus, minus) + inner(minus, plus)
         assert cross.norm() <= 1e-13
 
 
 def test_anti_iso_phi():
+    # phi(x) = x * j carries the plus slice onto the minus slice
     e1 = QVector.basis(2, 0)
-    assert (anti_iso_phi(e1) - e1 * J).norm() == 0.0
+    assert np.all((e1 * J).a1 == 0) and np.all((e1 * J).a2 == e1.a1)
     # phi(x * i) = phi(x) * (-i), and e1 * i * j = e1 * k
-    lhs = anti_iso_phi(e1 * I)
+    lhs = (e1 * I) * J
     assert (lhs - e1 * K).norm() == 0.0
-    assert (lhs - (anti_iso_phi(e1) * (-I))).norm() == 0.0
-    assert anti_iso_phi(QVector.zeros(3)).norm() == 0.0
-    with pytest.raises(NotInPlusSlice):
-        anti_iso_phi(e1 * J)
+    assert (lhs - ((e1 * J) * (-I))).norm() == 0.0
+    assert (QVector.zeros(3) * J).norm() == 0.0
 
 
 def test_anti_iso_phi_antilinear():
@@ -65,18 +73,17 @@ def test_anti_iso_phi_antilinear():
         x = QVector(np.array([complex(rr.uniform(-1, 1), rr.uniform(-1, 1))
                               for _ in range(4)]))
         lam = Quaternion(rr.uniform(-1, 1), rr.uniform(-1, 1))
-        lhs = anti_iso_phi(x * lam)
-        rhs = anti_iso_phi(x) * lam.conjugate()
+        lhs = (x * lam) * J
+        rhs = (x * J) * lam.conjugate()
         assert (lhs - rhs).norm() < 1e-13
 
 
 def test_split_operator_examples():
-    s = split_operator(QMatrix.from_quaternions([[J]]))
+    s = QMatrix.from_quaternions([[J]])
     assert s.a1[0, 0] == 0 and s.a2[0, 0] == 1
     c = QMatrix(np.array([[1 + 2j, 0], [0, 3j]]))
-    sc = split_operator(c)
-    assert np.all(sc.a2 == 0)
-    assert (sc.reassemble() - c).frobenius_norm() == 0.0
+    assert np.all(c.a2 == 0)
+    assert (QMatrix(c.a1, c.a2) - c).frobenius_norm() == 0.0
 
 
 def test_split_operator_action_identity():
@@ -85,13 +92,12 @@ def test_split_operator_action_identity():
     rr = trial_rng(34)
     for _ in range(25):
         a = random_ops.rand_qmatrix(rr, 3)
-        s = split_operator(a)
         x = random_ops.rand_qvector(rr, 3)
-        y1 = s.a1 @ x.a1 - s.a2 @ np.conj(x.a2)
-        y2 = s.a1 @ x.a2 + s.a2 @ np.conj(x.a1)
+        y1 = a.a1 @ x.a1 - a.a2 @ np.conj(x.a2)
+        y2 = a.a1 @ x.a2 + a.a2 @ np.conj(x.a1)
         direct = matvec_oracle(a, x)
         assert (QVector(y1, y2) - direct).norm() < 1e-12
-        assert (s.reassemble() - a).frobenius_norm() == 0.0
+        assert (QMatrix(a.a1, a.a2) - a).frobenius_norm() == 0.0
 
 
 def test_chi_examples():
