@@ -1,10 +1,10 @@
 """Quaternionic linear algebra and the polar decomposition T = U0 |T|.
 
-Operators are quaternion matrices acting on right H-module vectors. The
-numerical route goes through the complex block embedding
-chi_A = [[A1, A2], [-conj(A2), conj(A1)]], which preserves norms, null
-spaces, ranges, and every structural operator class, so one complex
-kernel (Jacobi eigendecomposition and friends) carries the whole theory.
+Operators are quaternion matrices acting on right H-module vectors, held
+as complex planes A = A1 + A2 j. One kernel carries the numerics: a
+quaternion Jacobi SVD on the planes, plus Jacobi eigensolves of the
+complex block embedding chi_A = [[A1, A2], [-conj(A2), conj(A1)]], which
+preserves norms, null spaces, ranges, and every structural class.
 """
 
 from .quaternion import ComplexPair, Quaternion, q_mul
@@ -14,10 +14,10 @@ from .qlinalg import (OperatorClass, QMatrix, QVector, ShapeMismatch,
                       quaternionic_rank)
 from .slices import (BlockStructureViolation, ChiImage, chi, chi_pullback,
                      embed_vector, equivalence_suite, pullback_vector)
-from .ckernel import (EigResult, NegativeEigenvalue, NotHermitian,
-                      SingularMatrix, denman_beavers_sqrt, gauss_inv,
-                      hermitian_eig, pinv, psd_sqrt, svd)
-from .polar import (BadPerturbation, IllConditioned, NotNormal, NotPositive,
+from .ckernel import (EigResult, NegativeEigenvalue, NoConvergence,
+                      NotHermitian, SingularMatrix, gauss_inv, hermitian_eig,
+                      psd_sqrt, svd)
+from .polar import (BadPerturbation, NotNormal, NotPositive,
                     NotStrictlyPositive, PolarFactors, canonical_perturbation,
                     modulus, perturb_polar, polar_decompose,
                     sqrt_positive_spectral, sqrt_positive_composite,
@@ -39,14 +39,14 @@ __all__ = [
     "projector_onto",
     "ChiImage", "chi", "chi_pullback", "embed_vector", "pullback_vector",
     "equivalence_suite", "BlockStructureViolation",
-    "EigResult", "hermitian_eig", "psd_sqrt", "pinv", "svd", "gauss_inv",
-    "denman_beavers_sqrt", "NotHermitian", "NegativeEigenvalue",
-    "SingularMatrix",
+    "EigResult", "hermitian_eig", "psd_sqrt", "svd", "gauss_inv",
+    "NotHermitian", "NegativeEigenvalue",
+    "SingularMatrix", "NoConvergence",
     "PolarFactors", "sqrt_positive_spectral", "sqrt_positive_composite",
     "sqrt_strictly_positive", "modulus", "polar_decompose",
     "unitary_extension", "perturb_polar", "canonical_perturbation",
     "NotPositive",
-    "NotStrictlyPositive", "NotNormal", "BadPerturbation", "IllConditioned",
+    "NotStrictlyPositive", "NotNormal", "BadPerturbation",
     "z_transform", "z_inverse", "TruncatedWeightOp", "truncated_example",
     "weight_matrix", "null_swap_perturbation", "NormTooLarge",
     "DimensionTooSmall",

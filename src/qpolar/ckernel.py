@@ -1,11 +1,12 @@
-"""Self-contained complex-matrix numerical engine.
+"""Self-contained numerical engine on complex matrices and quaternion planes.
 
-Everything quaternionic in this library is ultimately computed here:
-a cyclic Jacobi eigensolver for Hermitian matrices, an SVD built from it,
-the PSD square root, the Moore-Penrose pseudoinverse, and the classical
-complex polar decomposition (Factorization.polar). All routines are
-deterministic: fixed sweep order, no data-dependent threading, stable
-tie-breaking.
+Everything quaternionic in this library is ultimately computed here: a
+one-sided Jacobi SVD that works on the complex planes (A1, A2) of
+A = A1 + A2 j with quaternion-structured rotations (a complex matrix is
+the planes (M, 0)), the polar factors built from it (Factorization.polar),
+a cyclic Jacobi eigensolver for Hermitian matrices, the PSD square root
+and the Gauss-Jordan inverse. All routines are deterministic: fixed
+sweep order, no data-dependent threading, stable tie-breaking.
 """
 
 from __future__ import annotations
@@ -17,6 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 MAX_SWEEPS = 30
+# a Jacobi SVD rotates a column pair whose inner product exceeds ORTH_TOL
+# times sqrt(rows) times the product of their norms, and stops when no
+# pair exceeds twice that; the rounding of such an inner product is about
+# eps sqrt(rows)
+ORTH_TOL = 2 * np.finfo(float).eps
 # off-diagonal Frobenius mass below this (relative) counts as diagonal
 OFFDIAG_STOP = 1e-14
 # singular values below RANK_TOL * sigma_max * dim are treated as zero
@@ -38,11 +44,12 @@ class SingularMatrix(ValueError):
 
 
 class NonFiniteInput(ValueError):
-    """A NaN or infinite entry, or a norm that overflows a double.
+    """A NaN or infinite entry, or a singular value or eigenvalue beyond
+    the largest double."""
 
-    For a finite operator this means overflow: with entries above about
-    1e75, the norm of its Gram matrix exceeds the largest double.
-    """
+
+class NoConvergence(RuntimeError):
+    """The Jacobi SVD still had a pair to rotate after MAX_SWEEPS sweeps."""
 
 
 @dataclass
@@ -54,28 +61,32 @@ class EigResult:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm; rescaled by the largest |entry| if the squares underflow."""
+    """Frobenius norm; rescaled_norm if the squares underflow."""
     a = np.asarray(m).ravel()
     norm = float(np.linalg.norm(a))
-    if norm == 0.0 and a.size:
-        big = float(np.max(np.abs(a)))
-        if big > 0.0:
-            norm = rescaled_norm(big, a)
-    return norm
+    return rescaled_norm(a) if norm == 0.0 and a.any() else norm
 
 
-def rescaled_norm(big: float, *parts) -> float:
-    """Frobenius norm of the arrays parts, whose largest |entry| is big.
-
-    For 0 < big < inf. The real and imaginary parts are scaled by the
-    exact power of two 2**-e, e the binary exponent of big, so no square
-    underflows or overflows; dividing by a subnormal big would overflow.
-    """
-    e = int(np.frexp(big)[1])
-    sq = sum(np.sum(np.ldexp(p.real, -e) ** 2 + np.ldexp(p.imag, -e) ** 2)
-             for p in parts)
+def rescaled_norm(a) -> float:
+    """Frobenius norm of the finite array a, taken on _prescale(a) so that
+    no square underflows or overflows."""
+    b, e = _prescale(a)
     with np.errstate(over="ignore"):
-        return float(np.ldexp(np.sqrt(sq), e))
+        return float(np.ldexp(np.linalg.norm(b.ravel()), e))
+
+
+def _prescale(a):
+    """(2**-e a, e), e the binary exponent of the largest real or imaginary
+    part of an entry, which the exact scaling brings into [0.5, 1).
+
+    Raises NonFiniteInput on a NaN or infinite entry.
+    """
+    parts = np.ascontiguousarray(a, dtype=complex).view(float)
+    big = float(np.max(np.abs(parts), initial=0.0))
+    if not np.isfinite(big):
+        raise NonFiniteInput("matrix has a NaN or infinite entry")
+    e = int(np.frexp(big)[1])
+    return np.ldexp(parts, -e).view(complex), e
 
 
 def _as_square(m) -> np.ndarray:
@@ -83,11 +94,6 @@ def _as_square(m) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
-
-
-def _offdiag_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return frobenius(off)
 
 
 def _rotation_rounds(n: int):
@@ -128,18 +134,17 @@ def hermitian_eig(m, tol: float = 1e-12) -> EigResult:
     or MAX_SWEEPS is reached. Disjoint rotations of one round are applied
     together as a single unitary. Eigenvalues are returned in descending
     order (stable sort, so equal values keep the sweep output order).
+    The sweeps run on _prescale(M), so no square underflows or overflows.
 
-    Raises NonFiniteInput if M has a NaN or infinite entry or its
-    Frobenius norm overflows, and NotHermitian if
-    ||M - M*|| > tol * max(1, ||M||).
+    Raises NonFiniteInput if M has a NaN or infinite entry or an
+    eigenvalue overflows, and NotHermitian if ||M - M*|| > tol * max(1, ||M||).
     """
-    a = _as_square(m)
+    a, e = _prescale(_as_square(m))
     n = a.shape[0]
     scale = frobenius(a)
-    if not np.isfinite(scale):
-        raise NonFiniteInput(
-            "matrix has a NaN or infinite entry, or its norm overflows")
-    if frobenius(a - a.conj().T) > tol * max(1.0, scale):
+    with np.errstate(over="ignore"):
+        unit = np.ldexp(1.0, -e)  # 1 in the units of the scaled matrix
+    if frobenius(a - a.conj().T) > tol * max(unit, scale):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     a = 0.5 * (a + a.conj().T)
     v = np.eye(n, dtype=complex)
@@ -147,7 +152,7 @@ def hermitian_eig(m, tol: float = 1e-12) -> EigResult:
         skip = OFFDIAG_STOP * scale / (n * n)
         rounds = _rotation_rounds(n)
         for _ in range(MAX_SWEEPS):
-            if _offdiag_mass(a) <= OFFDIAG_STOP * scale:
+            if frobenius(a - np.diag(np.diag(a))) <= OFFDIAG_STOP * scale:
                 break
             for p_all, q_all in rounds:
                 apq = a[p_all, q_all]
@@ -177,92 +182,145 @@ def hermitian_eig(m, tol: float = 1e-12) -> EigResult:
                 a[q, q] = a[q, q].real
     values = np.diag(a).real.copy()
     order = np.argsort(-values, kind="stable")
-    return EigResult(values[order], v[:, order])
+    with np.errstate(over="ignore"):
+        values = np.ldexp(values[order], e)
+    if not np.isfinite(values).all():
+        raise NonFiniteInput("an eigenvalue overflows a double")
+    return EigResult(values, v[:, order])
 
 
-def svd(m, tol: float = RANK_TOL):
-    """Singular value decomposition m = u @ diag(s) @ v.conj().T.
+def chi_image(a1, a2) -> np.ndarray:
+    """Block image [[A1, A2], [-conj(A2), conj(A1)]] of A = A1 + A2 j."""
+    return np.block([[a1, a2], [-np.conj(a2), np.conj(a1)]])
 
-    Built from the Jacobi eigendecomposition of m* m. Eigenvalues of the
-    Gram matrix cannot resolve singular values below about sqrt(eps) of
-    the largest, which would swamp the rank cut, so the trailing cluster
-    is refined one level: re-diagonalize the Gram matrix of m restricted
-    to that cluster's right subspace. Left singular vectors are formed as
-    m v / sigma for the numerically nonzero sigma, re-orthonormalized,
-    and completed to a full unitary basis by standard basis vectors,
-    each step taking the one with the largest residual against the span
-    so far (deterministic).
 
-    Returns (u, s, v) with u, v square unitary and s descending,
-    len(s) = min(m.shape). Raises NonFiniteInput if m has a NaN or
-    infinite entry, or if m* m or its norm overflows.
+def _qmul(x, y):
+    """Product of quaternion matrices held as stacked planes x[0] + x[1] j."""
+    return np.stack([x[0] @ y[0] - x[1] @ y[1].conj(),
+                     x[0] @ y[1] + x[1] @ y[0].conj()])
+
+
+def _qadj(x):
+    return np.stack([x[0].conj().T, -x[1].T])
+
+
+def svd(m, m2=None):
+    """Singular value decomposition A = u diag(s) v* by one-sided Jacobi.
+
+    A is the complex matrix m, or the quaternion matrix m + m2 j given by
+    its planes; a complex m is the planes (m, 0), whose j-plane no rotation
+    touches. Jacobi runs on _prescale(A), so svd(2**k A) is svd(A) with s
+    times 2**k, bit for bit; a wide A is factored through its adjoint.
+    Left singular vectors past the rank cut (dim the size of the complex
+    image) come from _complete_unitary.
+
+    Returns (u, s, v), u and v unitary and s descending: complex arrays
+    for a complex m, planes (2, k, k) for a quaternion A, with each of its
+    singular values once. Raises NonFiniteInput and NoConvergence.
     """
-    a = np.array(m, dtype=complex)
-    if a.ndim != 2:
+    m = np.asarray(m, dtype=complex)
+    a, e = _prescale(np.stack([m, np.zeros_like(m) if m2 is None else m2]))
+    if a.ndim != 3:
         raise ValueError("expected a 2-d array")
-    rows, cols = a.shape
-    g = a.conj().T @ a
-    eig = hermitian_eig(g, tol=1e-8)
-    s_full = np.sqrt(np.clip(eig.values, 0.0, None))
-    v = eig.vectors
-    smax = s_full[0] if cols else 0.0
-    if smax > 0.0:
-        small = np.nonzero(s_full <= 1e-6 * smax)[0]
-        if small.size:
-            k0 = int(small[0])
-            b = a @ v[:, k0:]
-            sub = hermitian_eig(b.conj().T @ b, tol=1e-8)
-            s_full[k0:] = np.sqrt(np.clip(sub.values, 0.0, None))
-            v[:, k0:] = v[:, k0:] @ sub.vectors
-    # columns of u from a v / sigma, for sigma clearly above rounding noise
-    form_cut = smax * max(rows, cols) * 1e-14
-    u_cols = []
-    for k in range(min(rows, cols)):
-        if s_full[k] <= form_cut:
-            break
-        u_cols.append(a @ v[:, k] / s_full[k])
-    u = _complete_unitary(u_cols, rows)
-    s = s_full[:min(rows, cols)]
-    return u, s, v
+    wide = a.shape[2] > a.shape[1]
+    w, v = _jacobi(_qadj(a) if wide else a)
+    norm = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=(0, 1)))
+    order = np.argsort(-norm, kind="stable")
+    w, v, norm = w[:, :, order], v[:, :, order], norm[order]
+    with np.errstate(over="ignore"):
+        s = np.ldexp(norm, e)
+    if s.size and not np.isfinite(s[0]):
+        raise NonFiniteInput("a singular value overflows a double")
+    r = rank_from_singular_values(s, (1 if m2 is None else 2) * s.size)
+    u = _complete_unitary(w[:, :, :r] / norm[:r], w.shape[1])
+    u, v = (v, u) if wide else (u, v)
+    return (u[0], s, v[0]) if m2 is None else (u, s, v)
 
 
-def _complete_unitary(cols, n: int) -> np.ndarray:
-    """Orthonormalize `cols` (in order) and extend to an n x n unitary.
+def _jacobi(a):
+    """(w, v), planes with w = a v, v unitary and w's columns orthogonal.
 
-    Each completion step takes all n standard basis vectors at once, as
-    the columns of the identity, removes their components along the
-    current basis in two passes (w - Q (Q* w), twice), and appends the
-    column with the largest residual norm (greedy, first index on ties
-    within 1e-12), which always succeeds and is deterministic.
+    For rows >= cols. A round of _rotation_rounds takes its disjoint pairs
+    together: with gamma = <a_p, a_q>, column q times conj(gamma) / |gamma|
+    makes gamma real, and a real Jacobi rotation makes it zero. x[k] holds
+    column k of a over column k of v. Pairs of columns both below RANK_TOL
+    times the largest, which hold singular values below the rank cut, are
+    left alone. A sweep runs only while the Gram matrix finds a pair to
+    rotate.
     """
-    basis = []
+    rows, cols = a.shape[1:]
+    x = np.zeros((cols, 2, rows + cols), dtype=complex)
+    x[:, :, :rows] = a.transpose(2, 0, 1)
+    x[:, 0, rows:] = np.eye(cols)
+    tol = ORTH_TOL * np.sqrt(rows)
+    rounds = [np.stack(pq, axis=1) for pq in _rotation_rounds(cols)]
+    for sweep in range(MAX_SWEEPS + 1):
+        c = x[:, :, :rows].transpose(1, 2, 0)
+        g = _qmul(_qadj(c), c)  # alpha and beta of every pair
+        norm = np.sqrt(np.diagonal(g[0]).real)
+        big = norm > RANK_TOL * np.max(norm, initial=0.0)
+        act = (np.hypot(np.abs(g[0]), np.abs(g[1]))
+               > 2.0 * np.maximum(tol * np.outer(norm, norm), _TINY))
+        act &= np.logical_or.outer(big, big) & ~np.eye(cols, dtype=bool)
+        if not act.any():
+            break
+        if sweep == MAX_SWEEPS:
+            raise NoConvergence(
+                f"Jacobi SVD did not converge in {sweep} sweeps")
+        for pq in rounds:
+            z = x[pq].reshape(len(pq), 4, -1)
+            # h[i, j] = <z_i, z_j> over the rows (p1, p2, q1, q2)
+            h = z[:, :, :rows].conj() @ z[:, :, :rows].transpose(0, 2, 1)
+            alpha = h[:, 0, 2] + h[:, 1, 3].conj()
+            beta = h[:, 0, 3] - h[:, 2, 1]
+            npp = (h[:, 0, 0] + h[:, 1, 1]).real
+            nqq = (h[:, 2, 2] + h[:, 3, 3]).real
+            mag = np.hypot(np.abs(alpha), np.abs(beta))
+            on = ((mag > np.maximum(tol * np.sqrt(npp) * np.sqrt(nqq), _TINY))
+                  & (big[pq[:, 0]] | big[pq[:, 1]]))
+            if not on.any():
+                continue
+            pq, z, mag = pq[on], z[on], mag[on]
+            alpha, beta, d = alpha[on], beta[on], nqq[on] - npp[on]
+            # t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), zeta = d / (2 mag)
+            t = (np.where(d >= 0.0, 2.0, -2.0) * mag
+                 / (np.abs(d) + np.hypot(2.0 * mag, d)))
+            cs = (1.0 / np.sqrt(1.0 + t * t))[:, None, None]
+            sn = t[:, None, None] * cs
+            # r maps planes x to those of x mu: (x1 mu1 - x2 conj(mu2),
+            # x1 mu2 + x2 conj(mu1)); then (x_p, x_q mu) is rotated
+            mu1, mu2 = alpha.conj() / mag, -beta / mag
+            r = np.stack([mu1, -mu2.conj(), mu2, mu1.conj()], 1)
+            r = r.reshape(-1, 2, 2)
+            m = np.block([[cs * np.eye(2), -sn * r], [sn * np.eye(2), cs * r]])
+            x[pq] = (m @ z).reshape(len(pq), 2, 2, -1)
+    return x[:, :, :rows].transpose(1, 2, 0), x[:, :, rows:].transpose(1, 2, 0)
 
-    def _orthogonalize(w):
-        for _ in range(2):
-            for b in basis:
-                w = w - b * np.vdot(b, w)
-        return w
 
-    for w in cols:
-        w = _orthogonalize(w.astype(complex))
-        nw = np.linalg.norm(w)
-        if nw > 0.0:
-            basis.append(w / nw)
-    u = np.zeros((n, n), dtype=complex)
-    for j, b in enumerate(basis):
-        u[:, j] = b
-    for j in range(len(basis), n):
-        q = u[:, :j]
-        w = np.eye(n, dtype=complex)
+# pairs with a smaller inner product are left alone: products of entries
+# lose precision there, and no singular value moves by 1e-250 of s[0]
+_TINY = 2.0 ** -900
+
+
+def _complete_unitary(u, n: int) -> np.ndarray:
+    """Extend the orthonormal columns of the planes u to an n x n unitary:
+    each step projects every standard basis vector off the basis so far,
+    twice, and appends the one with the largest residual (first index on
+    ties within 1e-12)."""
+    out = np.zeros((2, n, n), dtype=complex)
+    out[:, :, :u.shape[2]] = u
+    eye = np.stack([np.eye(n), np.zeros((n, n))]).astype(complex)
+    for j in range(u.shape[2], n):
+        w = eye
         for _ in range(2):
-            w = w - q @ (q.conj().T @ w)
-        norms = np.linalg.norm(w, axis=0)
+            w = w - _qmul(out[:, :, :j], _qmul(_qadj(out[:, :, :j]), w))
+        norms = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=(0, 1)))
         best, best_norm = 0, -1.0
         for k in range(n):
             if norms[k] > best_norm + 1e-12:
                 best, best_norm = k, norms[k]
-        u[:, j] = w[:, best] / best_norm
-    return u
+        out[:, :, j] = w[:, :, best] / best_norm
+    return out
 
 
 def rank_from_singular_values(s, dim: int, tol: float = RANK_TOL) -> int:
@@ -292,17 +350,6 @@ def psd_sqrt(m, tol: float = CLAMP_TOL):
     return 0.5 * (r + r.conj().T)
 
 
-def pinv(m, tol: float = RANK_TOL):
-    """Moore-Penrose pseudoinverse with rank cut tol * sigma_max * dim."""
-    a = np.array(m, dtype=complex)
-    u, s, v = svd(a)
-    dim = max(a.shape)
-    cut = (s[0] * tol * dim) if s.size else 0.0
-    inv_s = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
-    r = min(a.shape)
-    return (v[:, :r] * inv_s) @ u[:, :r].conj().T
-
-
 def gauss_inv(m, tol: float = 1e-13):
     """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
 
@@ -326,48 +373,32 @@ def gauss_inv(m, tol: float = 1e-13):
     return aug[:, n:]
 
 
-def denman_beavers_sqrt(m, tol: float = 1e-13, max_iter: int = 100):
-    """Square root of a positive definite matrix by coupled Newton iteration.
-
-    Independent of the eigendecomposition route (uses only Gauss-Jordan
-    inverses), which makes it a usable cross-check for psd_sqrt.
-    """
-    a = _as_square(m)
-    y = a.copy()
-    z = np.eye(a.shape[0], dtype=complex)
-    scale = max(frobenius(a), 1.0)
-    for _ in range(max_iter):
-        y_next = 0.5 * (y + gauss_inv(z))
-        z_next = 0.5 * (z + gauss_inv(y))
-        delta = frobenius(y_next - y)
-        y, z = y_next, z_next
-        if delta <= tol * scale:
-            break
-    return 0.5 * (y + y.conj().T)
-
-
 class Factorization:
-    """Factors of a square complex matrix m, each computed on first use and kept.
+    """Factors of a complex matrix m, or of the quaternion matrix m + m2 j.
 
-    The SVD (u, s, v) is taken on the first read of u, s, v or sigma_max,
-    so building a Factorization costs nothing. lam_min, the smallest
-    eigenvalue of the Hermitian part of m, is a separate eigensolve.
+    Each is computed on first use and kept: (u, s, v) = svd(m, m2), planes
+    for a quaternion matrix; m, the complex image (chi of a quaternion
+    matrix); lam_min, the smallest eigenvalue of its Hermitian part.
     """
 
-    def __init__(self, m):
-        self.m = m
+    def __init__(self, m, m2=None):
+        self.planes, self.quaternion = (m, m2), m2 is not None
+
+    @functools.cached_property
+    def m(self) -> np.ndarray:
+        return chi_image(*self.planes) if self.quaternion else self.planes[0]
 
     @functools.cached_property
     def _svd(self):
-        return svd(self.m)
+        return svd(*self.planes)
 
     u = property(lambda self: self._svd[0])
     s = property(lambda self: self._svd[1])
     v = property(lambda self: self._svd[2])
-
-    @property
-    def sigma_max(self) -> float:
-        return self.s[0] if self.s.size else 0.0
+    sigma_max = property(lambda self: self.s[0] if self.s.size else 0.0)
+    # the rank cut of the complex image, which has each s twice if quaternion
+    rank = property(lambda self: rank_from_singular_values(
+        self.s, (2 if self.quaternion else 1) * self.s.size))
 
     @functools.cached_property
     def lam_min(self) -> float:
@@ -375,41 +406,44 @@ class Factorization:
         return values[-1] if values.size else 0.0
 
     def polar(self, rank: int):
-        """Polar factors (u0, p) of m, with u0 of the given rank."""
-        u0 = self.u[:, :rank] @ self.v[:, :rank].conj().T
-        p = (self.v * self.s) @ self.v.conj().T
-        return u0, 0.5 * (p + p.conj().T)
+        """Polar factors u0 = u_r v_r* and p = v diag(s) v*, p exactly
+        self-adjoint, with u0 of the given rank, in the form of the factors."""
+        u, v = self.u, self.v
+        if not self.quaternion:
+            u, v = np.stack([u, 0 * u]), np.stack([v, 0 * v])
+        u0 = _qmul(u[:, :, :rank], _qadj(v[:, :, :rank]))
+        p = _qmul(v * self.s, _qadj(v))
+        p = 0.5 * (p + _qadj(p))
+        return (u0, p) if self.quaternion else (u0[0], p[0])
 
     @property
     def p_definite(self) -> bool:
-        """Whether the p of polar() is positive definite beyond rounding.
+        """Whether the p of polar(), V diag(s) V*, is positive definite.
 
-        p is V diag(s) V* from this SVD. When every s is above the rank
-        cut, s[-1] > RANK_TOL * dim * s[0], Weyl's theorem puts the lowest
-        eigenvalue of p (and of any O(dim eps s[0]) perturbation of it,
-        such as its rounding or a Jacobi solve for it) at s[-1] less that
-        perturbation, so above zero: the cut exceeds it more than 1e3-fold.
+        When every s is above the rank cut, Weyl's theorem puts the lowest
+        eigenvalue of p, and of any O(dim eps s[0]) perturbation of it such
+        as its rounding or a Jacobi solve for it, above zero: the cut
+        exceeds that perturbation more than 1e3-fold.
         """
-        return rank_from_singular_values(self.s, self.s.size) == self.s.size
+        return self.rank == self.s.size
 
 
 # what class_residuals needs from a matrix algebra: adjoint, Frobenius
-# norm, identity(n), rank(s) from the singular values of the complex image,
-# and coimage(v, rank), an orthonormal basis of N(a)-perp built from its
-# right singular vectors
+# norm, identity(n), rank(fac) from the factorization of the operator,
+# and coimage(fac, rank), an orthonormal basis of N(a)-perp from it
 Algebra = namedtuple("Algebra", "adjoint norm identity rank coimage")
 
 
 COMPLEX = Algebra(adjoint=lambda a: a.conj().T, norm=frobenius,
                   identity=lambda n: np.eye(n, dtype=complex),
-                  rank=lambda s: rank_from_singular_values(s, s.size),
-                  coimage=lambda v, rank: v.T[:rank])
+                  rank=lambda fac: fac.rank,
+                  coimage=lambda fac, rank: fac.v.T[:rank])
 
 
 def positivity(sa: float, fac: Factorization, tol: float):
     """(residual, flag) of positivity for an operator with self-adjoint residual sa.
 
-    fac factors its complex image. The residual is sa, or max(sa, -lam_min)
+    fac factors the operator. The residual is sa, or max(sa, -lam_min)
     when sa is within tol * max(1, sigma_max); the flag is the residual
     within that threshold. sigma_max (and so the SVD) is read only when a
     value exceeds tol, because a value within tol is within
@@ -427,7 +461,7 @@ def positivity(sa: float, fac: Factorization, tol: float):
 def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
     """Structural class residuals of a square operator a in algebra alg.
 
-    fac factors the complex image of a (a itself for a complex matrix).
+    fac factors a: the planes of a quaternion matrix, or a complex one.
     Returns (residuals, flags, rank, sigma_max), each flag meaning a
     residual within tol * max(1, sigma_max).
     """
@@ -448,9 +482,9 @@ def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
     # partial isometry: a* a is an orthogonal projection, and a preserves
     # norms on the orthogonal complement of its null space
     pi_alg = max(alg.norm(g @ g - g), alg.norm(g - alg.adjoint(g)))
-    rank = alg.rank(fac.s)
+    rank = alg.rank(fac)
     spot = 0.0
-    for w in alg.coimage(fac.v, rank):
+    for w in alg.coimage(fac, rank):
         spot = max(spot, abs(alg.norm(a @ w) - 1.0))
     res["partial_isometry"] = max(pi_alg, spot)
     flags = {name: bool(val <= thresh) for name, val in res.items()}

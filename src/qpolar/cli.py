@@ -20,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel, random_ops, rng, transform
-from .polar import (BadPerturbation, IllConditioned, canonical_perturbation,
-                    perturb_polar, polar_decompose)
-from .qlinalg import (QMatrix, QVector, RANK_TOL, classify, operator_norm,
+from .polar import (BadPerturbation, canonical_perturbation, perturb_polar,
+                    polar_decompose)
+from .qlinalg import (QMatrix, QVector, classify, operator_norm,
                       projector_onto, quaternionic_rank, _chi_block,
-                      _pair_rank, _svd_bases)
+                      _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
@@ -161,12 +161,12 @@ def _chi_trial(dim: int, tol: float, rr, trial: int) -> list:
     _, s, _ = ckernel.svd(ca)
     out.append(("chi.norm_equality",
                 abs(operator_norm(a) - (s[0] if s.size else 0.0))))
-    # planted-rank draw: complex null dimension doubles the quaternionic one
+    # planted-rank draw: chi(rd) has twice the null dimension of rd
     rank = rr.randint(n + 1)
     rd = random_ops.rank_deficient(rr, n, rank)
     _, s_rd, _ = ckernel.svd(_chi_block(rd))
     null_c = 2 * n - ckernel.rank_from_singular_values(s_rd, 2 * n)
-    null_h = n - _pair_rank(s_rd, 2 * n, RANK_TOL)
+    null_h = n - quaternionic_rank(rd)
     out.append(("chi.null_dim_mismatches",
                 0.0 if null_c == 2 * null_h else 1.0))
     disagreements = 0
@@ -234,7 +234,7 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
     out = [("polar." + name, value) for name, value in _polar_identities(t, f)]
     out.append(("polar.null_rank_mismatches",
                 0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
-    null_basis = _svd_bases(f.chi_svd, f.null_rank)[0]
+    null_basis = _svd_bases(f.fac, f.null_rank)[0]
     annihilation = max((u0.matvec(v).norm() for v in null_basis), default=0.0)
     out.append(("polar.null_annihilation_rel", annihilation / scale))
     # structure transfer on class-constructed draws
@@ -385,7 +385,10 @@ def polar_report(a: QMatrix, tol: float):
     checks += [
         CheckResult("u0_partial_isometry",
                     u0_class.residuals["partial_isometry"], tol),
-        CheckResult("abs_positive", f.abs_positivity()[0], tol),
+        # relative like the positivity flag: the residual is the rounding
+        # of an eigensolve of |T| below full rank, O(eps sigma_max)
+        CheckResult("abs_positive_rel",
+                    f.abs_positivity()[0] / max(1.0, f.fac.sigma_max), tol),
         CheckResult("null_rank_match",
                     0.0 if u0_class.rank == a.shape[0] - f.null_rank
                     else 1.0, 0.0),
@@ -420,8 +423,8 @@ def cmd_polar(in_path: str, tol: float, out_path: str | None = None) -> int:
         print(f"error: operator overflows when factored: {exc}",
               file=sys.stderr)
         return 3
-    except IllConditioned as exc:
-        print(f"error: operator too ill-conditioned to factor: {exc}",
+    except ckernel.NoConvergence as exc:
+        print(f"error: the SVD of the operator did not converge: {exc}",
               file=sys.stderr)
         return 3
     body = report.format()
@@ -483,7 +486,7 @@ def example_report(which: str, n: int, tol: float = 1e-10) -> Report:
                 for k in range(6, n + 1)),
         )
         checks.append(CheckResult("isometry_action", act, tol))
-        null_basis, _, corange_basis = _svd_bases(f.chi_svd, f.null_rank)
+        null_basis, _, corange_basis = _svd_bases(f.fac, f.null_rank)
         checks.append(CheckResult(
             "null_space_span",
             _span_residual(null_basis, [3, 4, 5], n), tol))

@@ -1,11 +1,11 @@
 """Positive square roots, the modulus, and the polar decomposition T = U0 |T|.
 
 U0 is the partial isometry with initial space N(T)-perp and final space
-R(T), uniquely determined by N(U0) = N(T). All heavy computation routes
-through the complex block image: polar_decompose factors chi(T) once and
-keeps the factorization as PolarFactors.chi_svd. The modulus |T|, the
-bases of N(T), R(T) and R(T)-perp, the unitary extension and the second
-factorizations U0 + V P all read it; none factors T again.
+R(T), uniquely determined by N(U0) = N(T). polar_decompose factors T once
+by the quaternion Jacobi SVD T = U diag(s) V*, forms U0 = U_r V_r* and
+|T| = V diag(s) V* on the complex planes, and keeps the factorization as
+PolarFactors.fac. The bases of N(T), R(T) and R(T)-perp, the unitary
+extension and the second factorizations U0 + V P all read it.
 
 Besides the spectral square root there are two constructive routes for
 positive operators: inversion of a strictly positive operator (take the
@@ -23,8 +23,8 @@ import numpy as np
 from . import ckernel
 from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, RANK_TOL, ShapeMismatch,
                       classify, frobenius_norm, positivity, projector_onto,
-                      _chi_block, _classify, _pair_rank, _svd_bases)
-from .slices import PULLBACK_SQRT_TOL, BlockStructureViolation, chi_pullback
+                      _chi_block, _classify, _svd_bases)
+from .slices import PULLBACK_SQRT_TOL, chi_pullback
 
 
 class NotPositive(ValueError):
@@ -43,28 +43,20 @@ class BadPerturbation(ValueError):
     pass
 
 
-class IllConditioned(BlockStructureViolation):
-    """polar_decompose found no quaternionic block structure in a factor.
-
-    The Gram-route SVD of chi(T) loses the pairing of the singular vectors
-    of an ill-conditioned T, so its polar factors cannot be pulled back.
-    """
-
-
 @dataclass
 class PolarFactors:
     """Factors of T = U0 |T| plus the rank bookkeeping behind uniqueness.
 
     unique is true exactly when the null space or the corange is trivial;
-    otherwise distinct partial isometries U with U |T| = T exist. chi_svd
-    factors the block image of T; what is later derived from T reads it.
+    otherwise distinct partial isometries U with U |T| = T exist. fac
+    factors T; what is later derived from T reads it.
     """
 
     u0: QMatrix
     abs_t: QMatrix
     null_rank: int
     unique: bool
-    chi_svd: ckernel.Factorization
+    fac: ckernel.Factorization
 
     @property
     def corange_rank(self) -> int:
@@ -74,16 +66,14 @@ class PolarFactors:
     def abs_positivity(self):
         """(residual, positive), equal to positivity(abs_t)[:2].
 
-        At full rank it needs no eigensolve. abs_t is the pullback of the
-        p of chi_svd.polar(), which differs from its chi image only by
-        the pullback's averaging with the block-structured twin, a
-        rounding-size change. When chi_svd.p_definite holds, the lowest
-        eigenvalue of chi(abs_t) is therefore above zero, and positivity's
-        residual is the self-adjoint residual alone. Otherwise, or when
-        that residual exceeds DEFAULT_CLASS_TOL (the flag then reads
-        sigma_max of chi(|T|)), this is positivity(abs_t) itself.
+        At full rank it needs no eigensolve. abs_t is the p of fac.polar(),
+        so when fac.p_definite holds, the lowest eigenvalue of chi(abs_t)
+        is above zero, and positivity's residual is the self-adjoint
+        residual alone. Otherwise, or when that residual exceeds
+        DEFAULT_CLASS_TOL (the flag then reads sigma_max of |T|), this is
+        positivity(abs_t) itself.
         """
-        if self.chi_svd.p_definite:
+        if self.fac.p_definite:
             sa = frobenius_norm(self.abs_t - self.abs_t.adjoint())
             if sa <= DEFAULT_CLASS_TOL:
                 return sa, True
@@ -165,28 +155,19 @@ def modulus(t: QMatrix) -> QMatrix:
 def polar_decompose(t: QMatrix, tol: float = RANK_TOL) -> PolarFactors:
     """Polar decomposition T = U0 |T| with N(U0) = N(T).
 
-    Computed as the classical complex polar decomposition of the block
-    image, pulled back; tol is the rank cut for deciding the null and
-    corange dimensions. Raises IllConditioned when a factor cannot be
-    pulled back.
+    Read from the quaternion SVD of T (ckernel.Factorization.polar); tol
+    is the rank cut, relative to 2n s[0], that decides the null and corange
+    dimensions. Raises ckernel.NoConvergence if the SVD does not converge.
     """
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("polar decomposition needs a square operator")
     n = t.shape[0]
-    fac = ckernel.Factorization(_chi_block(t))
-    # block-image singular values come in pairs; cutting between the two
-    # members of a pair would break the block structure of u0, so the
-    # rank is decided per pair
-    rank_h = _pair_rank(fac.s, 2 * n, tol)
-    u0c, pc = fac.polar(2 * rank_h)
-    try:
-        u0 = chi_pullback(u0c, PULLBACK_SQRT_TOL)
-        abs_t = chi_pullback(pc, PULLBACK_SQRT_TOL)
-    except BlockStructureViolation as exc:
-        raise IllConditioned(str(exc)) from exc
-    null_rank = n - rank_h
-    return PolarFactors(u0=u0, abs_t=abs_t, null_rank=null_rank,
-                        unique=null_rank == 0, chi_svd=fac)
+    fac = ckernel.Factorization(t.a1, t.a2)
+    rank = ckernel.rank_from_singular_values(fac.s, 2 * n, tol)
+    u0, p = fac.polar(rank)
+    null_rank = n - rank
+    return PolarFactors(u0=QMatrix(*u0), abs_t=QMatrix(*p),
+                        null_rank=null_rank, unique=null_rank == 0, fac=fac)
 
 
 def unitary_extension(t: QMatrix, f: PolarFactors,
@@ -196,9 +177,9 @@ def unitary_extension(t: QMatrix, f: PolarFactors,
     W acts as U0 on the range of |T| and as the identity on N(T). f must
     be polar_decompose(t).
     """
-    if not _classify(t, f.chi_svd, max(tol, 1e-9)).normal:
+    if not _classify(t, f.fac, max(tol, 1e-9)).normal:
         raise NotNormal("unitary extension needs a normal operator")
-    null_basis = _svd_bases(f.chi_svd, f.null_rank)[0]
+    null_basis = _svd_bases(f.fac, f.null_rank)[0]
     if not null_basis:
         return f.u0.copy()
     return f.u0 + projector_onto(null_basis)
@@ -223,7 +204,7 @@ def perturb_polar(f: PolarFactors, v: QMatrix, tol: float = 1e-9) -> QMatrix:
             f"perturbation is not a partial isometry "
             f"(residual {oc.residuals['partial_isometry']:.3e})")
     scale = max(1.0, v_norm)
-    null_basis, range_basis, _ = _svd_bases(f.chi_svd, f.null_rank)
+    null_basis, range_basis, _ = _svd_bases(f.fac, f.null_rank)
     p_null = projector_onto(null_basis)
     off_initial = (v - v @ p_null).frobenius_norm()
     if off_initial > tol * scale:
@@ -245,7 +226,7 @@ def canonical_perturbation(f: PolarFactors) -> QMatrix:
     R(T)-perp, both read from f = polar_decompose(T). Returns the zero
     matrix when the decomposition is unique.
     """
-    null_basis, _, corange_basis = _svd_bases(f.chi_svd, f.null_rank)
+    null_basis, _, corange_basis = _svd_bases(f.fac, f.null_rank)
     k = min(len(null_basis), len(corange_basis))
     if k == 0:
         return QMatrix.zeros(f.u0.shape[0])

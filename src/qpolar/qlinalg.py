@@ -194,12 +194,6 @@ class QMatrix:
 
     __rmul__ = __mul__
 
-    def scale_left(self, q: Quaternion) -> "QMatrix":
-        """Entrywise left multiplication q * A (right H-linear)."""
-        al, be = q.split().alpha, q.split().beta
-        return QMatrix(al * self.a1 - be * np.conj(self.a2),
-                       al * self.a2 + be * np.conj(self.a1))
-
     def matvec(self, x: QVector) -> QVector:
         if self.shape[1] != len(x):
             raise ShapeMismatch(
@@ -235,20 +229,15 @@ def frobenius_norm(a) -> float:
 
 
 def _planes_norm(a1, a2) -> float:
-    """Frobenius norm of the complex planes (a1, a2).
-
-    Recomputed by ckernel.rescaled_norm when the plain sum of squares
-    underflows to 0 with an entry nonzero, or overflows with every entry
-    finite; other values keep their bytes.
-    """
+    """Frobenius norm of the complex planes (a1, a2); ckernel.rescaled_norm
+    when the plain sum of squares underflows to 0 or overflows with every
+    entry finite, so other values keep their bytes."""
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.sum(np.abs(a1) ** 2)
                              + np.sum(np.abs(a2) ** 2)))
-    if norm == 0.0 or norm == np.inf:
-        big = max(np.max(np.abs(a1), initial=0.0),
-                  np.max(np.abs(a2), initial=0.0))
-        if 0.0 < big < np.inf:
-            norm = ckernel.rescaled_norm(big, a1, a2)
+    if norm in (0.0, np.inf) and np.isfinite(a1).all() \
+            and np.isfinite(a2).all():
+        norm = ckernel.rescaled_norm(np.stack([a1, a2]))
     return norm
 
 
@@ -259,7 +248,7 @@ def adjoint(a: QMatrix) -> QMatrix:
 
 def _chi_block(a: QMatrix) -> np.ndarray:
     """Complex block image [[A1, A2], [-conj(A2), conj(A1)]] of A = A1 + A2 j."""
-    return np.block([[a.a1, a.a2], [-np.conj(a.a2), np.conj(a.a1)]])
+    return ckernel.chi_image(a.a1, a.a2)
 
 
 def _embed(x: QVector) -> np.ndarray:
@@ -355,11 +344,15 @@ class OperatorClass:
     rank: int = 0
 
 
+def _columns(w, start: int, stop: int) -> list[QVector]:
+    """Columns start..stop-1 of the quaternion matrix held as planes w."""
+    return [QVector(w[0][:, k], w[1][:, k]) for k in range(start, stop)]
+
+
 QUATERNION = ckernel.Algebra(
     adjoint=adjoint, norm=frobenius_norm, identity=QMatrix.identity,
-    rank=lambda s: _pair_rank(s, s.size, RANK_TOL),
-    coimage=lambda v, rank: gram_schmidt(
-        [_pull_vector(v[:, k]) for k in range(2 * rank)]))
+    rank=lambda fac: fac.rank,
+    coimage=lambda fac, rank: _columns(fac.v, 0, rank))
 
 
 def _check_square(a: QMatrix, tol: float, what: str):
@@ -380,20 +373,20 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
     but positivity reads the SVD of the block image.
     """
     _check_square(a, tol, "classify")
-    return _classify(a, ckernel.Factorization(_chi_block(a)), tol)
+    return _classify(a, ckernel.Factorization(a.a1, a.a2), tol)
 
 
 def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
     """The positivity residual and flag of classify(a, tol), and the factors.
 
     Returns (residual, positive, fac), residual and positive equal to
-    classify's, with fac the Factorization of the block image. A positive
-    A costs one eigensolve, of the block image's Hermitian part
+    classify's, with fac the Factorization of a. A positive A costs one
+    eigensolve, of the block image's Hermitian part
     (fac.lam_min, then already computed); the SVD is taken only when a
     residual exceeds tol.
     """
     _check_square(a, tol, "positivity")
-    fac = ckernel.Factorization(_chi_block(a))
+    fac = ckernel.Factorization(a.a1, a.a2)
     residual, positive = ckernel.positivity(
         frobenius_norm(a - adjoint(a)), fac, tol)
     return residual, positive, fac
@@ -401,50 +394,38 @@ def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
 
 def _classify(a: QMatrix, fac: ckernel.Factorization,
               tol: float) -> OperatorClass:
-    """classify(a), reading the given factorization of its block image."""
+    """classify(a), reading the given factorization of a."""
     res, flags, rank, _ = ckernel.class_residuals(a, fac, QUATERNION, tol)
     return OperatorClass(**flags, residuals=res, rank=rank)
 
 
-def _pair_rank(s, dim: int, tol: float) -> int:
-    """Quaternionic rank from the doubled complex singular values.
-
-    Singular values of a block image come in equal pairs, so the
-    quaternionic rank counts pairs above the cut (the larger of each pair
-    decides, which keeps borderline ties deterministic).
-    """
-    return ckernel.rank_from_singular_values(np.asarray(s)[0::2], dim, tol)
-
-
 def quaternionic_rank(a: QMatrix, tol: float = RANK_TOL) -> int:
-    _, s, _ = ckernel.svd(_chi_block(a))
-    return _pair_rank(s, 2 * a.shape[0], tol)
+    """Singular values of a above tol * 2n * the largest, 2n the block size."""
+    _, s, _ = ckernel.svd(a.a1, a.a2)
+    return ckernel.rank_from_singular_values(s, 2 * a.shape[0], tol)
 
 
 def null_range_bases(a: QMatrix, tol: float = RANK_TOL):
-    """Orthonormal bases of N(A) and R(A), pulled back from the block image.
+    """Orthonormal bases of N(A) and R(A) from the singular vectors of A.
 
-    The null basis comes from the right singular vectors of the embedded
-    matrix at (numerically) zero singular values, the range basis from the
-    left singular vectors at nonzero ones; dim N(A) + dim R(A) = n.
+    The null basis is the right singular vectors at (numerically) zero
+    singular values, the range basis the left singular vectors at nonzero
+    ones; dim N(A) + dim R(A) = n.
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("null_range_bases needs a square operator")
     n = a.shape[0]
-    fac = ckernel.Factorization(_chi_block(a))
-    return _svd_bases(fac, n - _pair_rank(fac.s, 2 * n, tol))[:2]
+    fac = ckernel.Factorization(a.a1, a.a2)
+    return _svd_bases(fac, n - ckernel.rank_from_singular_values(
+        fac.s, 2 * n, tol))[:2]
 
 
 def _svd_bases(fac: ckernel.Factorization, null_rank: int):
     """Orthonormal bases of N(A), R(A) and R(A)-perp, in that order.
 
-    fac factors the block image of A. The bases pull back the right
-    singular vectors after the first rc = 2 (n - null_rank), the left
-    singular vectors up to rc, and the left singular vectors after rc.
+    fac factors A. With r = n - null_rank, they are the right singular
+    vectors after the first r, and the left ones up to r and after r.
     """
-    rc = fac.s.size - 2 * null_rank
-
-    def pulled(w):
-        return gram_schmidt([_pull_vector(col) for col in w.T])
-
-    return pulled(fac.v[:, rc:]), pulled(fac.u[:, :rc]), pulled(fac.u[:, rc:])
+    n, r = fac.s.size, fac.s.size - null_rank
+    return (_columns(fac.v, r, n), _columns(fac.u, 0, r),
+            _columns(fac.u, r, n))

@@ -75,16 +75,9 @@ class Quaternion:
 
     __abs__ = norm
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        return abs(self.x) <= tol and abs(self.y) <= tol and abs(self.z) <= tol
-
     def split(self) -> ComplexPair:
         """Return (alpha, beta) with self = alpha + beta * j exactly."""
         return ComplexPair(complex(self.w, self.x), complex(self.y, self.z))
-
-    @classmethod
-    def from_split(cls, pair: ComplexPair) -> "Quaternion":
-        return pair.reassemble()
 
     @classmethod
     def parse(cls, text: str) -> "Quaternion":

@@ -22,6 +22,14 @@ from . import ckernel
 from .qlinalg import (QMatrix, QUATERNION, QVector, ShapeMismatch, _chi_block,
                       _embed, _pull_vector)
 
+# the complex algebra as read from the factors of a quaternion A: chi(A)
+# has each singular value of A twice, so twice its rank, and chi(V) holds
+# embedded v_k and, up to sign, v_k j in columns k and n + k
+CHI = ckernel.COMPLEX._replace(
+    rank=lambda fac: 2 * fac.rank,
+    coimage=lambda fac, rank: ckernel.chi_image(*fac.v)[:, [
+        j for k in range(rank // 2) for j in (k, fac.s.size + k)]].T)
+
 # default relative tolerance on the block-structure invariants; square
 # roots amplify rounding, so pullbacks after them use PULLBACK_SQRT_TOL
 BLOCK_TOL = 1e-10
@@ -130,19 +138,18 @@ def equivalence_suite(a: QMatrix, tol: float = 1e-9) -> EquivalenceReport:
 
     Covers the seven operator classes plus compatibility of the adjoint
     with the embedding (chi of A* equals the conjugate transpose of
-    chi of A). Both sides read one factorization of chi of A, but each
-    computes its residuals in its own algebra. Disagreement is reported,
-    not raised.
+    chi of A). Both sides read one factorization of A, the complex side
+    as the SVD of chi of A it gives (CHI), but each computes its residuals
+    in its own algebra. Disagreement is reported, not raised.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("equivalence_suite needs a square operator")
-    m = _chi_block(a)
-    fac = ckernel.Factorization(m)
+    fac = ckernel.Factorization(a.a1, a.a2)
+    m = fac.m
     res_q, flags_q, _, _ = ckernel.class_residuals(a, fac, QUATERNION, tol)
-    res_c, flags_c, _, smax = ckernel.class_residuals(
-        m, fac, ckernel.COMPLEX, tol)
+    res_c, flags_c, _, smax = ckernel.class_residuals(m, fac, CHI, tol)
     rows = [EquivalenceRow(name, flags_q[name], flags_c[name], res_q[name],
                            res_c[name])
             for name in _CLASS_NAMES]

@@ -2,13 +2,16 @@
 
 Matrix products here are expanded entrywise with scalar Hamilton
 arithmetic, never through the complex-pair fast path, so agreement with
-the library is a real check of the regrouped formulas. A recorder of
+the library is a real check of the regrouped formulas. Two reference
+paths only tests use sit here too: a pseudoinverse on the library SVD
+and a coupled-Newton square root on Gauss-Jordan inverses. A recorder of
 kernel inputs lets tests pin how often an operator is factored.
 """
 
 import numpy as np
 
 from qpolar import QMatrix, QVector, Quaternion, ckernel, q_mul
+from qpolar.ckernel import RANK_TOL, frobenius, gauss_inv, svd
 from qpolar.rng import SplitMix64, stream
 
 
@@ -49,6 +52,37 @@ def qmat_close(a: QMatrix, b: QMatrix, tol: float) -> bool:
 
 def trial_rng(seed: int, k: int = 0) -> SplitMix64:
     return stream(seed, k)
+
+
+def pinv(m, tol: float = RANK_TOL):
+    """Moore-Penrose pseudoinverse with rank cut tol * sigma_max * dim."""
+    a = np.array(m, dtype=complex)
+    u, s, v = svd(a)
+    dim = max(a.shape)
+    cut = (s[0] * tol * dim) if s.size else 0.0
+    inv_s = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)
+    r = min(a.shape)
+    return (v[:, :r] * inv_s) @ u[:, :r].conj().T
+
+
+def denman_beavers_sqrt(m, tol: float = 1e-13, max_iter: int = 100):
+    """Square root of a positive definite matrix by coupled Newton iteration.
+
+    Independent of the eigendecomposition route (uses only Gauss-Jordan
+    inverses), which makes it a usable cross-check for psd_sqrt.
+    """
+    a = np.array(m, dtype=complex)
+    y = a.copy()
+    z = np.eye(a.shape[0], dtype=complex)
+    scale = max(frobenius(a), 1.0)
+    for _ in range(max_iter):
+        y_next = 0.5 * (y + gauss_inv(z))
+        z_next = 0.5 * (z + gauss_inv(y))
+        delta = frobenius(y_next - y)
+        y, z = y_next, z_next
+        if delta <= tol * scale:
+            break
+    return 0.5 * (y + y.conj().T)
 
 
 def record_kernel_inputs(monkeypatch, name: str) -> list:

@@ -3,10 +3,11 @@ import pytest
 import scipy.linalg
 
 from qpolar import ckernel
-from qpolar.ckernel import (NegativeEigenvalue, NonFiniteInput, NotHermitian,
-                            SingularMatrix, denman_beavers_sqrt,
-                            frobenius, gauss_inv, hermitian_eig, pinv,
-                            psd_sqrt, svd)
+from helpers import denman_beavers_sqrt, pinv
+from qpolar.ckernel import (NegativeEigenvalue, NoConvergence, NonFiniteInput,
+                            NotHermitian, SingularMatrix, chi_image,
+                            frobenius, gauss_inv, hermitian_eig, psd_sqrt,
+                            svd)
 
 RNG = np.random.default_rng(1234)
 
@@ -58,6 +59,25 @@ def test_eig_underflowing_norm():
     assert frobenius(d - np.diag(np.diag(d))) <= 1e-12 * frobenius(m)
     assert frobenius(tiny) == pytest.approx(2.0 ** -700 * frobenius(m),
                                             rel=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e", [-1000, 1000])
+def test_eig_scale_equivariant_bit_exact(e):
+    m = rand_hermitian(6)
+    out, scaled = hermitian_eig(m), hermitian_eig(2.0 ** e * m)
+    assert np.array_equal(scaled.vectors, out.vectors)
+    assert np.array_equal(scaled.values, 2.0 ** e * out.values)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_eig_subnormal_input():
+    # a complex entry divided by a subnormal magnitude overflows unless the
+    # matrix is scaled first
+    m = np.full((4, 4), 3e-310 + 0j)
+    out = hermitian_eig(m)
+    assert out.values[0] == pytest.approx(1.2e-309, rel=1e-3)
+    assert np.all(np.abs(out.values[1:]) <= 1e-320)
 
 
 def test_eig_rejects_non_hermitian():
@@ -236,84 +256,203 @@ def test_non_finite_input_rejected(bad):
         svd(m)
 
 
-def test_svd_gram_overflow_rejected():
-    # every entry is finite, but m* m overflows
-    m = 2.0 ** 996 * rand_complex(4)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NonFiniteInput):
-        svd(m)
+def test_svd_overflow_rejected():
+    # near 1e300 the exact pre-scaling factors m; only a singular value
+    # beyond the largest double is refused
+    m = rand_complex(4)
+    u, s, v = svd(m)
+    big_u, big_s, big_v = svd(2.0 ** 996 * m)
+    assert np.array_equal(big_s, 2.0 ** 996 * s)
+    assert np.array_equal(big_u, u) and np.array_equal(big_v, v)
+    with pytest.raises(NonFiniteInput, match="singular value overflows"):
+        svd(np.full((4, 4), 1e308 + 0j))
+
+
+def quaternion_planes(g, rows, cols, rank=None):
+    """Planes of a Gaussian quaternion matrix, of the given rank if set."""
+    def draw(r, c):
+        return np.stack([g.standard_normal((r, c)) + 1j * g.standard_normal((r, c))
+                         for _ in range(2)])
+    if rank is None:
+        return draw(rows, cols)
+    return ckernel._qmul(draw(rows, rank), draw(rank, cols))
+
+
+def check_quaternion_svd(a, rank=None):
+    u, s, v = svd(a[0], a[1])
+    rows, cols = a.shape[1:]
+    k = min(rows, cols)
+    assert u.shape == (2, rows, rows) and v.shape == (2, cols, cols)
+    ref = np.linalg.svd(chi_image(*a), compute_uv=False)
+    scale = max(ref[0], 1.0)
+    # chi(A) has each quaternion singular value twice
+    assert np.max(np.abs(s - ref[0::2][:k]), initial=0.0) <= 1e-13 * scale
+    assert np.array_equal(s, np.sort(s)[::-1])
+    rec = ckernel._qmul(u[:, :, :k] * s, ckernel._qadj(v[:, :, :k]))
+    assert np.max(np.abs(rec - a), initial=0.0) <= 1e-13 * scale
+    for w, n in ((u, rows), (v, cols)):
+        gram = ckernel._qmul(ckernel._qadj(w), w)
+        assert np.max(np.abs(gram[0] - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(gram[1])) <= 1e-13
+    if rank is not None:
+        assert ckernel.rank_from_singular_values(s, 2 * s.size) == rank
+
+
+def test_quaternion_svd_against_numpy():
+    g = np.random.default_rng(21)
+    for n in range(1, 33):
+        check_quaternion_svd(quaternion_planes(g, n, n))
+    for rows, cols in ((5, 3), (3, 5), (33, 8), (8, 33), (1, 4), (4, 1)):
+        check_quaternion_svd(quaternion_planes(g, rows, cols))
+    for n, rank in ((4, 1), (8, 3), (16, 8), (32, 8), (32, 24), (9, 0)):
+        check_quaternion_svd(quaternion_planes(g, n, n, rank), rank)
+    check_quaternion_svd(np.zeros((2, 6, 6), dtype=complex), 0)
+
+
+def test_complex_svd_against_numpy_j_plane_exactly_zero(monkeypatch):
+    g = np.random.default_rng(22)
+    calls = []
+    real = ckernel._jacobi
+    monkeypatch.setattr(ckernel, "_jacobi",
+                        lambda a: calls.append(real(a)) or calls[-1])
+    for rows, cols in ((1, 1), (6, 6), (16, 16), (32, 32), (7, 3), (3, 7)):
+        m = g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))
+        for mat in (m, m[:, :1] @ m[:1, :]):
+            u, s, v = svd(mat)
+            ref = np.linalg.svd(mat, compute_uv=False)
+            assert np.max(np.abs(s - ref)) <= 1e-13 * max(ref[0], 1.0)
+            k = min(rows, cols)
+            assert np.max(np.abs((u[:, :k] * s) @ v[:, :k].conj().T - mat)) \
+                <= 1e-13 * max(ref[0], 1.0)
+            # the kernel saw the planes (m, 0); no rotation touched the j-plane
+            w, vj = calls[-1]
+            assert not w[1].any() and not vj[1].any()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_svd_subnormal_columns():
+    # inner products of a column of subnormal entries lose precision; the
+    # pair is left alone instead of dividing by a subnormal magnitude
+    m = np.array([[1, 3e-310, 1], [2, 1e-310, 0.5], [0.3, 2e-311, 1]],
+                 dtype=complex)
+    ref = np.linalg.svd(m, compute_uv=False)
+    for planes in ((m,), (m, 1e-310 * np.ones_like(m))):
+        u, s, v = svd(*planes)
+        assert np.max(np.abs(s[:2] - ref[:2])) <= 1e-14 * ref[0]
+        assert s[2] <= 1e-300
+
+
+@pytest.mark.parametrize("e", [-1000, -500, 500, 1000])
+def test_svd_scale_equivariant_bit_exact(e):
+    g = np.random.default_rng(23)
+    a = quaternion_planes(g, 7, 7)
+    m = a[0]
+    for args in ((a[0], a[1]), (m,)):
+        u, s, v = svd(*args)
+        su, ss, sv = svd(*(2.0 ** e * x for x in args))
+        assert np.array_equal(su, u) and np.array_equal(sv, v)
+        assert np.array_equal(ss, 2.0 ** e * s)
+
+
+def test_svd_no_convergence(monkeypatch):
+    a = quaternion_planes(np.random.default_rng(24), 16, 16)
+    monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        svd(a[0], a[1])
+
+
+def test_svd_orthogonal_input_takes_no_sweep():
+    # the Gram check before the first sweep finds the columns of a unitary
+    # orthogonal, so no rotation runs: v only sorts the columns
+    a = quaternion_planes(np.random.default_rng(25), 12, 12)
+    u, _, v = svd(a[0], a[1])
+    w = ckernel._qmul(u, ckernel._qadj(v))
+    _, s, vw = svd(w[0], w[1])
+    assert set(np.unique(vw[0])) <= {0.0, 1.0} and not vw[1].any()
+    assert np.array_equal(vw[0] @ vw[0].T, np.eye(12))
+    assert np.max(np.abs(s - 1.0)) <= 1e-13
 
 
 def complete_unitary_per_candidate(cols, n):
-    """Reference completion: every standard basis candidate built and
-    orthogonalized on its own, one basis vector at a time."""
-    basis = []
+    """Reference completion on planes: every standard basis candidate built
+    and orthogonalized on its own, one basis vector at a time, with the
+    quaternion inner product <b|w> = alpha + beta j."""
+    basis = [(c[0], c[1]) for c in cols]
 
-    def orthogonalize(w):
+    def orthogonalize(w1, w2):
         for _ in range(2):
-            for b in basis:
-                w = w - b * np.vdot(b, w)
-        return w
+            for b1, b2 in basis:
+                alpha = np.vdot(b1, w1) + np.vdot(w2, b2)
+                beta = np.vdot(b1, w2) - np.vdot(w1, b2)
+                w1 = w1 - (b1 * alpha - b2 * np.conj(beta))
+                w2 = w2 - (b1 * beta + b2 * np.conj(alpha))
+        return w1, w2
 
-    for w in cols:
-        w = orthogonalize(w.astype(complex))
-        nw = np.linalg.norm(w)
-        if nw > 0.0:
-            basis.append(w / nw)
     while len(basis) < n:
         best, best_norm = None, -1.0
         for k in range(n):
-            w = np.zeros(n, dtype=complex)
-            w[k] = 1.0
-            w = orthogonalize(w)
-            nw = np.linalg.norm(w)
+            w1 = np.zeros(n, dtype=complex)
+            w1[k] = 1.0
+            w1, w2 = orthogonalize(w1, np.zeros(n, dtype=complex))
+            nw = np.sqrt(np.linalg.norm(w1) ** 2 + np.linalg.norm(w2) ** 2)
             if nw > best_norm + 1e-12:
-                best, best_norm = w, nw
-        basis.append(best / best_norm)
-    return np.stack(basis, axis=1)
+                best, best_norm = (w1, w2), nw
+        basis.append((best[0] / best_norm, best[1] / best_norm))
+    return np.stack([np.stack([b1 for b1, _ in basis], axis=1),
+                     np.stack([b2 for _, b2 in basis], axis=1)])
 
 
-def range_columns(m):
-    """The columns m v / sigma that svd hands to the completion."""
-    _, s, v = svd(m)
-    rank = ckernel.rank_from_singular_values(s, max(m.shape))
-    return [m @ v[:, k] / s[k] for k in range(rank)]
+def range_columns(a):
+    """Planes of the columns a v_k / s_k that svd hands to the completion."""
+    _, s, v = svd(a[0], a[1])
+    rank = ckernel.rank_from_singular_values(s, 2 * s.size)
+    w = ckernel._qmul(a, v[:, :, :rank]) / s[:rank]
+    return w, [w[:, :, k] for k in range(rank)]
 
 
-def check_completion(cols, n):
-    u = ckernel._complete_unitary(cols, n)
-    assert u.shape == (n, n)
+def check_completion(u_r, n):
+    u = ckernel._complete_unitary(u_r, n)
+    assert u.shape == (2, n, n)
     # within 1e-12 of the reference means the same candidate at every step
+    cols = [u_r[:, :, k] for k in range(u_r.shape[2])]
     assert np.max(np.abs(u - complete_unitary_per_candidate(cols, n))) < 1e-12
-    assert frobenius(u.conj().T @ u - np.eye(n)) < 1e-12
+    gram = ckernel._qmul(ckernel._qadj(u), u)
+    assert frobenius(gram[0] - np.eye(n)) < 1e-12
+    assert frobenius(gram[1]) < 1e-12
     return u
 
 
 @pytest.mark.parametrize("n2", [8, 16, 32, 64])
 def test_complete_unitary_rank_deficient_square(n2):
-    for rank in (n2 // 4, n2 // 2, 3 * n2 // 4):
-        m = rand_complex(n2, rank) @ rand_complex(rank, n2)
-        cols = range_columns(m)
+    g = np.random.default_rng(n2)
+    n = n2 // 2
+    for rank in (n // 4, n // 2, 3 * n // 4):
+        u_r, cols = range_columns(quaternion_planes(g, n, n, rank))
         assert len(cols) == rank
-        check_completion(cols, n2)
+        check_completion(u_r, n)
 
 
 @pytest.mark.parametrize("rows, cols", [(5, 3), (33, 8)])
 def test_complete_unitary_tall(rows, cols):
-    m = rand_complex(rows, cols)
-    range_cols = range_columns(m)
+    a = quaternion_planes(np.random.default_rng(rows), rows, cols)
+    u_r, range_cols = range_columns(a)
     assert len(range_cols) == cols
-    u = check_completion(range_cols, rows)
-    assert np.array_equal(svd(m)[0], u)
+    u = check_completion(svd(a[0], a[1])[0][:, :, :cols], rows)
+    assert np.array_equal(svd(a[0], a[1])[0], u)
+    assert np.max(np.abs(u[:, :, :cols] - u_r)) < 1e-12
 
 
 def test_complete_unitary_zero_matrix_and_empty_cols():
+    eye = np.stack([np.eye(6), np.zeros((6, 6))])
+    assert np.array_equal(svd(np.zeros((6, 6)), np.zeros((6, 6)))[0], eye)
     assert np.array_equal(svd(np.zeros((6, 6), dtype=complex))[0], np.eye(6))
-    assert np.array_equal(ckernel._complete_unitary([], 5), np.eye(5))
-    check_completion([], 5)
+    empty = np.zeros((2, 5, 0), dtype=complex)
+    assert np.array_equal(ckernel._complete_unitary(empty, 5), eye[:, :5, :5])
+    check_completion(empty, 5)
 
 
 def test_complete_unitary_deterministic():
-    cols = range_columns(rand_complex(16, 6) @ rand_complex(6, 16))
-    assert np.array_equal(ckernel._complete_unitary(cols, 16),
-                          ckernel._complete_unitary(cols, 16))
+    g = np.random.default_rng(26)
+    u_r, _ = range_columns(quaternion_planes(g, 16, 16, 6))
+    assert np.array_equal(ckernel._complete_unitary(u_r, 16),
+                          ckernel._complete_unitary(u_r, 16))

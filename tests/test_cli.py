@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 
 from helpers import (conditioned_qmatrix, gaussian_qmatrix,
                      record_kernel_inputs, record_svd_inputs)
-from qpolar import (BlockStructureViolation, IllConditioned, QMatrix,
-                    emit_qmat, polar_decompose, weight_matrix)
+from qpolar import (BlockStructureViolation, QMatrix, ckernel, emit_qmat,
+                    parse_qmat, polar_decompose, weight_matrix)
+from qpolar.qlinalg import _chi_block
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         default_tol, example_report, main, polar_report,
                         run_suite, _run_suite_trial)
@@ -81,16 +83,26 @@ def test_cmd_polar_parse_error(tmp_path):
         assert main(["polar", "--in", str(path)]) == 2
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cmd_polar_overflow_exit(tmp_path, capsys):
-    # finite entries near 1e300 overflow the Gram matrix of the block image
+    # entries near 1e300 are factored after an exact scaling: U0 is the
+    # one of T and |T| is 2**996 times the one of T, bit for bit
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
+    t = random_ops.rand_qmatrix(SplitMix64(3), 4)
     path = tmp_path / "huge.qmat"
-    path.write_text(emit_qmat(random_ops.rand_qmatrix(SplitMix64(3), 4)
-                              * 2.0 ** 996))
+    path.write_text(emit_qmat(t * 2.0 ** 996))
     out = tmp_path / "r.txt"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert cmd_polar(str(path), 1e-9, str(out)) == 3
+    assert cmd_polar(str(path), 1e-9, str(out)) == 0
+    body = out.read_text()
+    assert "summary 7 checks 7 passed 0 failed" in body
+    f = polar_decompose(t)
+    assert emit_qmat(f.u0) in body
+    assert emit_qmat(f.abs_t * 2.0 ** 996) in body
+    # a singular value beyond the largest double is a genuine overflow
+    path.write_text(emit_qmat(QMatrix(np.full((4, 4), 1.5e308 + 0j))))
+    out.unlink()
+    assert cmd_polar(str(path), 1e-9, str(out)) == 3
     assert "error: operator overflows when factored" in capsys.readouterr().err
     assert not out.exists()
 
@@ -110,15 +122,14 @@ def test_polar_report_factors_each_operator_once(monkeypatch):
 
 
 def test_polar_report_eigensolves(monkeypatch):
-    # full rank: one eigensolve for the SVD of chi(T), one for that of
-    # chi(U0), and none for |T|, whose positivity follows from the singular
-    # values of T; rank-deficient: the two SVDs refine their trailing
-    # cluster (one more eigensolve each) and |T| takes its own
+    # the SVDs of T and U0 are Jacobi SVDs and solve no eigenproblem; at
+    # full rank the positivity of |T| follows from the singular values of
+    # T, and below it |T| takes the one eigensolve of its lam_min
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
     full = gaussian_qmatrix(np.random.default_rng(12), 6)
     deficient = random_ops.rank_deficient(SplitMix64(12), 6, 3)
-    for t, want in ((full, 2), (deficient, 5)):
+    for t, want in ((full, 0), (deficient, 1)):
         inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
         report, f = polar_report(t, 1e-9)
         assert report.passed and f.unique == (t is full)
@@ -126,25 +137,73 @@ def test_polar_report_eigensolves(monkeypatch):
         monkeypatch.undo()
 
 
-def test_cmd_polar_ill_conditioned_exit(tmp_path, capsys):
-    # condition number 1e6: the Gram-route SVD loses the block pairing of
-    # the singular vectors, so U0 cannot be pulled back
+def test_cmd_polar_ill_conditioned_factors(tmp_path, capsys):
+    # condition number 1e6, which the Gram route could not pull back: the
+    # structured Jacobi SVD factors it with every check passing
+    t = conditioned_qmatrix(0, 8, 1e6)
     path = tmp_path / "cond.qmat"
-    path.write_text(emit_qmat(conditioned_qmatrix(0, 8, 1e6)))
+    path.write_text(emit_qmat(t))
     out = tmp_path / "r.txt"
+    assert cmd_polar(str(path), 1e-9, str(out)) == 0
+    assert capsys.readouterr().err == ""
+    body = out.read_text()
+    assert "# null_rank 0\n" in body and "# unique true\n" in body
+    assert "summary 7 checks 7 passed 0 failed" in body
+    assert main(["polar", "--in", str(path), "--out", str(out)]) == 0
+    assert polar_decompose(t).unique
+
+
+def _numpy_null_rank(t: QMatrix) -> int:
+    """Singular value pairs of chi(T) at or below the rank cut, by numpy."""
+    sv = np.linalg.svd(_chi_block(t), compute_uv=False)
+    cut = ckernel.RANK_TOL * 2 * t.shape[0] * sv[0]
+    return int(np.count_nonzero(sv[0::2] <= cut))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_condition_number_grid():
+    # W1 diag(logspace(0, -k, n)) W2 at n = 2..16 and cond 1e3..1e9, two
+    # draws each: every cell factors with every check passing, and with
+    # the null rank numpy's singular values give at the same cut
+    for n in (2, 4, 8, 16):
+        for k in range(3, 10):
+            for seed in (0, 1):
+                t = conditioned_qmatrix(seed, n, 10.0 ** k)
+                report, f = polar_report(t, 1e-9)
+                assert report.passed, (n, k, seed, report.format())
+                assert f.null_rank == _numpy_null_rank(t), (n, k, seed)
+
+
+def test_cmd_polar_committed_inputs():
+    # the cond-1e9 n = 16 operator and the subnormal 2 x 2 matrix also run
+    # in CI with RuntimeWarning as an error
+    cond = parse_qmat((DATA / "cond1e9_n16.qmat").read_text())
+    report, f = polar_report(cond, 1e-9)
+    assert report.passed and f.null_rank == _numpy_null_rank(cond) == 1
+    tiny = parse_qmat((DATA / "subnormal_2x2.qmat").read_text())
+    assert np.all(tiny.a1 == tiny.a1[0, 0]) and not tiny.a2.any()
+    assert 0.0 < abs(tiny.a1[0, 0]) < np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report, f = polar_report(tiny, 1e-9)
+    assert report.passed and f.null_rank == 1 and not f.unique
+
+
+def test_cmd_polar_no_convergence_exit(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "gauss.qmat"
+    path.write_text(emit_qmat(gaussian_qmatrix(np.random.default_rng(13), 16)))
+    out = tmp_path / "r.txt"
+    monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
     assert cmd_polar(str(path), 1e-9, str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: operator too ill-conditioned to factor")
+    assert err.startswith("error: the SVD of the operator did not converge")
     assert not out.exists()
-    assert main(["polar", "--in", str(path)]) == 3
-    with pytest.raises(IllConditioned):
-        polar_decompose(conditioned_qmatrix(0, 8, 1e6))
 
 
 def test_cmd_polar_block_violation_after_factoring_propagates(
         tmp_path, monkeypatch, capsys):
-    # only a failed pullback in polar_decompose means an ill-conditioned
-    # input; a violation raised later is a fault and keeps its traceback
+    # no exit code maps a block-structure violation: one raised after
+    # factoring is a fault and keeps its traceback
     from qpolar import cli
 
     def planted(*args, **kwargs):

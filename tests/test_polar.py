@@ -426,7 +426,7 @@ def test_corange_basis_on_rank_deficient_draws():
         n = 2 + rr.randint(7)
         t = random_ops.rank_deficient(rr, n, rr.randint(n))
         f = polar_decompose(t)
-        corange = _svd_bases(f.chi_svd, f.null_rank)[2]
+        corange = _svd_bases(f.fac, f.null_rank)[2]
         assert len(corange) == f.null_rank
         for j, c in enumerate(corange):
             for k, d in enumerate(corange):
