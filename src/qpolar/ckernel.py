@@ -44,8 +44,8 @@ class SingularMatrix(ValueError):
 
 
 class NonFiniteInput(ValueError):
-    """A NaN or infinite entry, or a singular value or eigenvalue beyond
-    the largest double."""
+    """A NaN or infinite entry, a singular value or eigenvalue beyond the
+    largest double, or a class residual that overflows to NaN."""
 
 
 class NoConvergence(RuntimeError):
@@ -61,10 +61,13 @@ class EigResult:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm; rescaled_norm if the squares underflow."""
+    """Frobenius norm; rescaled_norm if the sum of squares of the finite,
+    nonzero entries underflows to 0 or overflows."""
     a = np.asarray(m).ravel()
-    norm = float(np.linalg.norm(a))
-    return rescaled_norm(a) if norm == 0.0 and a.any() else norm
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    return (rescaled_norm(a) if norm in (0.0, np.inf) and a.any()
+            and np.isfinite(a).all() else norm)
 
 
 def rescaled_norm(a) -> float:
@@ -323,11 +326,11 @@ def _complete_unitary(u, n: int) -> np.ndarray:
     return out
 
 
-def rank_from_singular_values(s, dim: int, tol: float = RANK_TOL) -> int:
+def rank_from_singular_values(s, dim: int) -> int:
     s = np.asarray(s)
     if s.size == 0 or s[0] <= 0.0:
         return 0
-    return int(np.count_nonzero(s > tol * s[0] * dim))
+    return int(np.count_nonzero(s > RANK_TOL * s[0] * dim))
 
 
 def psd_sqrt(m, tol: float = CLAMP_TOL):
@@ -406,15 +409,12 @@ class Factorization:
         return values[-1] if values.size else 0.0
 
     def polar(self, rank: int):
-        """Polar factors u0 = u_r v_r* and p = v diag(s) v*, p exactly
-        self-adjoint, with u0 of the given rank, in the form of the factors."""
+        """Polar factors u0 = u_r v_r* and p = v diag(s) v* of a quaternion
+        matrix, as planes, p exactly self-adjoint and u0 of the given rank."""
         u, v = self.u, self.v
-        if not self.quaternion:
-            u, v = np.stack([u, 0 * u]), np.stack([v, 0 * v])
         u0 = _qmul(u[:, :, :rank], _qadj(v[:, :, :rank]))
         p = _qmul(v * self.s, _qadj(v))
-        p = 0.5 * (p + _qadj(p))
-        return (u0, p) if self.quaternion else (u0[0], p[0])
+        return u0, 0.5 * (p + _qadj(p))
 
     @property
     def p_definite(self) -> bool:
@@ -463,30 +463,34 @@ def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
 
     fac factors a: the planes of a quaternion matrix, or a complex one.
     Returns (residuals, flags, rank, sigma_max), each flag meaning a
-    residual within tol * max(1, sigma_max).
+    residual within tol * max(1, sigma_max). A residual beyond the largest
+    double is inf; one that overflows to NaN (inf - inf when a* a and a a*
+    overflow) raises NonFiniteInput.
     """
-    astar = alg.adjoint(a)
-    g = astar @ a
-    gg = a @ astar
-    eye = alg.identity(a.shape[0])
-    smax = fac.sigma_max
-    res = {
-        "self_adjoint": alg.norm(a - astar),
-        "anti_self_adjoint": alg.norm(a + astar),
-        "normal": alg.norm(g - gg),
-        "unitary": max(alg.norm(g - eye), alg.norm(gg - eye)),
-        "projection": max(alg.norm(a @ a - a), alg.norm(a - astar)),
-    }
-    thresh = tol * max(1.0, smax)
+    smax, rank = fac.sigma_max, alg.rank(fac)  # the SVD rejects NaN and inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        astar = alg.adjoint(a)
+        g = astar @ a
+        gg = a @ astar
+        eye = alg.identity(a.shape[0])
+        # the norms each residual is the largest of
+        parts = {
+            "self_adjoint": [alg.norm(a - astar)],
+            "anti_self_adjoint": [alg.norm(a + astar)],
+            "normal": [alg.norm(g - gg)],
+            "unitary": [alg.norm(g - eye), alg.norm(gg - eye)],
+            "projection": [alg.norm(a @ a - a), alg.norm(a - astar)],
+            # a* a is an orthogonal projection, and a preserves norms on
+            # the orthogonal complement of its null space
+            "partial_isometry": [alg.norm(g @ g - g),
+                                 alg.norm(g - alg.adjoint(g))]
+            + [abs(alg.norm(a @ w) - 1.0) for w in alg.coimage(fac, rank)],
+        }
+    if np.isnan(sum(parts.values(), [])).any():
+        raise NonFiniteInput("a class residual overflows a double")
+    res = {name: max(vals) for name, vals in parts.items()}
     res["positive"], _ = positivity(res["self_adjoint"], fac, tol)
-    # partial isometry: a* a is an orthogonal projection, and a preserves
-    # norms on the orthogonal complement of its null space
-    pi_alg = max(alg.norm(g @ g - g), alg.norm(g - alg.adjoint(g)))
-    rank = alg.rank(fac)
-    spot = 0.0
-    for w in alg.coimage(fac, rank):
-        spot = max(spot, abs(alg.norm(a @ w) - 1.0))
-    res["partial_isometry"] = max(pi_alg, spot)
+    thresh = tol * max(1.0, smax)
     flags = {name: bool(val <= thresh) for name, val in res.items()}
     if flags["unitary"]:
         flags["normal"] = True

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel
-from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, RANK_TOL, ShapeMismatch,
-                      classify, frobenius_norm, positivity, projector_onto,
+from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, ShapeMismatch, classify,
+                      frobenius_norm, positivity, projector_onto,
                       _chi_block, _classify, _svd_bases)
 from .slices import PULLBACK_SQRT_TOL, chi_pullback
 
@@ -152,20 +152,18 @@ def modulus(t: QMatrix) -> QMatrix:
     return polar_decompose(t).abs_t
 
 
-def polar_decompose(t: QMatrix, tol: float = RANK_TOL) -> PolarFactors:
+def polar_decompose(t: QMatrix) -> PolarFactors:
     """Polar decomposition T = U0 |T| with N(U0) = N(T).
 
-    Read from the quaternion SVD of T (ckernel.Factorization.polar); tol
-    is the rank cut, relative to 2n s[0], that decides the null and corange
+    Read from the quaternion SVD of T (ckernel.Factorization.polar); its
+    rank cut, RANK_TOL relative to 2n s[0], decides the null and corange
     dimensions. Raises ckernel.NoConvergence if the SVD does not converge.
     """
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("polar decomposition needs a square operator")
-    n = t.shape[0]
     fac = ckernel.Factorization(t.a1, t.a2)
-    rank = ckernel.rank_from_singular_values(fac.s, 2 * n, tol)
-    u0, p = fac.polar(rank)
-    null_rank = n - rank
+    u0, p = fac.polar(fac.rank)
+    null_rank = t.shape[0] - fac.rank
     return PolarFactors(u0=QMatrix(*u0), abs_t=QMatrix(*p),
                         null_rank=null_rank, unique=null_rank == 0, fac=fac)
 

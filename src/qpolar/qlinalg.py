@@ -399,13 +399,13 @@ def _classify(a: QMatrix, fac: ckernel.Factorization,
     return OperatorClass(**flags, residuals=res, rank=rank)
 
 
-def quaternionic_rank(a: QMatrix, tol: float = RANK_TOL) -> int:
-    """Singular values of a above tol * 2n * the largest, 2n the block size."""
+def quaternionic_rank(a: QMatrix) -> int:
+    """Count of singular values above the rank cut RANK_TOL * 2n * s[0]."""
     _, s, _ = ckernel.svd(a.a1, a.a2)
-    return ckernel.rank_from_singular_values(s, 2 * a.shape[0], tol)
+    return ckernel.rank_from_singular_values(s, 2 * a.shape[0])
 
 
-def null_range_bases(a: QMatrix, tol: float = RANK_TOL):
+def null_range_bases(a: QMatrix):
     """Orthonormal bases of N(A) and R(A) from the singular vectors of A.
 
     The null basis is the right singular vectors at (numerically) zero
@@ -414,10 +414,8 @@ def null_range_bases(a: QMatrix, tol: float = RANK_TOL):
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("null_range_bases needs a square operator")
-    n = a.shape[0]
     fac = ckernel.Factorization(a.a1, a.a2)
-    return _svd_bases(fac, n - ckernel.rank_from_singular_values(
-        fac.s, 2 * n, tol))[:2]
+    return _svd_bases(fac, a.shape[0] - fac.rank)[:2]
 
 
 def _svd_bases(fac: ckernel.Factorization, null_rank: int):

@@ -167,9 +167,14 @@ def test_pinv_penrose_conditions():
 
 
 def _polar_factors(m):
-    """Classical polar factors (u0, p) of m, with u0 of the rank of m."""
-    fac = ckernel.Factorization(m)
-    return fac.polar(ckernel.rank_from_singular_values(fac.s, m.shape[0]))
+    """Classical polar factors (u0, p) of m, with u0 of the rank of m.
+
+    Factors m as the quaternion matrix m + 0 j, whose factors have a zero
+    j-plane, and returns their complex planes."""
+    fac = ckernel.Factorization(m, 0 * m)
+    u0, p = fac.polar(ckernel.rank_from_singular_values(fac.s, m.shape[0]))
+    assert not u0[1].any() and not p[1].any()
+    return u0[0], p[0]
 
 
 def test_complex_polar_examples():
@@ -198,19 +203,19 @@ def test_complex_polar_singular_and_identities():
 
 
 def test_factorization_p_definite():
-    # every singular value above the rank cut 1e-10 * dim * s[0]: the p of
+    # every singular value above the rank cut 1e-10 * 2n * s[0]: the p of
     # polar() has a positive lowest eigenvalue; one below it clears the flag
     g = np.random.default_rng(7)
     for n in (1, 4, 16):
         m = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-        fac = ckernel.Factorization(m)
+        fac = ckernel.Factorization(m, 0 * m)
         assert fac.p_definite
-        assert hermitian_eig(fac.polar(n)[1]).values[-1] > 0.0
+        assert hermitian_eig(fac.polar(n)[1][0]).values[-1] > 0.0
     m = g.standard_normal((6, 3)) @ g.standard_normal((3, 6))
-    assert not ckernel.Factorization(m.astype(complex)).p_definite
+    assert not ckernel.Factorization(m, 0 * m).p_definite
     for smallest, definite in ((1e-9, True), (1e-12, False)):
-        m = np.diag([1.0, 1e-3, smallest]).astype(complex)
-        assert ckernel.Factorization(m).p_definite == definite
+        m = np.diag([1.0, 1e-3, smallest])
+        assert ckernel.Factorization(m, 0 * m).p_definite == definite
 
 
 def test_complex_polar_hermitian_gives_hermitian_isometry():

@@ -246,6 +246,34 @@ def test_cmd_polar_large_scale_no_overflow_warning(tmp_path):
     assert "summary 7 checks 7 passed 0 failed" in body
 
 
+def test_polar_report_abs_positive_is_relative(tmp_path):
+    # below full rank the positivity residual of |T| is the rounding of
+    # forming it, O(eps ||T||), which numpy's eigenvalues of chi(|T|) show
+    # too; so the line is relative to max(1, ||T||), as the four identities
+    # and the positivity flag are
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    t = random_ops.rank_deficient(SplitMix64(3), 8, 4) * 2.0 ** 240
+    report, f = polar_report(t, 1e-9)
+    line = next(c for c in report.checks if c.name == "abs_positive_rel")
+    residual = f.abs_positivity()[0]
+    assert residual > 1e50  # an absolute 1e-9 gate fails on rounding
+    assert line.value == residual / f.fac.sigma_max < 1e-15
+    lam = np.linalg.eigvalsh(_chi_block(f.abs_t))[0]
+    assert abs(lam) < 1e-15 * f.fac.sigma_max
+    assert report.passed
+    # at ||T|| <= 1 the line is the absolute residual
+    small = random_ops.rank_deficient(SplitMix64(3), 8, 4)
+    small = small * (0.5 / polar_decompose(small).fac.sigma_max)
+    report, f = polar_report(small, 1e-9)
+    assert next(c.value for c in report.checks
+                if c.name == "abs_positive_rel") == f.abs_positivity()[0]
+    path = tmp_path / "r.txt"
+    path.write_text(emit_qmat(t))
+    assert cmd_polar(str(path), 1e-9, str(tmp_path / "out.txt")) == 0
+    assert "\nabs_positive_rel " in (tmp_path / "out.txt").read_text()
+
+
 def test_cmd_polar_invariant_failure_exit(tmp_path):
     # an absurd tolerance turns honest rounding into an invariant failure
     from qpolar import random_ops

@@ -8,6 +8,7 @@ from qpolar import (BlockStructureViolation, QMatrix, QVector, Quaternion,
                     quaternionic_rank, weight_matrix)
 from qpolar import ckernel, random_ops
 from qpolar.quaternion import I, J, K
+from qpolar.rng import SplitMix64
 
 
 # The slice device of the paper, in the arithmetic of QVector and QMatrix:
@@ -238,3 +239,27 @@ def test_equivalence_suite_factors_chi_once(monkeypatch):
                  "projection"):
         assert byname[name].residual_complex == pytest.approx(
             np.sqrt(2.0) * byname[name].residual_quaternionic, rel=1e-9)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_class_residual_overflow_is_rejected():
+    # entries near 1e300: a* a and a a* overflow, so the normal residual is
+    # inf - inf; that is an error, not a flag read from a NaN
+    a = random_ops.rand_qmatrix(SplitMix64(3), 4)
+    big = a * 2.0 ** 996
+    assert ckernel.svd(big.a1, big.a2)[1][0] < np.inf  # the SVD still factors
+    with pytest.raises(ckernel.NonFiniteInput):
+        equivalence_suite(big)
+    with pytest.raises(ckernel.NonFiniteInput):
+        classify(QMatrix.identity(3) * 2.0 ** 996)
+    with pytest.raises(ckernel.NonFiniteInput):
+        ckernel.classify_cmatrix(np.eye(3) * 2.0 ** 996)
+    # entries near 1e75: (a* a)^2 is near the largest double, and its
+    # residual is read without a warning
+    rep = equivalence_suite(a * 2.0 ** 250)
+    assert rep.all_agree
+    byname = {r.name: r for r in rep.rows}
+    assert byname["partial_isometry"].residual_complex > 1e300
+    assert not byname["partial_isometry"].flag_quaternionic
+    c = classify(QMatrix.identity(3) * 2.0 ** 250)
+    assert c.normal and c.self_adjoint and c.positive and not c.unitary
