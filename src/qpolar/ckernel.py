@@ -1,12 +1,13 @@
 """Self-contained numerical engine on complex matrices and quaternion planes.
 
-Everything quaternionic in this library is ultimately computed here: a
-one-sided Jacobi SVD that works on the complex planes (A1, A2) of
-A = A1 + A2 j with quaternion-structured rotations (a complex matrix is
-the planes (M, 0)), the polar factors built from it (Factorization.polar),
-a cyclic Jacobi eigensolver for Hermitian matrices, the PSD square root
-and the Gauss-Jordan inverse. All routines are deterministic: fixed
-sweep order, no data-dependent threading, stable tie-breaking.
+Everything quaternionic in this library is ultimately computed here: one
+one-sided Jacobi iteration (_jacobi) that works on the complex planes
+(A1, A2) of A = A1 + A2 j with quaternion-structured rotations (a complex
+matrix is the planes (M, 0)). It serves the SVD, the polar factors built
+from it (Factorization.polar), the Hermitian eigensolver (through the
+shift H + ||H||_F I) and the PSD square root. The Gauss-Jordan inverse
+is the one complex routine apart from it. All routines are deterministic:
+fixed sweep order, no data-dependent threading, stable tie-breaking.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ MAX_SWEEPS = 30
 # pair exceeds twice that; the rounding of such an inner product is about
 # eps sqrt(rows)
 ORTH_TOL = 2 * np.finfo(float).eps
-# off-diagonal Frobenius mass below this (relative) counts as diagonal
-OFFDIAG_STOP = 1e-14
 # singular values below RANK_TOL * sigma_max * dim are treated as zero
 RANK_TOL = 1e-10
-# negative eigenvalues within CLAMP_TOL * ||M|| are clamped to zero
+# negative eigenvalues within CLAMP_TOL * max(1, ||H||) are clamped to zero
 CLAMP_TOL = 1e-10
+# hermitian_eig refuses H with ||H - H*|| above HERMITIAN_TOL * max(1, ||H||)
+HERMITIAN_TOL = 1e-12
+# gauss_inv refuses a pivot at or below PIVOT_TOL * max(1, largest |entry|)
+PIVOT_TOL = 1e-13
 
 
 class NotHermitian(ValueError):
@@ -49,12 +52,13 @@ class NonFiniteInput(ValueError):
 
 
 class NoConvergence(RuntimeError):
-    """The Jacobi SVD still had a pair to rotate after MAX_SWEEPS sweeps."""
+    """_jacobi still had a pair to rotate after MAX_SWEEPS sweeps."""
 
 
 @dataclass
 class EigResult:
-    """Eigenvalues (real, descending) and the unitary matrix of eigenvectors."""
+    """Eigenvalues (real, descending) and the unitary matrix of eigenvectors,
+    as planes (2, n, n) for a quaternion matrix."""
 
     values: np.ndarray
     vectors: np.ndarray
@@ -99,6 +103,12 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
+def _as_planes(m, m2=None) -> np.ndarray:
+    """Planes (2, rows, cols) of the complex matrix m, or of m + m2 j."""
+    m = np.asarray(m, dtype=complex)
+    return np.stack([m, np.zeros_like(m) if m2 is None else m2])
+
+
 def _rotation_rounds(n: int):
     """Round-robin schedule of disjoint index pairs covering all (p, q).
 
@@ -128,68 +138,42 @@ def _rotation_rounds(n: int):
 _ROUNDS_CACHE: dict = {}
 
 
-def hermitian_eig(m, tol: float = 1e-12) -> EigResult:
-    """Diagonalize a Hermitian matrix by cyclic Jacobi rotations.
+def hermitian_eig(m, m2=None) -> EigResult:
+    """Eigenvalues and eigenvectors of a Hermitian H by the Jacobi SVD kernel.
 
-    Sweeps visit every (p, q) pair once in a fixed round-robin order,
-    rotating only entries above a small threshold, until the off-diagonal
-    Frobenius mass drops below OFFDIAG_STOP relative to the input scale
-    or MAX_SWEEPS is reached. Disjoint rotations of one round are applied
-    together as a single unitary. Eigenvalues are returned in descending
-    order (stable sort, so equal values keep the sweep output order).
-    The sweeps run on _prescale(M), so no square underflows or overflows.
+    H is the complex matrix m, or the quaternion matrix m + m2 j given by
+    its planes. _jacobi factors B = H + ||H||_F I, which is positive
+    semidefinite, so its right singular vectors are eigenvectors of H; the
+    eigenvalues are their Rayleigh quotients, in descending order (stable
+    sort), each quaternion eigenvalue once. The solve runs on _prescale(H),
+    so hermitian_eig(2**k H) is hermitian_eig(H) with values times 2**k,
+    bit for bit.
 
-    Raises NonFiniteInput if M has a NaN or infinite entry or an
-    eigenvalue overflows, and NotHermitian if ||M - M*|| > tol * max(1, ||M||).
+    Returns vectors as a complex unitary for a complex m, planes (2, n, n)
+    for a quaternion H. Raises NonFiniteInput if H has a NaN or infinite
+    entry or an eigenvalue overflows, NotHermitian if
+    ||H - H*|| > HERMITIAN_TOL * max(1, ||H||), and NoConvergence.
     """
-    a, e = _prescale(_as_square(m))
-    n = a.shape[0]
+    a, e = _prescale(_as_planes(m, m2))
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
     scale = frobenius(a)
     with np.errstate(over="ignore"):
         unit = np.ldexp(1.0, -e)  # 1 in the units of the scaled matrix
-    if frobenius(a - a.conj().T) > tol * max(unit, scale):
+    if frobenius(a - _qadj(a)) > HERMITIAN_TOL * max(unit, scale):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    a = 0.5 * (a + a.conj().T)
-    v = np.eye(n, dtype=complex)
-    if n > 1 and scale > 0.0:
-        skip = OFFDIAG_STOP * scale / (n * n)
-        rounds = _rotation_rounds(n)
-        for _ in range(MAX_SWEEPS):
-            if frobenius(a - np.diag(np.diag(a))) <= OFFDIAG_STOP * scale:
-                break
-            for p_all, q_all in rounds:
-                apq = a[p_all, q_all]
-                act = np.abs(apq) > skip
-                if not act.any():
-                    continue
-                p, q, apq = p_all[act], q_all[act], apq[act]
-                mag = np.abs(apq)
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                t = np.where(tau >= 0.0, 1.0, -1.0) \
-                    / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # per pair: G[p,p] = c, G[p,q] = s*phase,
-                #           G[q,p] = -s*conj(phase), G[q,q] = c
-                g = np.eye(n, dtype=complex)
-                g[p, p] = c
-                g[p, q] = s * phase
-                g[q, p] = -s * np.conj(phase)
-                g[q, q] = c
-                a = g.conj().T @ a @ g
-                v = v @ g
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                a[p, p] = a[p, p].real
-                a[q, q] = a[q, q].real
-    values = np.diag(a).real.copy()
+    h = 0.5 * (a + _qadj(a))
+    b = h.copy()
+    b[0] += frobenius(h) * np.eye(h.shape[1])
+    _, v = _jacobi(b)
+    values = np.sum((v.conj() * _qmul(h, v)).real, axis=(0, 1))
     order = np.argsort(-values, kind="stable")
     with np.errstate(over="ignore"):
         values = np.ldexp(values[order], e)
     if not np.isfinite(values).all():
         raise NonFiniteInput("an eigenvalue overflows a double")
-    return EigResult(values, v[:, order])
+    v = v[:, :, order]
+    return EigResult(values, v[0] if m2 is None else v)
 
 
 def chi_image(a1, a2) -> np.ndarray:
@@ -221,8 +205,7 @@ def svd(m, m2=None):
     for a complex m, planes (2, k, k) for a quaternion A, with each of its
     singular values once. Raises NonFiniteInput and NoConvergence.
     """
-    m = np.asarray(m, dtype=complex)
-    a, e = _prescale(np.stack([m, np.zeros_like(m) if m2 is None else m2]))
+    a, e = _prescale(_as_planes(m, m2))
     if a.ndim != 3:
         raise ValueError("expected a 2-d array")
     wide = a.shape[2] > a.shape[1]
@@ -269,7 +252,7 @@ def _jacobi(a):
             break
         if sweep == MAX_SWEEPS:
             raise NoConvergence(
-                f"Jacobi SVD did not converge in {sweep} sweeps")
+                f"Jacobi iteration did not converge in {sweep} sweeps")
         for pq in rounds:
             z = x[pq].reshape(len(pq), 4, -1)
             # h[i, j] = <z_i, z_j> over the rows (p1, p2, q1, q2)
@@ -333,27 +316,28 @@ def rank_from_singular_values(s, dim: int) -> int:
     return int(np.count_nonzero(s > RANK_TOL * s[0] * dim))
 
 
-def psd_sqrt(m, tol: float = CLAMP_TOL):
-    """Positive semidefinite square root via eigendecomposition.
+def psd_sqrt(m, m2=None):
+    """Positive semidefinite square root of a Hermitian H via hermitian_eig.
 
-    Eigenvalues in [-tol * ||M||, 0) are clamped to zero; anything more
-    negative raises NegativeEigenvalue. Raises NotHermitian for a
-    non-Hermitian input.
+    H is the complex matrix m, or the quaternion matrix m + m2 j given by
+    its planes; the root comes back in the same form, exactly self-adjoint.
+    Eigenvalues in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to zero;
+    anything more negative raises NegativeEigenvalue. Raises NotHermitian
+    for a non-Hermitian input.
     """
-    a = _as_square(m)
-    eig = hermitian_eig(a)
-    scale = abs(eig.values[0]) if a.shape[0] else 0.0
-    lo = eig.values[-1] if a.shape[0] else 0.0
-    if lo < -tol * max(1.0, scale):
+    eig = hermitian_eig(m, m2)
+    lo, hi = ((eig.values[-1], abs(eig.values[0])) if eig.values.size
+              else (0.0, 0.0))
+    if lo < -CLAMP_TOL * max(1.0, hi):
         raise NegativeEigenvalue(
             f"minimum eigenvalue {lo:.3e} below clamping window")
-    vals = np.clip(eig.values, 0.0, None)
-    v = eig.vectors
-    r = (v * np.sqrt(vals)) @ v.conj().T
-    return 0.5 * (r + r.conj().T)
+    v = _as_planes(eig.vectors) if m2 is None else eig.vectors
+    r = _qmul(v * np.sqrt(np.clip(eig.values, 0.0, None)), _qadj(v))
+    r = 0.5 * (r + _qadj(r))
+    return r[0] if m2 is None else r
 
 
-def gauss_inv(m, tol: float = 1e-13):
+def gauss_inv(m):
     """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
 
     Kept separate from the eigensolver so iterative cross-checks built on
@@ -365,7 +349,7 @@ def gauss_inv(m, tol: float = 1e-13):
     aug = np.hstack([a, np.eye(n, dtype=complex)])
     for col in range(n):
         piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) <= tol * max(1.0, scale):
+        if abs(aug[piv, col]) <= PIVOT_TOL * max(1.0, scale):
             raise SingularMatrix(f"pivot {abs(aug[piv, col]):.3e} too small")
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
@@ -380,16 +364,12 @@ class Factorization:
     """Factors of a complex matrix m, or of the quaternion matrix m + m2 j.
 
     Each is computed on first use and kept: (u, s, v) = svd(m, m2), planes
-    for a quaternion matrix; m, the complex image (chi of a quaternion
-    matrix); lam_min, the smallest eigenvalue of its Hermitian part.
+    for a quaternion matrix, and lam_min, the smallest eigenvalue of its
+    Hermitian part, solved on the planes.
     """
 
     def __init__(self, m, m2=None):
         self.planes, self.quaternion = (m, m2), m2 is not None
-
-    @functools.cached_property
-    def m(self) -> np.ndarray:
-        return chi_image(*self.planes) if self.quaternion else self.planes[0]
 
     @functools.cached_property
     def _svd(self):
@@ -405,7 +385,9 @@ class Factorization:
 
     @functools.cached_property
     def lam_min(self) -> float:
-        values = hermitian_eig(0.5 * (self.m + self.m.conj().T)).values
+        x = _as_planes(*self.planes)
+        h = 0.5 * (x + _qadj(x))
+        values = hermitian_eig(h[0], h[1] if self.quaternion else None).values
         return values[-1] if values.size else 0.0
 
     def polar(self, rank: int):

@@ -12,13 +12,13 @@ positive operators: inversion of a strictly positive operator (take the
 bounded square root of the inverse and invert back), and the composite
 S^(1/2) C with S = I - (I+P)^(-1) and C = sqrt(I+P). All three agree
 with each other, which is the uniqueness statement made executable.
+Every root is ckernel.psd_sqrt on the planes; every inverse is
+Gauss-Jordan on the complex image, pulled back before a root is taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import ckernel
 from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, ShapeMismatch, classify,
@@ -80,26 +80,45 @@ class PolarFactors:
         return positivity(self.abs_t)[:2]
 
 
-def _require_positive(p: QMatrix, tol: float) -> ckernel.Factorization:
-    """Raise NotPositive unless classify(p, tol) would find p positive.
+# positivity tolerance of the square-root routes
+SQRT_TOL = 1e-8
 
-    Returns the factorization of chi(p), whose lam_min is then computed.
+
+def _require_positive(p: QMatrix) -> ckernel.Factorization:
+    """Raise NotPositive unless classify(p, SQRT_TOL) would find p positive.
+
+    Returns the factorization of p, whose lam_min is then computed.
     """
-    residual, positive, fac = positivity(p, tol)
+    residual, positive, fac = positivity(p, SQRT_TOL)
     if not positive:
         raise NotPositive(
             f"positivity residual {residual:.3e} above tolerance")
     return fac
 
 
-def sqrt_positive_spectral(p: QMatrix, tol: float = 1e-8) -> QMatrix:
-    """Positive square root through the eigendecomposition of the block image."""
-    _require_positive(p, max(tol, 1e-9))
-    r = ckernel.psd_sqrt(_chi_block(p))
-    return chi_pullback(r, PULLBACK_SQRT_TOL)
+def _root(h: QMatrix) -> QMatrix:
+    """ckernel.psd_sqrt of the self-adjoint h, on its planes."""
+    return QMatrix(*ckernel.psd_sqrt(h.a1, h.a2))
 
 
-def sqrt_positive_composite(p: QMatrix, tol: float = 1e-8) -> QMatrix:
+def _inverse(h: QMatrix) -> QMatrix:
+    """Inverse of the self-adjoint part of h, made exactly self-adjoint.
+
+    Gauss-Jordan runs on the complex image, apart from the Jacobi kernel,
+    and the inverse is pulled back to planes.
+    """
+    g = chi_pullback(ckernel.gauss_inv(_chi_block(0.5 * (h + h.adjoint()))),
+                     PULLBACK_SQRT_TOL)
+    return 0.5 * (g + g.adjoint())
+
+
+def sqrt_positive_spectral(p: QMatrix) -> QMatrix:
+    """Positive square root through the eigendecomposition of p's planes."""
+    _require_positive(p)
+    return _root(p)
+
+
+def sqrt_positive_composite(p: QMatrix) -> QMatrix:
     """Positive square root as S^(1/2) C with S = I - (I+P)^(-1), C = sqrt(I+P).
 
     I + P is strictly positive (bounded below by 1), so C comes from the
@@ -107,44 +126,30 @@ def sqrt_positive_composite(p: QMatrix, tol: float = 1e-8) -> QMatrix:
     back. Agrees with the spectral route, which is the uniqueness of the
     positive square root in executable form.
     """
-    _require_positive(p, max(tol, 1e-9))
-    m = _chi_block(p)
-    n2 = m.shape[0]
-    eye = np.eye(n2, dtype=complex)
-    k = eye + m
-    k_inv = ckernel.gauss_inv(k)
-    k_inv = 0.5 * (k_inv + k_inv.conj().T)
-    s = eye - k_inv
-    s = 0.5 * (s + s.conj().T)
-    s_half = ckernel.psd_sqrt(s)
+    _require_positive(p)
+    eye = QMatrix.identity(p.shape[0])
+    k_inv = _inverse(eye + p)
+    s_half = _root(eye - k_inv)
     # strictly-positive route for C = sqrt(I + P)
-    inv_half = ckernel.psd_sqrt(k_inv)
-    c = ckernel.gauss_inv(inv_half)
+    c = _inverse(_root(k_inv))
     out = s_half @ c
-    out = 0.5 * (out + out.conj().T)
-    return chi_pullback(out, PULLBACK_SQRT_TOL)
+    return 0.5 * (out + out.adjoint())
 
 
-def sqrt_strictly_positive(p: QMatrix, lambda_min: float,
-                           tol: float = 1e-8) -> QMatrix:
+def sqrt_strictly_positive(p: QMatrix, lambda_min: float) -> QMatrix:
     """Square root of a strictly positive operator via its inverse.
 
-    Requires an explicit lower bound lambda_min > 0 on the spectrum of the
-    block image; raises NotStrictlyPositive when the computed minimum
-    eigenvalue falls short.
+    Requires an explicit lower bound lambda_min > 0 on the spectrum of p;
+    raises NotStrictlyPositive when the computed minimum eigenvalue falls
+    short.
     """
     if lambda_min <= 0.0:
         raise ValueError("lambda_min must be positive")
-    fac = _require_positive(p, max(tol, 1e-9))
+    fac = _require_positive(p)
     if fac.lam_min < lambda_min:
         raise NotStrictlyPositive(
             f"minimum eigenvalue {fac.lam_min:.3e} below {lambda_min:.3e}")
-    s = ckernel.gauss_inv(fac.m)
-    s = 0.5 * (s + s.conj().T)
-    s_half = ckernel.psd_sqrt(s)
-    c = ckernel.gauss_inv(s_half)
-    c = 0.5 * (c + c.conj().T)
-    return chi_pullback(c, PULLBACK_SQRT_TOL)
+    return _inverse(_root(_inverse(p)))
 
 
 def modulus(t: QMatrix) -> QMatrix:
@@ -168,14 +173,13 @@ def polar_decompose(t: QMatrix) -> PolarFactors:
                         null_rank=null_rank, unique=null_rank == 0, fac=fac)
 
 
-def unitary_extension(t: QMatrix, f: PolarFactors,
-                      tol: float = 1e-9) -> QMatrix:
+def unitary_extension(t: QMatrix, f: PolarFactors) -> QMatrix:
     """Extend U0 of a normal operator to a unitary W with W |T| = T.
 
     W acts as U0 on the range of |T| and as the identity on N(T). f must
     be polar_decompose(t).
     """
-    if not _classify(t, f.fac, max(tol, 1e-9)).normal:
+    if not _classify(t, f.fac, DEFAULT_CLASS_TOL).normal:
         raise NotNormal("unitary extension needs a normal operator")
     null_basis = _svd_bases(f.fac, f.null_rank)[0]
     if not null_basis:
@@ -183,7 +187,7 @@ def unitary_extension(t: QMatrix, f: PolarFactors,
     return f.u0 + projector_onto(null_basis)
 
 
-def perturb_polar(f: PolarFactors, v: QMatrix, tol: float = 1e-9) -> QMatrix:
+def perturb_polar(f: PolarFactors, v: QMatrix) -> QMatrix:
     """Second factorization U = U0 + V P of T from a partial isometry V.
 
     f is polar_decompose(T). V must vanish on N(T)-perp (initial space
@@ -196,7 +200,7 @@ def perturb_polar(f: PolarFactors, v: QMatrix, tol: float = 1e-9) -> QMatrix:
     if f.null_rank == 0:
         raise BadPerturbation(
             "N(T) is trivial, only the zero perturbation is admissible")
-    oc = classify(v, max(tol, 1e-9))
+    oc = classify(v)
     if not oc.partial_isometry:
         raise BadPerturbation(
             f"perturbation is not a partial isometry "
@@ -205,13 +209,13 @@ def perturb_polar(f: PolarFactors, v: QMatrix, tol: float = 1e-9) -> QMatrix:
     null_basis, range_basis, _ = _svd_bases(f.fac, f.null_rank)
     p_null = projector_onto(null_basis)
     off_initial = (v - v @ p_null).frobenius_norm()
-    if off_initial > tol * scale:
+    if off_initial > DEFAULT_CLASS_TOL * scale:
         raise BadPerturbation(
             f"initial space leaks outside N(T) by {off_initial:.3e}")
     if range_basis:
         p_range = projector_onto(range_basis)
         into_range = (p_range @ v).frobenius_norm()
-        if into_range > tol * scale:
+        if into_range > DEFAULT_CLASS_TOL * scale:
             raise BadPerturbation(
                 f"final space leaks into R(T) by {into_range:.3e}")
     return f.u0 + v @ p_null

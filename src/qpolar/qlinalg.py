@@ -261,12 +261,12 @@ def _pull_vector(u: np.ndarray) -> QVector:
     return QVector(u[:n].copy(), -np.conj(u[n:]))
 
 
-def gram_schmidt(vectors, drop_tol: float = RANK_TOL) -> list[QVector]:
+def gram_schmidt(vectors) -> list[QVector]:
     """Orthonormalize over H with two-pass re-orthogonalization.
 
-    Dependent inputs (residual norm below drop_tol relative to the input)
-    are dropped, so rank-deficient input shrinks the output. The default
-    drop_tol is the rank cut of the block-image singular values.
+    Dependent inputs (residual norm below RANK_TOL relative to the input,
+    the rank cut of the singular values) are dropped, so rank-deficient
+    input shrinks the output.
 
     Works on the complex planes (a1, a2) of each vector: removing the
     component u * <u|w> is, with alpha + beta j = <u|w>,
@@ -286,7 +286,7 @@ def gram_schmidt(vectors, drop_tol: float = RANK_TOL) -> list[QVector]:
                 w1 = w1 - (u1 * alpha - u2 * np.conj(beta))
                 w2 = w2 - (u1 * beta + u2 * np.conj(alpha))
         nw = _planes_norm(w1, w2)
-        if nw > drop_tol * max(1.0, orig):
+        if nw > RANK_TOL * max(1.0, orig):
             scale = 1.0 / nw
             basis.append((w1 * scale, w2 * scale))
     return [QVector(u1, u2) for u1, u2 in basis]
@@ -381,9 +381,8 @@ def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
 
     Returns (residual, positive, fac), residual and positive equal to
     classify's, with fac the Factorization of a. A positive A costs one
-    eigensolve, of the block image's Hermitian part
-    (fac.lam_min, then already computed); the SVD is taken only when a
-    residual exceeds tol.
+    eigensolve, of the planes of its Hermitian part (fac.lam_min, then
+    already computed); the SVD is taken only when a residual exceeds tol.
     """
     _check_square(a, tol, "positivity")
     fac = ckernel.Factorization(a.a1, a.a2)

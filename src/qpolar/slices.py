@@ -30,8 +30,9 @@ CHI = ckernel.COMPLEX._replace(
     coimage=lambda fac, rank: ckernel.chi_image(*fac.v)[:, [
         j for k in range(rank // 2) for j in (k, fac.s.size + k)]].T)
 
-# default relative tolerance on the block-structure invariants; square
-# roots amplify rounding, so pullbacks after them use PULLBACK_SQRT_TOL
+# default relative tolerance on the block-structure invariants; Gauss-Jordan
+# does not keep the block structure exactly, so pullbacks of its inverses
+# use PULLBACK_SQRT_TOL
 BLOCK_TOL = 1e-10
 PULLBACK_SQRT_TOL = 1e-8
 
@@ -147,7 +148,7 @@ def equivalence_suite(a: QMatrix, tol: float = 1e-9) -> EquivalenceReport:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("equivalence_suite needs a square operator")
     fac = ckernel.Factorization(a.a1, a.a2)
-    m = fac.m
+    m = _chi_block(a)
     res_q, flags_q, _, _ = ckernel.class_residuals(a, fac, QUATERNION, tol)
     res_c, flags_c, _, smax = ckernel.class_residuals(m, fac, CHI, tol)
     rows = [EquivalenceRow(name, flags_q[name], flags_c[name], res_q[name],

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import ckernel
-from .qlinalg import QMatrix, ShapeMismatch, operator_norm, _chi_block
-from .slices import PULLBACK_SQRT_TOL, chi_pullback
+from .polar import _inverse, _root
+from .qlinalg import QMatrix, ShapeMismatch, operator_norm
 
 
 class NormTooLarge(ValueError):
@@ -26,46 +25,38 @@ class DimensionTooSmall(ValueError):
     pass
 
 
+# z_inverse needs ||Z|| below 1 - NORM_MARGIN
+NORM_MARGIN = 1e-8
+
+
 def inv_sqrt_shifted_gram(t: QMatrix) -> QMatrix:
     """(I + T* T)^(-1/2), the damping factor of the bounded transform.
 
     Computed as the PSD square root of the explicit inverse.
     """
-    m = _chi_block(t)
-    g = np.eye(m.shape[0], dtype=complex) + m.conj().T @ m
-    g = 0.5 * (g + g.conj().T)
-    g_inv = ckernel.gauss_inv(g)
-    g_inv = 0.5 * (g_inv + g_inv.conj().T)
-    return chi_pullback(ckernel.psd_sqrt(g_inv), PULLBACK_SQRT_TOL)
+    return _root(_inverse(QMatrix.identity(t.shape[1]) + t.adjoint() @ t))
 
 
 def z_transform(t: QMatrix) -> QMatrix:
     """Bounded transform Z_T = T (I + T* T)^(-1/2), a contraction."""
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("the bounded transform needs a square operator")
-    return chi_pullback(
-        _chi_block(t) @ _chi_block(inv_sqrt_shifted_gram(t)),
-        PULLBACK_SQRT_TOL)
+    return t @ inv_sqrt_shifted_gram(t)
 
 
-def z_inverse(z: QMatrix, tol: float = 1e-8) -> QMatrix:
+def z_inverse(z: QMatrix) -> QMatrix:
     """Recover T from its bounded transform: T = Z (I - Z* Z)^(-1/2).
 
-    Requires ||Z|| < 1 - tol; at norm one the preimage is unbounded and
-    has no finite-dimensional representative, so NormTooLarge is raised.
+    Requires ||Z|| < 1 - NORM_MARGIN; at norm one the preimage is unbounded
+    and has no finite-dimensional representative, so NormTooLarge is raised.
     """
     if z.shape[0] != z.shape[1]:
         raise ShapeMismatch("the inverse transform needs a square operator")
     nz = operator_norm(z)
-    if nz >= 1.0 - tol:
-        raise NormTooLarge(f"||Z|| = {nz:.12f} is not below 1 - {tol:.1e}")
-    m = _chi_block(z)
-    k = np.eye(m.shape[0], dtype=complex) - m.conj().T @ m
-    k = 0.5 * (k + k.conj().T)
-    k_inv = ckernel.gauss_inv(k)
-    k_inv = 0.5 * (k_inv + k_inv.conj().T)
-    root = ckernel.psd_sqrt(k_inv)
-    return chi_pullback(m @ root, PULLBACK_SQRT_TOL)
+    if nz >= 1.0 - NORM_MARGIN:
+        raise NormTooLarge(
+            f"||Z|| = {nz:.12f} is not below 1 - {NORM_MARGIN:.1e}")
+    return z @ _root(_inverse(QMatrix.identity(z.shape[0]) - z.adjoint() @ z))
 
 
 @dataclass(frozen=True)

@@ -86,13 +86,17 @@ def denman_beavers_sqrt(m, tol: float = 1e-13, max_iter: int = 100):
 
 
 def record_kernel_inputs(monkeypatch, name: str) -> list:
-    """Patch ckernel.<name> to keep a copy of every input; returns the copies."""
+    """Patch ckernel.<name> to keep a copy of every input; returns the copies.
+
+    A complex matrix m is kept as it is, the planes (m, m2) of a quaternion
+    matrix stacked as one (2, rows, cols) array.
+    """
     inputs = []
     real = getattr(ckernel, name)
 
-    def recording(m, *args, **kwargs):
-        inputs.append(np.array(m, dtype=complex))
-        return real(m, *args, **kwargs)
+    def recording(m, m2=None):
+        inputs.append(np.array(m if m2 is None else [m, m2], dtype=complex))
+        return real(m, m2)
 
     monkeypatch.setattr(ckernel, name, recording)
     return inputs

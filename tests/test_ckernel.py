@@ -65,9 +65,16 @@ def test_eig_underflowing_norm():
 @pytest.mark.parametrize("e", [-1000, 1000])
 def test_eig_scale_equivariant_bit_exact(e):
     m = rand_hermitian(6)
-    out, scaled = hermitian_eig(m), hermitian_eig(2.0 ** e * m)
-    assert np.array_equal(scaled.vectors, out.vectors)
-    assert np.array_equal(scaled.values, 2.0 ** e * out.values)
+    b = quaternion_planes(np.random.default_rng(27), 6, 6)
+    h = 0.5 * (b + ckernel._qadj(b))
+    p = ckernel._qmul(b, ckernel._qadj(b))
+    for args, psd in (((m,), (m @ m,)), ((h[0], h[1]), (p[0], p[1]))):
+        out = hermitian_eig(*args)
+        scaled = hermitian_eig(*(2.0 ** e * x for x in args))
+        assert np.array_equal(scaled.vectors, out.vectors)
+        assert np.array_equal(scaled.values, 2.0 ** e * out.values)
+        root = psd_sqrt(*(2.0 ** e * x for x in psd))
+        assert np.array_equal(root, 2.0 ** (e // 2) * psd_sqrt(*psd))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -78,6 +85,25 @@ def test_eig_subnormal_input():
     out = hermitian_eig(m)
     assert out.values[0] == pytest.approx(1.2e-309, rel=1e-3)
     assert np.all(np.abs(out.values[1:]) <= 1e-320)
+
+
+def test_eig_quaternion_against_numpy():
+    # chi(H) has each quaternion eigenvalue twice
+    g = np.random.default_rng(28)
+    for n in (1, 2, 5, 8, 16, 32):
+        b = quaternion_planes(g, n, n)
+        h = 0.5 * (b + ckernel._qadj(b))
+        out = hermitian_eig(h[0], h[1])
+        assert out.values.shape == (n,) and out.vectors.shape == (2, n, n)
+        ref = np.linalg.eigvalsh(chi_image(*h))[::-1]
+        assert np.max(np.abs(out.values - ref[0::2])) \
+            <= 1e-12 * frobenius(h)
+        v = out.vectors
+        gram = ckernel._qmul(ckernel._qadj(v), v)
+        assert np.max(np.abs(gram[0] - np.eye(n))) <= 1e-13
+        assert np.max(np.abs(gram[1])) <= 1e-13
+        assert np.max(np.abs(ckernel._qmul(h, v) - v * out.values)) \
+            <= 1e-12 * frobenius(h)
 
 
 def test_eig_rejects_non_hermitian():
@@ -134,6 +160,14 @@ def test_psd_sqrt_rejects():
         psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
     with pytest.raises(NegativeEigenvalue):
         psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
+    # an indefinite quaternion H given as planes
+    from qpolar import QMatrix, classify
+    b = quaternion_planes(np.random.default_rng(29), 5, 5)
+    h = 0.5 * (b + ckernel._qadj(b))
+    assert hermitian_eig(h[0], h[1]).values[-1] < -0.1
+    with pytest.raises(NegativeEigenvalue):
+        psd_sqrt(h[0], h[1])
+    assert not classify(QMatrix(h[0], h[1])).positive
 
 
 def test_psd_sqrt_against_denman_beavers_and_scipy():
@@ -364,6 +398,15 @@ def test_svd_no_convergence(monkeypatch):
     monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence, match="did not converge"):
         svd(a[0], a[1])
+
+
+def test_eig_no_convergence(monkeypatch):
+    b = quaternion_planes(np.random.default_rng(30), 16, 16)
+    h = 0.5 * (b + ckernel._qadj(b))
+    monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
+    for args in ((h[0], h[1]), (h[0],)):
+        with pytest.raises(NoConvergence, match="did not converge"):
+            hermitian_eig(*args)
 
 
 def test_svd_orthogonal_input_takes_no_sweep():

@@ -36,7 +36,7 @@ def test_suite_config_validation():
         SuiteConfig(dim=1, trials=1, seed=0, tol=0.0)
 
 
-def test_default_tol_env(monkeypatch):
+def test_default_tol_env(monkeypatch, tmp_path, weight_file, capsys):
     monkeypatch.delenv("QPOLAR_TOL", raising=False)
     assert default_tol() == 1e-9
     monkeypatch.setenv("QPOLAR_TOL", "1e-7")
@@ -44,6 +44,13 @@ def test_default_tol_env(monkeypatch):
     monkeypatch.setenv("QPOLAR_TOL", "zero")
     with pytest.raises(ValueError):
         default_tol()
+    # only polar and verify take a tolerance, so only they read it
+    assert main(["polar", "--in", weight_file]) == 2
+    assert main(["verify", "--dim", "2", "--trials", "1", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.count("is not a number") == 2
+    assert main(["example", "bounded", "--n", "9",
+                 "--out", str(tmp_path / "e.txt")]) == 0
+    assert "summary" in (tmp_path / "e.txt").read_text()
 
 
 def test_cmd_polar_weight_matrix(weight_file, tmp_path, capsys):
@@ -137,6 +144,19 @@ def test_polar_report_eigensolves(monkeypatch):
         monkeypatch.undo()
 
 
+def test_eigensolves_run_on_planes(monkeypatch):
+    # every eigensolve of qpolar polar and of the battery's quaternion
+    # operators gets the n x n planes, never the 2n x 2n complex image
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    polar_report(random_ops.rank_deficient(SplitMix64(14), 6, 3), 1e-9)
+    assert len(inputs) == 1 and inputs[0].shape == (2, 6, 6)
+    assert cmd_verify(SuiteConfig(dim=4, trials=3, seed=42, tol=1e-9)).passed
+    assert len(inputs) > 1
+    assert all(x.ndim == 3 and x.shape[0] == 2 for x in inputs)
+
+
 def test_cmd_polar_ill_conditioned_factors(tmp_path, capsys):
     # condition number 1e6, which the Gram route could not pull back: the
     # structured Jacobi SVD factors it with every check passing
@@ -196,7 +216,8 @@ def test_cmd_polar_no_convergence_exit(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
     assert cmd_polar(str(path), 1e-9, str(out)) == 3
     err = capsys.readouterr().err
-    assert err.startswith("error: the SVD of the operator did not converge")
+    assert err.startswith(
+        "error: a Jacobi solve (an SVD or an eigensolve) did not converge")
     assert not out.exists()
 
 
@@ -257,7 +278,6 @@ def test_polar_report_abs_positive_is_relative(tmp_path):
     report, f = polar_report(t, 1e-9)
     line = next(c for c in report.checks if c.name == "abs_positive_rel")
     residual = f.abs_positivity()[0]
-    assert residual > 1e50  # an absolute 1e-9 gate fails on rounding
     assert line.value == residual / f.fac.sigma_max < 1e-15
     lam = np.linalg.eigvalsh(_chi_block(f.abs_t))[0]
     assert abs(lam) < 1e-15 * f.fac.sigma_max
