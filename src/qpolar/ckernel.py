@@ -63,6 +63,21 @@ class EigResult:
     values: np.ndarray
     vectors: np.ndarray
 
+    def sqrt(self):
+        """V diag(sqrt(values)) V*, exactly self-adjoint, in the form of
+        vectors. Values in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to
+        zero; anything more negative raises NegativeEigenvalue."""
+        lo, hi = ((self.values[-1], abs(self.values[0])) if self.values.size
+                  else (0.0, 0.0))
+        if lo < -CLAMP_TOL * max(1.0, hi):
+            raise NegativeEigenvalue(
+                f"minimum eigenvalue {lo:.3e} below clamping window")
+        complex_ = self.vectors.ndim == 2
+        v = _as_planes(self.vectors) if complex_ else self.vectors
+        r = _qmul(v * np.sqrt(np.clip(self.values, 0.0, None)), _qadj(v))
+        r = 0.5 * (r + _qadj(r))
+        return r[0] if complex_ else r
+
 
 def frobenius(m) -> float:
     """Frobenius norm; rescaled_norm if the sum of squares of the finite,
@@ -109,33 +124,26 @@ def _as_planes(m, m2=None) -> np.ndarray:
     return np.stack([m, np.zeros_like(m) if m2 is None else m2])
 
 
-def _rotation_rounds(n: int):
+@functools.cache
+def _rotation_rounds(n: int) -> np.ndarray:
     """Round-robin schedule of disjoint index pairs covering all (p, q).
 
+    Returns an (R, n // 2, 2) array: round i holds the pairs (p, q), p < q.
     One sweep applies every pair exactly once; pairs within a round are
     disjoint, so their rotations commute and combine into one unitary.
     The schedule is a fixed function of n (circle method), which keeps
-    the sweep order deterministic.
+    the sweep order deterministic; for odd n each round leaves out the
+    column paired with the phantom player n.
     """
-    rounds = _ROUNDS_CACHE.get(n)
-    if rounds is not None:
-        return rounds
     m = n + (n % 2)
     players = list(range(m))
     rounds = []
     for _ in range(m - 1):
-        pairs = [(min(players[i], players[m - 1 - i]),
-                  max(players[i], players[m - 1 - i]))
-                 for i in range(m // 2)
-                 if players[i] < n and players[m - 1 - i] < n]
-        rounds.append((np.array([p for p, _ in pairs], dtype=int),
-                       np.array([q for _, q in pairs], dtype=int)))
+        rounds.append([sorted((players[i], players[m - 1 - i]))
+                       for i in range(m // 2)
+                       if players[i] < n and players[m - 1 - i] < n])
         players = [players[0], players[-1]] + players[1:-1]
-    _ROUNDS_CACHE[n] = rounds
-    return rounds
-
-
-_ROUNDS_CACHE: dict = {}
+    return np.array(rounds, dtype=int).reshape(len(rounds), n // 2, 2)
 
 
 def hermitian_eig(m, m2=None) -> EigResult:
@@ -232,14 +240,17 @@ def _jacobi(a):
     column k of a over column k of v. Pairs of columns both below RANK_TOL
     times the largest, which hold singular values below the rank cut, are
     left alone. A sweep runs only while the Gram matrix finds a pair to
-    rotate.
+    rotate. Each pair's 4 x 4 complex map is written into one buffer.
     """
     rows, cols = a.shape[1:]
     x = np.zeros((cols, 2, rows + cols), dtype=complex)
     x[:, :, :rows] = a.transpose(2, 0, 1)
     x[:, 0, rows:] = np.eye(cols)
     tol = ORTH_TOL * np.sqrt(rows)
-    rounds = [np.stack(pq, axis=1) for pq in _rotation_rounds(cols)]
+    rounds = _rotation_rounds(cols)
+    maps = np.empty((rounds.shape[1], 4, 4), dtype=complex)
+    r = np.empty((rounds.shape[1], 2, 2), dtype=complex)
+    eye = np.eye(2)
     for sweep in range(MAX_SWEEPS + 1):
         c = x[:, :, :rows].transpose(1, 2, 0)
         g = _qmul(_qadj(c), c)  # alpha and beta of every pair
@@ -253,7 +264,9 @@ def _jacobi(a):
         if sweep == MAX_SWEEPS:
             raise NoConvergence(
                 f"Jacobi iteration did not converge in {sweep} sweeps")
-        for pq in rounds:
+        # pairs with a column above the rank cut, one row per round
+        live = big[rounds[..., 0]] | big[rounds[..., 1]]
+        for pq, pair_live in zip(rounds, live):
             z = x[pq].reshape(len(pq), 4, -1)
             # h[i, j] = <z_i, z_j> over the rows (p1, p2, q1, q2)
             h = z[:, :, :rows].conj() @ z[:, :, :rows].transpose(0, 2, 1)
@@ -263,23 +276,31 @@ def _jacobi(a):
             nqq = (h[:, 2, 2] + h[:, 3, 3]).real
             mag = np.hypot(np.abs(alpha), np.abs(beta))
             on = ((mag > np.maximum(tol * np.sqrt(npp) * np.sqrt(nqq), _TINY))
-                  & (big[pq[:, 0]] | big[pq[:, 1]]))
-            if not on.any():
-                continue
-            pq, z, mag = pq[on], z[on], mag[on]
-            alpha, beta, d = alpha[on], beta[on], nqq[on] - npp[on]
+                  & pair_live)
+            if not on.all():
+                if not on.any():
+                    continue
+                pq, z, mag = pq[on], z[on], mag[on]
+                alpha, beta, npp, nqq = alpha[on], beta[on], npp[on], nqq[on]
+            d = nqq - npp
             # t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), zeta = d / (2 mag)
             t = (np.where(d >= 0.0, 2.0, -2.0) * mag
                  / (np.abs(d) + np.hypot(2.0 * mag, d)))
             cs = (1.0 / np.sqrt(1.0 + t * t))[:, None, None]
             sn = t[:, None, None] * cs
-            # r maps planes x to those of x mu: (x1 mu1 - x2 conj(mu2),
-            # x1 mu2 + x2 conj(mu1)); then (x_p, x_q mu) is rotated
+            # rk maps planes x to those of x mu: (x1 mu1 - x2 conj(mu2),
+            # x1 mu2 + x2 conj(mu1)); then (x_p, x_q mu) is rotated by
+            # m = [[cs I, -sn rk], [sn I, cs rk]]
+            k = len(pq)
             mu1, mu2 = alpha.conj() / mag, -beta / mag
-            r = np.stack([mu1, -mu2.conj(), mu2, mu1.conj()], 1)
-            r = r.reshape(-1, 2, 2)
-            m = np.block([[cs * np.eye(2), -sn * r], [sn * np.eye(2), cs * r]])
-            x[pq] = (m @ z).reshape(len(pq), 2, 2, -1)
+            rk, m = r[:k], maps[:k]
+            rk[:, 0, 0], rk[:, 0, 1] = mu1, -mu2.conj()
+            rk[:, 1, 0], rk[:, 1, 1] = mu2, mu1.conj()
+            m[:, :2, :2] = cs * eye
+            m[:, 2:, :2] = sn * eye
+            m[:, :2, 2:] = -sn * rk
+            m[:, 2:, 2:] = cs * rk
+            x[pq] = (m @ z).reshape(k, 2, 2, -1)
     return x[:, :, :rows].transpose(1, 2, 0), x[:, :, rows:].transpose(1, 2, 0)
 
 
@@ -317,24 +338,9 @@ def rank_from_singular_values(s, dim: int) -> int:
 
 
 def psd_sqrt(m, m2=None):
-    """Positive semidefinite square root of a Hermitian H via hermitian_eig.
-
-    H is the complex matrix m, or the quaternion matrix m + m2 j given by
-    its planes; the root comes back in the same form, exactly self-adjoint.
-    Eigenvalues in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to zero;
-    anything more negative raises NegativeEigenvalue. Raises NotHermitian
-    for a non-Hermitian input.
-    """
-    eig = hermitian_eig(m, m2)
-    lo, hi = ((eig.values[-1], abs(eig.values[0])) if eig.values.size
-              else (0.0, 0.0))
-    if lo < -CLAMP_TOL * max(1.0, hi):
-        raise NegativeEigenvalue(
-            f"minimum eigenvalue {lo:.3e} below clamping window")
-    v = _as_planes(eig.vectors) if m2 is None else eig.vectors
-    r = _qmul(v * np.sqrt(np.clip(eig.values, 0.0, None)), _qadj(v))
-    r = 0.5 * (r + _qadj(r))
-    return r[0] if m2 is None else r
+    """Positive semidefinite square root of a Hermitian H, given as for
+    hermitian_eig, in the same form: hermitian_eig(m, m2).sqrt()."""
+    return hermitian_eig(m, m2).sqrt()
 
 
 def gauss_inv(m):
@@ -364,8 +370,8 @@ class Factorization:
     """Factors of a complex matrix m, or of the quaternion matrix m + m2 j.
 
     Each is computed on first use and kept: (u, s, v) = svd(m, m2), planes
-    for a quaternion matrix, and lam_min, the smallest eigenvalue of its
-    Hermitian part, solved on the planes.
+    for a quaternion matrix, and eig, the hermitian_eig of its Hermitian
+    part, solved on the planes, which lam_min and a square root read.
     """
 
     def __init__(self, m, m2=None):
@@ -384,10 +390,14 @@ class Factorization:
         self.s, (2 if self.quaternion else 1) * self.s.size))
 
     @functools.cached_property
-    def lam_min(self) -> float:
+    def eig(self) -> EigResult:
         x = _as_planes(*self.planes)
         h = 0.5 * (x + _qadj(x))
-        values = hermitian_eig(h[0], h[1] if self.quaternion else None).values
+        return hermitian_eig(h[0], h[1] if self.quaternion else None)
+
+    @property
+    def lam_min(self) -> float:
+        values = self.eig.values
         return values[-1] if values.size else 0.0
 
     def polar(self, rank: int):

@@ -12,7 +12,8 @@ positive operators: inversion of a strictly positive operator (take the
 bounded square root of the inverse and invert back), and the composite
 S^(1/2) C with S = I - (I+P)^(-1) and C = sqrt(I+P). All three agree
 with each other, which is the uniqueness statement made executable.
-Every root is ckernel.psd_sqrt on the planes; every inverse is
+Every root is EigResult.sqrt of an eigensolve on the planes (the
+spectral route reuses its positivity test's); every inverse is
 Gauss-Jordan on the complex image, pulled back before a root is taken.
 """
 
@@ -87,7 +88,8 @@ SQRT_TOL = 1e-8
 def _require_positive(p: QMatrix) -> ckernel.Factorization:
     """Raise NotPositive unless classify(p, SQRT_TOL) would find p positive.
 
-    Returns the factorization of p, whose lam_min is then computed.
+    Returns the factorization of p, whose eig (of p's Hermitian part) is
+    then computed.
     """
     residual, positive, fac = positivity(p, SQRT_TOL)
     if not positive:
@@ -113,9 +115,9 @@ def _inverse(h: QMatrix) -> QMatrix:
 
 
 def sqrt_positive_spectral(p: QMatrix) -> QMatrix:
-    """Positive square root through the eigendecomposition of p's planes."""
-    _require_positive(p)
-    return _root(p)
+    """Positive square root of p's Hermitian part, from the one
+    eigendecomposition of its planes that the positivity test solved."""
+    return QMatrix(*_require_positive(p).eig.sqrt())
 
 
 def sqrt_positive_composite(p: QMatrix) -> QMatrix:

@@ -66,9 +66,6 @@ class QVector:
     def __len__(self):
         return self.a1.shape[0]
 
-    def __getitem__(self, k) -> Quaternion:
-        return ComplexPair(complex(self.a1[k]), complex(self.a2[k])).reassemble()
-
     def __add__(self, other: "QVector") -> "QVector":
         return QVector(self.a1 + other.a1, self.a2 + other.a2)
 
@@ -249,16 +246,6 @@ def adjoint(a: QMatrix) -> QMatrix:
 def _chi_block(a: QMatrix) -> np.ndarray:
     """Complex block image [[A1, A2], [-conj(A2), conj(A1)]] of A = A1 + A2 j."""
     return ckernel.chi_image(a.a1, a.a2)
-
-
-def _embed(x: QVector) -> np.ndarray:
-    """Embed x = x1 + x2 j as the complex vector (x1, -conj(x2))."""
-    return np.concatenate([x.a1, -np.conj(x.a2)])
-
-
-def _pull_vector(u: np.ndarray) -> QVector:
-    n = u.shape[0] // 2
-    return QVector(u[:n].copy(), -np.conj(u[n:]))
 
 
 def gram_schmidt(vectors) -> list[QVector]:

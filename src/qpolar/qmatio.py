@@ -10,6 +10,8 @@ bit-exact.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .qlinalg import QMatrix
@@ -64,8 +66,9 @@ def parse_qmat(text) -> QMatrix:
     if rows < 1 or cols < 1:
         raise MalformedHeader(f"dimensions must be positive, got {rows} {cols}",
                               header_line)
-    a1 = np.zeros((rows, cols), dtype=complex)
-    a2 = np.zeros((rows, cols), dtype=complex)
+    # row r holds the components w x y z of each entry in turn, so its
+    # complex view holds a1[r, c], a2[r, c] in turn
+    data = np.empty((rows, 4 * cols))
     for r in range(rows):
         try:
             line_no, line = next(lines)
@@ -76,21 +79,27 @@ def parse_qmat(text) -> QMatrix:
         if len(fields) != 4 * cols:
             raise WrongEntryCount(
                 f"expected {4 * cols} numbers, found {len(fields)}", line_no)
-        for c in range(cols):
-            comps = []
-            for f in fields[4 * c:4 * c + 4]:
-                try:
-                    value = float(f)
-                except ValueError:
-                    raise BadNumber(f"cannot parse {f!r}", line_no) from None
-                if not np.isfinite(value):
-                    raise BadNumber(f"{f!r} is not a finite number", line_no)
-                comps.append(value)
-            a1[r, c] = complex(comps[0], comps[1])
-            a2[r, c] = complex(comps[2], comps[3])
+        try:
+            data[r] = [float(f) for f in fields]
+        except ValueError:
+            _raise_bad_number(fields, line_no)
+        if not np.isfinite(data[r]).all():
+            _raise_bad_number(fields, line_no)
     for line_no, line in lines:
         raise WrongEntryCount(f"unexpected extra data {line!r}", line_no)
-    return QMatrix(a1, a2)
+    planes = data.view(complex).reshape(rows, cols, 2)
+    return QMatrix(planes[:, :, 0], planes[:, :, 1])
+
+
+def _raise_bad_number(fields, line_no: int):
+    """Raise BadNumber for the first field not a finite float()."""
+    for f in fields:
+        try:
+            value = float(f)
+        except ValueError:
+            raise BadNumber(f"cannot parse {f!r}", line_no) from None
+        if not math.isfinite(value):
+            raise BadNumber(f"{f!r} is not a finite number", line_no)
 
 
 def emit_qmat(a: QMatrix, comment: str | None = None) -> str:
@@ -100,11 +109,10 @@ def emit_qmat(a: QMatrix, comment: str | None = None) -> str:
     if comment:
         for line in comment.splitlines():
             out.append(f"# {line}")
-    out.append(f"QMAT {rows} {cols}")
-    for r in range(rows):
-        fields = []
-        for c in range(cols):
-            q = a.entry(r, c)
-            fields.append(q.format())
-        out.append(" ".join(fields))
+    # the header, then w x y z of each entry in turn: the float view of
+    # the interleaved planes
+    data = np.stack([a.a1, a.a2], axis=-1).view(float).ravel()
+    row = " ".join(["%.17g"] * (4 * cols))
+    out.append("\n".join([f"QMAT {rows} {cols}"] + [row] * rows)
+               % tuple(data.tolist()))
     return "\n".join(out) + "\n"

@@ -79,18 +79,6 @@ class Quaternion:
         """Return (alpha, beta) with self = alpha + beta * j exactly."""
         return ComplexPair(complex(self.w, self.x), complex(self.y, self.z))
 
-    @classmethod
-    def parse(cls, text: str) -> "Quaternion":
-        """Parse the text form "w x y z" (four decimal reals)."""
-        parts = text.split()
-        if len(parts) != 4:
-            raise ValueError(f"expected four components, got {len(parts)}")
-        return cls(*(float(p) for p in parts))
-
-    def format(self) -> str:
-        """Emit the text form "w x y z" with round-trip precision."""
-        return " ".join("%.17g" % c for c in (self.w, self.x, self.y, self.z))
-
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
 

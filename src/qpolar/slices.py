@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel
-from .qlinalg import (QMatrix, QUATERNION, QVector, ShapeMismatch, _chi_block,
-                      _embed, _pull_vector)
+from .qlinalg import QMatrix, QUATERNION, QVector, ShapeMismatch, _chi_block
 
 # the complex algebra as read from the factors of a quaternion A: chi(A)
 # has each singular value of A twice, so twice its rank, and chi(V) holds
@@ -94,7 +93,7 @@ def embed_vector(x: QVector) -> np.ndarray:
     The embedding is isometric, C_i-linear, and intertwines the action:
     embed(A x) = chi_A @ embed(x). Null spaces and ranges correspond.
     """
-    return _embed(x)
+    return np.concatenate([x.a1, -np.conj(x.a2)])
 
 
 def pullback_vector(u: np.ndarray) -> QVector:
@@ -102,7 +101,8 @@ def pullback_vector(u: np.ndarray) -> QVector:
     u = np.asarray(u, dtype=complex)
     if u.ndim != 1 or u.shape[0] % 2:
         raise ValueError(f"expected an even-length vector, got {u.shape}")
-    return _pull_vector(u)
+    n = u.shape[0] // 2
+    return QVector(u[:n].copy(), -np.conj(u[n:]))
 
 
 @dataclass

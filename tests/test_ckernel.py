@@ -348,6 +348,17 @@ def test_quaternion_svd_against_numpy():
     check_quaternion_svd(np.zeros((2, 6, 6), dtype=complex), 0)
 
 
+def test_rotation_rounds_cover_every_pair_once():
+    # one (R, n // 2, 2) array per n; at n = 1 its one round has no pairs
+    for n in range(10):
+        rounds = ckernel._rotation_rounds(n)
+        assert rounds.shape == (max(n + n % 2 - 1, 0), n // 2, 2)
+        assert sorted(map(tuple, rounds.reshape(-1, 2).tolist())) == [
+            (p, q) for p in range(n) for q in range(p + 1, n)]
+        for pairs in rounds:
+            assert len(set(pairs.ravel().tolist())) == 2 * (n // 2)
+
+
 def test_complex_svd_against_numpy_j_plane_exactly_zero(monkeypatch):
     g = np.random.default_rng(22)
     calls = []

@@ -365,6 +365,36 @@ def test_verify_report_matches_committed_bytes():
     assert cmd_verify(cfg).format() == want
 
 
+def _pinned_polar_inputs():
+    """(name, QMAT text) of the inputs whose `qpolar polar` bytes are pinned:
+    the committed files, full-rank draws at odd n (one column of every
+    Jacobi round sits out) and a half-rank draw at n = 32."""
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    for path in sorted(DATA.glob("*.qmat")):
+        yield path.name, path.read_text(encoding="utf-8")
+    for n in (7, 47):
+        yield (f"rand_qmatrix_{n}",
+               emit_qmat(random_ops.rand_qmatrix(SplitMix64(n), n)))
+    yield ("rank_deficient_32_16",
+           emit_qmat(random_ops.rank_deficient(SplitMix64(32), 32, 16)))
+
+
+def test_cmd_polar_matches_pinned_digests(tmp_path):
+    # sha256 of the report and both factors, as the parse, the Jacobi
+    # kernel and the emitter produced them when the digests were committed
+    import hashlib
+    want = dict(line.split()[::-1] for line in
+                (DATA / "polar_sha256.txt").read_text().splitlines())
+    got = {}
+    for name, text in _pinned_polar_inputs():
+        src, out = tmp_path / "in.qmat", tmp_path / "out.txt"
+        src.write_text(text, encoding="utf-8")
+        assert cmd_polar(str(src), 1e-9, str(out)) == 0, name
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == want
+
+
 def test_transform_trial_reads_abs_t_from_polar_decompose(monkeypatch):
     # the four transforms take one psd_sqrt each, z_inverse one more; |Z|
     # and |T| come from the two polar_decompose calls, not a square root

@@ -17,6 +17,7 @@ from qpolar import (BadPerturbation, NotNormal, NotPositive,
 from qpolar import ckernel, random_ops
 from qpolar.qlinalg import _svd_bases, positivity
 from qpolar.quaternion import I, J, K
+from qpolar.rng import SplitMix64
 
 
 def test_sqrt_spectral_examples():
@@ -76,6 +77,22 @@ def test_sqrt_routes_agree():
         composite_pd = sqrt_positive_composite(pd)
         assert (strict - spectral_pd).frobenius_norm() < 1e-7
         assert (composite_pd - spectral_pd).frobenius_norm() < 1e-7
+
+
+def test_sqrt_routes_agree_on_nearly_hermitian_input(monkeypatch):
+    # a self-adjoint residual of 1e-10 passes the 1e-8 positivity test, far
+    # above what hermitian_eig accepts as Hermitian: the spectral root is
+    # the root of p's Hermitian part, from the one eigensolve of positivity
+    w = random_ops.anti_self_adjoint(SplitMix64(6), 4)
+    p = random_ops.psd(SplitMix64(5), 4) + w * (1e-10 / w.frobenius_norm())
+    assert classify(p, 1e-8).positive
+    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    spectral = sqrt_positive_spectral(p)
+    assert len(inputs) == 1
+    composite = sqrt_positive_composite(p)
+    assert (composite - spectral).frobenius_norm() < 1e-7
+    assert (spectral @ spectral - 0.5 * (p + p.adjoint())).frobenius_norm() \
+        <= 1e-12 * p.frobenius_norm()
 
 
 def test_sqrt_routes_take_no_svd_on_psd_input(monkeypatch):

@@ -8,7 +8,8 @@ from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
                     classify, gram_schmidt, inner, null_range_bases,
                     operator_norm, projector_onto, quaternionic_rank,
                     weight_matrix)
-from qpolar.qlinalg import _chi_block, _pull_vector, frobenius_norm, positivity
+from qpolar.qlinalg import _chi_block, frobenius_norm, positivity
+from qpolar.slices import pullback_vector
 from qpolar.quaternion import I, J, K
 from qpolar import ckernel, random_ops
 
@@ -157,8 +158,8 @@ def _gram_schmidt_cases():
     # pairs, as in the coimage and null/range bases
     for n, rank in ((2, 2), (5, 3), (8, 8), (8, 1)):
         v = ckernel.svd(_chi_block(random_ops.rank_deficient(rr, n, rank)))[2]
-        yield [_pull_vector(v[:, k]) for k in range(2 * n)]
-        yield [_pull_vector(v[:, k]) for k in range(2 * rank, 2 * n)]
+        yield [pullback_vector(v[:, k]) for k in range(2 * n)]
+        yield [pullback_vector(v[:, k]) for k in range(2 * rank, 2 * n)]
 
 
 def test_gram_schmidt_matches_object_loop_bytes():

@@ -1,10 +1,13 @@
+import math
+
+import numpy as np
 import pytest
 
 from helpers import trial_rng
 from qpolar import (BadNumber, MalformedHeader, QMatrix, WrongEntryCount,
                     emit_qmat, parse_qmat)
 from qpolar import random_ops
-from qpolar.quaternion import J
+from qpolar.quaternion import J, Quaternion
 
 
 def test_parse_single_j():
@@ -45,6 +48,52 @@ def test_bad_number():
         with pytest.raises(BadNumber) as exc:
             parse_qmat(f"# comment\nQMAT 1 2\n1 0 0 0 0 {bad} 0 0")
         assert exc.value.line == 3
+
+
+def test_bad_number_first_in_field_order():
+    # the error names the first bad token of the row, whichever its kind
+    for row, message in (("1e400 x 0", "'1e400' is not a finite number"),
+                         ("x 1e400 0", "cannot parse 'x'"),
+                         ("0 nan x", "'nan' is not a finite number")):
+        with pytest.raises(BadNumber) as exc:
+            parse_qmat(f"QMAT 2 1\n1 2 3 4\n# c\n{row} 0")
+        assert exc.value.line == 4
+        assert str(exc.value) == f"line 4: {message}"
+    # an earlier row is reported before a later one
+    with pytest.raises(BadNumber) as exc:
+        parse_qmat("QMAT 2 1\n1 inf 3 4\nx 0 0 0")
+    assert str(exc.value) == "line 2: 'inf' is not a finite number"
+
+
+def test_every_float_literal_parses():
+    literals = ["1_000", "+.5", "-0", "0.", "1E5", "-1e-320", "4.9e-324",
+                "1.7976931348623157e308", "\u0663", "\uff11\uff12.5", "0001"]
+    for w, x, y, z in zip(*[iter(literals + ["7"])] * 4):
+        a = parse_qmat(f"QMAT 1 1\n{w} {x} {y} {z}")
+        got = a.entry(0, 0)
+        want = np.array([float(v) for v in (w, x, y, z)])
+        assert np.array_equal(np.array([got.w, got.x, got.y, got.z])
+                              .view(np.uint64), want.view(np.uint64))
+
+
+def test_signed_zero_and_subnormal_roundtrip():
+    a1 = np.array([[complex(-0.0, 5e-324), complex(2.5e-310, -0.0)]])
+    a2 = np.array([[complex(0.0, -2.2250738585072009e-308), 1.0]])
+    text = emit_qmat(QMatrix(a1, a2))
+    assert text.splitlines()[1].startswith("-0 4.9406564584124654e-324 0 ")
+    b = parse_qmat(text)
+    for want, got in ((a1, b.a1), (a2, b.a2)):
+        assert np.array_equal(want.view(np.uint64), got.view(np.uint64))
+
+
+def test_parse_format_roundtrip():
+    # one entry: its line is the four components in "%.17g", and parsing
+    # it gives the quaternion back exactly
+    q = Quaternion(1.5, -2.25, 1 / 3, math.pi)
+    text = emit_qmat(QMatrix.from_quaternions([[q]]))
+    assert text == "QMAT 1 1\n" + " ".join(
+        "%.17g" % c for c in (q.w, q.x, q.y, q.z)) + "\n"
+    assert parse_qmat(text).entry(0, 0) == q
 
 
 def test_roundtrip_bit_exact():

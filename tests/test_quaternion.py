@@ -1,6 +1,3 @@
-import math
-
-import pytest
 from hypothesis import given, strategies as st
 
 from qpolar import ComplexPair, Quaternion, q_mul
@@ -106,14 +103,6 @@ def test_bulk_random_pairs():
         anti = q_mul(q.conjugate(), p.conjugate())
         assert (prod.conjugate() - anti).norm() \
             <= 1e-13 * max(1.0, prod.norm())
-
-
-def test_parse_format_roundtrip():
-    q = Quaternion(1.5, -2.25, 1 / 3, math.pi)
-    assert Quaternion.parse(q.format()) == q
-    assert Quaternion.parse("0 0 1 0") == J
-    with pytest.raises(ValueError):
-        Quaternion.parse("1 2 3")
 
 
 def test_real_scalar_multiplication():
