@@ -13,8 +13,8 @@ from .qlinalg import (OperatorClass, QMatrix, QVector, ShapeMismatch,
                       adjoint, classify, frobenius_norm, gram_schmidt, inner,
                       null_range_bases, operator_norm, projector_onto,
                       quaternionic_rank)
-from .slices import (BlockStructureViolation, ChiImage, chi, chi_pullback,
-                     embed_vector, equivalence_suite, pullback_vector)
+from .slices import (BlockStructureViolation, chi, chi_pullback, embed_vector,
+                     equivalence_suite, pullback_vector)
 from .ckernel import (EigResult, NegativeEigenvalue, NoConvergence,
                       NotHermitian, SingularMatrix, gauss_inv, hermitian_eig,
                       psd_sqrt, svd)
@@ -38,7 +38,7 @@ __all__ = [
     "inner", "gram_schmidt", "adjoint", "operator_norm", "classify",
     "null_range_bases", "quaternionic_rank", "frobenius_norm",
     "projector_onto",
-    "ChiImage", "chi", "chi_pullback", "embed_vector", "pullback_vector",
+    "chi", "chi_pullback", "embed_vector", "pullback_vector",
     "equivalence_suite", "BlockStructureViolation",
     "EigResult", "hermitian_eig", "psd_sqrt", "svd", "gauss_inv",
     "NotHermitian", "NegativeEigenvalue",

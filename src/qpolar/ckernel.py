@@ -184,11 +184,6 @@ def hermitian_eig(m, m2=None) -> EigResult:
     return EigResult(values, v[0] if m2 is None else v)
 
 
-def chi_image(a1, a2) -> np.ndarray:
-    """Block image [[A1, A2], [-conj(A2), conj(A1)]] of A = A1 + A2 j."""
-    return np.block([[a1, a2], [-np.conj(a2), np.conj(a1)]])
-
-
 def _qmul(x, y):
     """Product of quaternion matrices held as stacked planes x[0] + x[1] j."""
     return np.stack([x[0] @ y[0] - x[1] @ y[1].conj(),
@@ -450,6 +445,10 @@ def positivity(sa: float, fac: Factorization, tol: float):
     return res, within(res)
 
 
+# the default tolerance of every class verdict, quaternion and complex
+DEFAULT_CLASS_TOL = 1e-9
+
+
 def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
     """Structural class residuals of a square operator a in algebra alg.
 
@@ -489,7 +488,7 @@ def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
     return res, flags, rank, smax
 
 
-def classify_cmatrix(m, tol: float = 1e-10) -> dict:
+def classify_cmatrix(m, tol: float = DEFAULT_CLASS_TOL) -> dict:
     """Structural class residuals of a complex square matrix.
 
     Returns a dict of residual magnitudes keyed by class name, plus the

@@ -23,8 +23,7 @@ from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, perturb_polar,
                     polar_decompose)
 from .qlinalg import (QMatrix, QVector, classify, operator_norm,
-                      projector_onto, quaternionic_rank, _chi_block,
-                      _svd_bases)
+                      projector_onto, quaternionic_rank, _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
@@ -145,33 +144,31 @@ def _chi_trial(dim: int, tol: float, rr, trial: int) -> list:
     n = 1 + rr.randint(dim)
     a = random_ops.rand_qmatrix(rr, n)
     b = random_ops.rand_qmatrix(rr, n)
-    ca, cb = chi(a).m, chi(b).m
+    ca, cb = chi(a), chi(b)
     lam = complex(rr.uniform(-1, 1), rr.uniform(-1, 1))
     lam_op = QMatrix(lam * np.eye(n, dtype=complex))
     out = [
-        ("chi.add_residual", ckernel.frobenius(chi(a + b).m - (ca + cb))),
+        ("chi.add_residual", ckernel.frobenius(chi(a + b) - (ca + cb))),
         ("chi.scalar_residual",
-         ckernel.frobenius(chi(lam_op @ a).m - chi(lam_op).m @ ca)),
-        ("chi.mul_residual", ckernel.frobenius(chi(a @ b).m - ca @ cb)),
+         ckernel.frobenius(chi(lam_op @ a) - chi(lam_op) @ ca)),
+        ("chi.mul_residual", ckernel.frobenius(chi(a @ b) - ca @ cb)),
         ("chi.adjoint_residual",
-         ckernel.frobenius(chi(a.adjoint()).m - ca.conj().T)),
+         ckernel.frobenius(chi(a.adjoint()) - ca.conj().T)),
         ("chi.pullback_roundtrip",
-         (chi_pullback(chi(a)) - a).frobenius_norm()),
+         (chi_pullback(ca) - a).frobenius_norm()),
     ]
-    _, s, _ = ckernel.svd(ca)
     out.append(("chi.norm_equality",
-                abs(operator_norm(a) - (s[0] if s.size else 0.0))))
+                abs(operator_norm(a) - ckernel.Factorization(ca).sigma_max)))
     # planted-rank draw: chi(rd) has twice the null dimension of rd
     rank = rr.randint(n + 1)
     rd = random_ops.rank_deficient(rr, n, rank)
-    _, s_rd, _ = ckernel.svd(_chi_block(rd))
-    null_c = 2 * n - ckernel.rank_from_singular_values(s_rd, 2 * n)
+    null_c = 2 * n - ckernel.Factorization(chi(rd)).rank
     null_h = n - quaternionic_rank(rd)
     out.append(("chi.null_dim_mismatches",
                 0.0 if null_c == 2 * null_h else 1.0))
     disagreements = 0
     for op in _class_constructions(rr, n):
-        rep = equivalence_suite(op, max(tol, 1e-9))
+        rep = equivalence_suite(op, max(tol, ckernel.DEFAULT_CLASS_TOL))
         disagreements += len(rep.disagreements())
     out.append(("chi.class_disagreements", float(disagreements)))
     return out
@@ -308,7 +305,7 @@ def _transform_trial(dim: int, tol: float, rr, trial: int) -> list:
     fz, ft = polar_decompose(z), polar_decompose(t)
     out = [
         ("transform.roundtrip_rel", (back - t).frobenius_norm() / scale),
-        ("transform.contraction_excess", max(0.0, operator_norm(z) - 1.0)),
+        ("transform.contraction_excess", max(0.0, fz.fac.sigma_max - 1.0)),
         ("transform.adjoint_identity",
          (transform.z_transform(t.adjoint()) - z.adjoint()).frobenius_norm()),
         ("transform.modulus_identity",
@@ -514,9 +511,11 @@ def example_report(which: str, n: int) -> Report:
         coincide = (z - a).frobenius_norm()
         checks.append(
             CheckResult("transform_coincides", coincide, EXAMPLE_TOL))
+        fz = polar_decompose(z)
         checks.append(CheckResult(
-            "contraction_excess", max(0.0, operator_norm(z) - 1.0), 1e-10))
-        u_z = polar_decompose(z).u0
+            "contraction_excess", max(0.0, fz.fac.sigma_max - 1.0),
+            EXAMPLE_TOL))
+        u_z = fz.u0
         u_s = polar_decompose(op.matrix).u0
         checks.append(CheckResult(
             "polar_transport", (u_z - u_s).frobenius_norm(), 1e-8))

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from . import ckernel
 from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, ShapeMismatch, classify,
                       frobenius_norm, positivity, projector_onto,
-                      _chi_block, _classify, _svd_bases)
-from .slices import PULLBACK_SQRT_TOL, chi_pullback
+                      _classify, _svd_bases)
+from .slices import PULLBACK_SQRT_TOL, chi, chi_pullback
 
 
 class NotPositive(ValueError):
@@ -109,7 +109,7 @@ def _inverse(h: QMatrix) -> QMatrix:
     Gauss-Jordan runs on the complex image, apart from the Jacobi kernel,
     and the inverse is pulled back to planes.
     """
-    g = chi_pullback(ckernel.gauss_inv(_chi_block(0.5 * (h + h.adjoint()))),
+    g = chi_pullback(ckernel.gauss_inv(chi(0.5 * (h + h.adjoint()))),
                      PULLBACK_SQRT_TOL)
     return 0.5 * (g + g.adjoint())
 

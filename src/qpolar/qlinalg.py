@@ -13,10 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ckernel
-from .ckernel import RANK_TOL
+from .ckernel import DEFAULT_CLASS_TOL, RANK_TOL
 from .quaternion import ComplexPair, Quaternion
-
-DEFAULT_CLASS_TOL = 1e-9
 
 
 class ShapeMismatch(ValueError):
@@ -25,7 +23,7 @@ class ShapeMismatch(ValueError):
 
 def _planes(a1, a2, ndim):
     a1 = np.array(a1, dtype=complex)
-    a2 = np.array(a2, dtype=complex)
+    a2 = np.zeros_like(a1) if a2 is None else np.array(a2, dtype=complex)
     if a1.shape != a2.shape or a1.ndim != ndim:
         raise ShapeMismatch(
             f"component shapes {a1.shape} and {a2.shape} do not match")
@@ -38,8 +36,6 @@ class QVector:
     __slots__ = ("a1", "a2")
 
     def __init__(self, a1, a2=None):
-        if a2 is None:
-            a2 = np.zeros_like(np.asarray(a1, dtype=complex))
         self.a1, self.a2 = _planes(a1, a2, 1)
 
     @classmethod
@@ -113,8 +109,6 @@ class QMatrix:
     __slots__ = ("a1", "a2")
 
     def __init__(self, a1, a2=None):
-        if a2 is None:
-            a2 = np.zeros_like(np.asarray(a1, dtype=complex))
         self.a1, self.a2 = _planes(a1, a2, 2)
 
     @classmethod
@@ -173,7 +167,7 @@ class QMatrix:
         return QVector(self.a1[:, k].copy(), self.a2[:, k].copy())
 
     def adjoint(self) -> "QMatrix":
-        return QMatrix(self.a1.conj().T.copy(), -self.a2.T.copy())
+        return QMatrix(*ckernel._qadj((self.a1, self.a2)))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         return QMatrix(self.a1 + other.a1, self.a2 + other.a2)
@@ -195,8 +189,7 @@ class QMatrix:
         if self.shape[1] != len(x):
             raise ShapeMismatch(
                 f"matrix {self.shape} cannot act on length {len(x)}")
-        return QVector(self.a1 @ x.a1 - self.a2 @ np.conj(x.a2),
-                       self.a1 @ x.a2 + self.a2 @ np.conj(x.a1))
+        return QVector(*ckernel._qmul((self.a1, self.a2), (x.a1, x.a2)))
 
     def __matmul__(self, other):
         if isinstance(other, QVector):
@@ -205,9 +198,8 @@ class QMatrix:
             if self.shape[1] != other.shape[0]:
                 raise ShapeMismatch(
                     f"shapes {self.shape} and {other.shape} do not chain")
-            return QMatrix(
-                self.a1 @ other.a1 - self.a2 @ np.conj(other.a2),
-                self.a1 @ other.a2 + self.a2 @ np.conj(other.a1))
+            return QMatrix(*ckernel._qmul((self.a1, self.a2),
+                                          (other.a1, other.a2)))
         return NotImplemented
 
     def frobenius_norm(self) -> float:
@@ -241,11 +233,6 @@ def _planes_norm(a1, a2) -> float:
 def adjoint(a: QMatrix) -> QMatrix:
     """Entrywise conjugate transpose, the unique A* with <x|Ay> = <A*x|y>."""
     return a.adjoint()
-
-
-def _chi_block(a: QMatrix) -> np.ndarray:
-    """Complex block image [[A1, A2], [-conj(A2), conj(A1)]] of A = A1 + A2 j."""
-    return ckernel.chi_image(a.a1, a.a2)
 
 
 def gram_schmidt(vectors) -> list[QVector]:
@@ -288,32 +275,8 @@ def projector_onto(vectors) -> QMatrix:
 
 
 def operator_norm(a: QMatrix) -> float:
-    """Operator norm sqrt(lambda_max(A* A)), in quaternionic arithmetic.
-
-    Power method on A* A with repeated squaring, so convergence does not
-    depend on the spectral gap; the Rayleigh quotient of the dominant
-    column of the squared iterate gives the top eigenvalue.
-    """
-    b = a.adjoint() @ a
-    scale = b.frobenius_norm()
-    if scale == 0.0:
-        return 0.0
-    c = b * (1.0 / scale)
-    for _ in range(60):
-        c2 = c @ c
-        f = c2.frobenius_norm()
-        if f == 0.0:
-            break
-        c2 = c2 * (1.0 / f)
-        if (c2 - c).frobenius_norm() <= 1e-15:
-            c = c2
-            break
-        c = c2
-    col_mass = (np.sum(np.abs(c.a1) ** 2, axis=0)
-                + np.sum(np.abs(c.a2) ** 2, axis=0))
-    x = c.column(int(np.argmax(col_mass)))
-    lam = inner(x, b.matvec(x)).w / (x.norm() ** 2)
-    return float(np.sqrt(max(lam, 0.0)))
+    """Operator norm ||A||, the largest singular value of the Jacobi SVD."""
+    return ckernel.Factorization(a.a1, a.a2).sigma_max
 
 
 @dataclass
@@ -387,8 +350,7 @@ def _classify(a: QMatrix, fac: ckernel.Factorization,
 
 def quaternionic_rank(a: QMatrix) -> int:
     """Count of singular values above the rank cut RANK_TOL * 2n * s[0]."""
-    _, s, _ = ckernel.svd(a.a1, a.a2)
-    return ckernel.rank_from_singular_values(s, 2 * a.shape[0])
+    return ckernel.Factorization(a.a1, a.a2).rank
 
 
 def null_range_bases(a: QMatrix):

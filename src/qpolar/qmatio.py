@@ -2,8 +2,9 @@
 
 Grammar: any number of comment lines starting with '#', a header line
 "QMAT <rows> <cols>", then one line per row holding cols entries, each
-entry four space-separated finite decimal reals (w x y z); NaN, infinities
-and literals that overflow a double are rejected. Blank lines are
+entry four space-separated finite decimal reals (w x y z); NaN,
+infinities, literals that overflow a double, and any non-ASCII character
+or underscore in the header or a row are rejected. Blank lines are
 ignored. Emission uses 17 significant digits, so parse(emit(A)) is
 bit-exact.
 """
@@ -58,6 +59,8 @@ def parse_qmat(text) -> QMatrix:
     if len(parts) != 3 or parts[0] != "QMAT":
         raise MalformedHeader(f"expected 'QMAT <rows> <cols>', got {header!r}",
                               header_line)
+    if not header.isascii() or "_" in header:
+        _raise_bad_number(header[len("QMAT"):], header_line)
     try:
         rows, cols = int(parts[1]), int(parts[2])
     except ValueError:
@@ -82,24 +85,30 @@ def parse_qmat(text) -> QMatrix:
         try:
             data[r] = [float(f) for f in fields]
         except ValueError:
-            _raise_bad_number(fields, line_no)
-        if not np.isfinite(data[r]).all():
-            _raise_bad_number(fields, line_no)
+            _raise_bad_number(line, line_no)
+        # float() also reads underscores and non-ASCII digits
+        if (not line.isascii() or "_" in line
+                or not np.isfinite(data[r]).all()):
+            _raise_bad_number(line, line_no)
     for line_no, line in lines:
         raise WrongEntryCount(f"unexpected extra data {line!r}", line_no)
     planes = data.view(complex).reshape(rows, cols, 2)
     return QMatrix(planes[:, :, 0], planes[:, :, 1])
 
 
-def _raise_bad_number(fields, line_no: int):
-    """Raise BadNumber for the first field not a finite float()."""
-    for f in fields:
+def _raise_bad_number(line: str, line_no: int):
+    """Raise BadNumber for the first field of line that is not a finite
+    float() in ASCII without underscores, else for a non-ASCII separator."""
+    for f in line.split():
+        if not f.isascii() or "_" in f:
+            raise BadNumber(f"cannot parse {f!r}", line_no)
         try:
             value = float(f)
         except ValueError:
             raise BadNumber(f"cannot parse {f!r}", line_no) from None
         if not math.isfinite(value):
             raise BadNumber(f"{f!r} is not a finite number", line_no)
+    raise BadNumber(f"non-ASCII separator in {line!r}", line_no)
 
 
 def emit_qmat(a: QMatrix, comment: str | None = None) -> str:

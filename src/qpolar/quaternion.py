@@ -62,8 +62,7 @@ class Quaternion:
     def __rmul__(self, other):
         # real scalars commute with everything
         if isinstance(other, (int, float)):
-            return Quaternion(self.w * other, self.x * other,
-                              self.y * other, self.z * other)
+            return self * other
         return NotImplemented
 
     def conjugate(self) -> "Quaternion":

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpolar import ckernel
+from qpolar import QMatrix, chi, ckernel
 from helpers import denman_beavers_sqrt, pinv
 from qpolar.ckernel import (NegativeEigenvalue, NoConvergence, NonFiniteInput,
-                            NotHermitian, SingularMatrix, chi_image,
-                            frobenius, gauss_inv, hermitian_eig, psd_sqrt,
-                            svd)
+                            NotHermitian, SingularMatrix, frobenius,
+                            gauss_inv, hermitian_eig, psd_sqrt, svd)
 
 RNG = np.random.default_rng(1234)
 
@@ -95,7 +94,7 @@ def test_eig_quaternion_against_numpy():
         h = 0.5 * (b + ckernel._qadj(b))
         out = hermitian_eig(h[0], h[1])
         assert out.values.shape == (n,) and out.vectors.shape == (2, n, n)
-        ref = np.linalg.eigvalsh(chi_image(*h))[::-1]
+        ref = np.linalg.eigvalsh(chi(QMatrix(*h)))[::-1]
         assert np.max(np.abs(out.values - ref[0::2])) \
             <= 1e-12 * frobenius(h)
         v = out.vectors
@@ -322,7 +321,7 @@ def check_quaternion_svd(a, rank=None):
     rows, cols = a.shape[1:]
     k = min(rows, cols)
     assert u.shape == (2, rows, rows) and v.shape == (2, cols, cols)
-    ref = np.linalg.svd(chi_image(*a), compute_uv=False)
+    ref = np.linalg.svd(chi(QMatrix(*a)), compute_uv=False)
     scale = max(ref[0], 1.0)
     # chi(A) has each quaternion singular value twice
     assert np.max(np.abs(s - ref[0::2][:k]), initial=0.0) <= 1e-13 * scale

@@ -7,9 +7,8 @@ import pytest
 
 from helpers import (conditioned_qmatrix, gaussian_qmatrix,
                      record_kernel_inputs, record_svd_inputs)
-from qpolar import (BlockStructureViolation, QMatrix, ckernel, emit_qmat,
-                    parse_qmat, polar_decompose, weight_matrix)
-from qpolar.qlinalg import _chi_block
+from qpolar import (BlockStructureViolation, QMatrix, chi, ckernel,
+                    emit_qmat, parse_qmat, polar_decompose, weight_matrix)
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         default_tol, example_report, main, polar_report,
                         run_suite, _run_suite_trial)
@@ -83,11 +82,16 @@ def test_cmd_polar_parse_error(tmp_path):
     rect = tmp_path / "rect.qmat"
     rect.write_text("QMAT 1 2\n1 0 0 0 0 0 0 0\n")
     assert cmd_polar(str(rect), 1e-9, None) == 2
-    for bad in ("nan", "inf", "-inf", "1e400"):
-        path = tmp_path / f"{bad}.qmat"
-        path.write_text(f"QMAT 2 2\n1 0 0 0 0 0 0 0\n0 0 0 0 {bad} 0 0 0\n")
+    for k, bad in enumerate(("nan", "inf", "-inf", "1e400", "1_000",
+                             "\u0663", "\uff11\uff12.5")):
+        path = tmp_path / f"bad{k}.qmat"
+        path.write_text(f"QMAT 2 2\n1 0 0 0 0 0 0 0\n0 0 0 0 {bad} 0 0 0\n",
+                        encoding="utf-8")
         assert cmd_polar(str(path), 1e-9, None) == 2
         assert main(["polar", "--in", str(path)]) == 2
+    path = tmp_path / "header.qmat"
+    path.write_text("QMAT \uff12 2\n", encoding="utf-8")
+    assert cmd_polar(str(path), 1e-9, None) == 2
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -175,7 +179,7 @@ def test_cmd_polar_ill_conditioned_factors(tmp_path, capsys):
 
 def _numpy_null_rank(t: QMatrix) -> int:
     """Singular value pairs of chi(T) at or below the rank cut, by numpy."""
-    sv = np.linalg.svd(_chi_block(t), compute_uv=False)
+    sv = np.linalg.svd(chi(t), compute_uv=False)
     cut = ckernel.RANK_TOL * 2 * t.shape[0] * sv[0]
     return int(np.count_nonzero(sv[0::2] <= cut))
 
@@ -279,7 +283,7 @@ def test_polar_report_abs_positive_is_relative(tmp_path):
     line = next(c for c in report.checks if c.name == "abs_positive_rel")
     residual = f.abs_positivity()[0]
     assert line.value == residual / f.fac.sigma_max < 1e-15
-    lam = np.linalg.eigvalsh(_chi_block(f.abs_t))[0]
+    lam = np.linalg.eigvalsh(chi(f.abs_t))[0]
     assert abs(lam) < 1e-15 * f.fac.sigma_max
     assert report.passed
     # at ||T|| <= 1 the line is the absolute residual
@@ -325,6 +329,14 @@ def test_cmd_example_small_n_variants(tmp_path):
     assert cmd_example("bounded", 7, str(tmp_path / "b7.txt")) == 0
     assert cmd_example("unbounded", 7, str(tmp_path / "u7.txt")) == 0
     assert cmd_example("bounded", 6, str(tmp_path / "b6.txt")) == 2
+
+
+@pytest.mark.parametrize("which", ["bounded", "unbounded"])
+def test_example_report_matches_committed_bytes(which):
+    # the examples read the null and corange bases, the perturbation and
+    # the contraction norm, which the pinned polar digests do not cover
+    want = (DATA / f"example_{which}_n9.txt").read_text()
+    assert example_report(which, 9).format() == want
 
 
 def test_example_report_rejects_unknown():

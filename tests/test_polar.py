@@ -231,7 +231,7 @@ def test_polar_native_formula_crosscheck():
         t = (random_ops.rand_qmatrix(rr, n) if rank == n
              else random_ops.rank_deficient(rr, n, rank))
         f = polar_decompose(t)
-        pinv_abs = chi_pullback(np.linalg.pinv(chi(f.abs_t).m), 1e-6)
+        pinv_abs = chi_pullback(np.linalg.pinv(chi(f.abs_t)), 1e-6)
         native = t @ pinv_abs
         assert (native - f.u0).frobenius_norm() < 1e-8
 

@@ -8,8 +8,8 @@ from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
                     classify, gram_schmidt, inner, null_range_bases,
                     operator_norm, projector_onto, quaternionic_rank,
                     weight_matrix)
-from qpolar.qlinalg import _chi_block, frobenius_norm, positivity
-from qpolar.slices import pullback_vector
+from qpolar.qlinalg import frobenius_norm, positivity
+from qpolar.slices import chi, pullback_vector
 from qpolar.quaternion import I, J, K
 from qpolar import ckernel, random_ops
 
@@ -157,7 +157,7 @@ def _gram_schmidt_cases():
     # pulled-back singular vectors of block images come in dependent
     # pairs, as in the coimage and null/range bases
     for n, rank in ((2, 2), (5, 3), (8, 8), (8, 1)):
-        v = ckernel.svd(_chi_block(random_ops.rank_deficient(rr, n, rank)))[2]
+        v = ckernel.svd(chi(random_ops.rank_deficient(rr, n, rank)))[2]
         yield [pullback_vector(v[:, k]) for k in range(2 * n)]
         yield [pullback_vector(v[:, k]) for k in range(2 * rank, 2 * n)]
 
@@ -207,12 +207,27 @@ def test_operator_norm_examples():
     assert abs(operator_norm(weight_matrix(10)) - 10 / math.sqrt(101)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_operator_norm_scale_equivariant():
+    # scaling by an exact power of two scales the norm exactly, at every
+    # exponent where the scaled entries are exact
+    a = random_ops.rand_qmatrix(trial_rng(21), 3)
+    norm = operator_norm(a)
+    checked = 0
+    for k in range(-1000, 1001):
+        scaled = a * 2.0 ** k
+        if (scaled * 2.0 ** -k - a).frobenius_norm() != 0.0:
+            continue
+        assert operator_norm(scaled) == 2.0 ** k * norm, k
+        checked += 1
+    assert checked == 2001
+
+
 def test_operator_norm_matches_block_svd():
-    from qpolar import chi
     rr = trial_rng(19)
     for _ in range(20):
         a = random_ops.rand_qmatrix(rr, 6)
-        sigma = np.linalg.svd(chi(a).m, compute_uv=False)[0]
+        sigma = np.linalg.svd(chi(a), compute_uv=False)[0]
         assert abs(operator_norm(a) - sigma) <= 1e-9 * max(1.0, sigma)
         assert abs(operator_norm(a) - operator_norm(adjoint(a))) \
             <= 1e-9 * max(1.0, sigma)

@@ -103,9 +103,9 @@ def test_split_operator_action_identity():
 
 def test_chi_examples():
     img = chi(QMatrix.from_quaternions([[J]]))
-    assert np.allclose(img.m, np.array([[0, 1], [-1, 0]]))
+    assert np.allclose(img, np.array([[0, 1], [-1, 0]]))
     eye = chi(QMatrix.identity(3))
-    assert np.allclose(eye.m, np.eye(6))
+    assert np.allclose(eye, np.eye(6))
 
 
 def test_chi_homomorphism():
@@ -113,15 +113,15 @@ def test_chi_homomorphism():
     for _ in range(25):
         a = random_ops.rand_qmatrix(rr, 4)
         b = random_ops.rand_qmatrix(rr, 4)
-        ca, cb = chi(a).m, chi(b).m
-        assert ckernel.frobenius(chi(a + b).m - (ca + cb)) < 1e-12
-        assert ckernel.frobenius(chi(a @ b).m - ca @ cb) < 1e-12
-        assert ckernel.frobenius(chi(adjoint(a)).m - ca.conj().T) < 1e-12
+        ca, cb = chi(a), chi(b)
+        assert ckernel.frobenius(chi(a + b) - (ca + cb)) < 1e-12
+        assert ckernel.frobenius(chi(a @ b) - ca @ cb) < 1e-12
+        assert ckernel.frobenius(chi(adjoint(a)) - ca.conj().T) < 1e-12
         lam = complex(rr.uniform(-1, 1), rr.uniform(-1, 1))
         lam_op = QMatrix(lam * np.eye(4, dtype=complex))
-        assert ckernel.frobenius(chi(lam_op @ a).m - chi(lam_op).m @ ca) < 1e-12
+        assert ckernel.frobenius(chi(lam_op @ a) - chi(lam_op) @ ca) < 1e-12
         # real scalars scale through directly
-        assert ckernel.frobenius(chi(a * 0.5).m - 0.5 * ca) < 1e-14
+        assert ckernel.frobenius(chi(a * 0.5) - 0.5 * ca) < 1e-14
 
 
 def test_chi_norm_equality():
@@ -129,7 +129,7 @@ def test_chi_norm_equality():
     for _ in range(200):
         n = 1 + rr.randint(5)
         a = random_ops.rand_qmatrix(rr, n)
-        sigma = np.linalg.svd(chi(a).m, compute_uv=False)
+        sigma = np.linalg.svd(chi(a), compute_uv=False)
         top = sigma[0] if sigma.size else 0.0
         assert abs(operator_norm(a) - top) <= 1e-9 * max(1.0, top)
 
@@ -151,7 +151,7 @@ def test_chi_injective_via_roundtrip():
     rr = trial_rng(38)
     a = random_ops.rand_qmatrix(rr, 3)
     b = random_ops.rand_qmatrix(rr, 3)
-    assert ckernel.frobenius(chi(a).m - chi(b).m) > 1e-3  # distinct draws
+    assert ckernel.frobenius(chi(a) - chi(b)) > 1e-3  # distinct draws
     assert (chi_pullback(chi(a)) - a).frobenius_norm() < 1e-13
     assert (chi_pullback(chi(b)) - b).frobenius_norm() < 1e-13
 
@@ -172,14 +172,14 @@ def test_embed_intertwines_action():
         a = random_ops.rand_qmatrix(rr, 4)
         x = random_ops.rand_qvector(rr, 4)
         lhs = embed_vector(a.matvec(x))
-        rhs = chi(a).m @ embed_vector(x)
+        rhs = chi(a) @ embed_vector(x)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 def test_embed_null_vector_of_weight_matrix():
     a = weight_matrix(10)
     e4 = QVector.basis(10, 3)
-    assert np.linalg.norm(chi(a).m @ embed_vector(e4)) < 1e-12
+    assert np.linalg.norm(chi(a) @ embed_vector(e4)) < 1e-12
 
 
 def test_null_dimension_doubles():
@@ -189,7 +189,7 @@ def test_null_dimension_doubles():
         rank = rr.randint(n + 1)
         a = (random_ops.rand_qmatrix(rr, n) if rank == n
              else random_ops.rank_deficient(rr, n, rank))
-        s = np.linalg.svd(chi(a).m, compute_uv=False)
+        s = np.linalg.svd(chi(a), compute_uv=False)
         null_c = 2 * n - ckernel.rank_from_singular_values(s, 2 * n)
         assert null_c == 2 * (n - quaternionic_rank(a))
 
@@ -221,7 +221,7 @@ def test_classify_positive_matches_complex_side():
     rr = trial_rng(43)
     p = random_ops.psd(rr, 4)
     assert classify(p).positive
-    cc = ckernel.classify_cmatrix(chi(p).m)
+    cc = ckernel.classify_cmatrix(chi(p))
     assert cc["flags"]["positive"]
 
 

@@ -34,6 +34,7 @@ def test_z_transform_contraction_and_adjoint():
             assert z.matvec(v).norm() < 1e-10 * max(1.0, t.frobenius_norm())
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_z_inverse_examples():
     assert z_inverse(QMatrix.zeros(2)).frobenius_norm() < 1e-14
     back = z_inverse(QMatrix.diag([6.0 / math.sqrt(37.0)]))
@@ -41,6 +42,9 @@ def test_z_inverse_examples():
     # a partial isometry has norm one, so its preimage is unbounded
     with pytest.raises(NormTooLarge):
         z_inverse(QMatrix.from_quaternions([[J]]))
+    # a huge operator has a finite norm, which the same check refuses
+    with pytest.raises(NormTooLarge):
+        z_inverse(random_ops.rand_qmatrix(trial_rng(76), 4) * 2.0 ** 520)
 
 
 def test_roundtrip():
