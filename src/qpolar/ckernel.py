@@ -5,9 +5,10 @@ one-sided Jacobi iteration (_jacobi) that works on the complex planes
 (A1, A2) of A = A1 + A2 j with quaternion-structured rotations (a complex
 matrix is the planes (M, 0)). It serves the SVD, the polar factors built
 from it (Factorization.polar), the Hermitian eigensolver (through the
-shift H + ||H||_F I) and the PSD square root. The Gauss-Jordan inverse
-is the one complex routine apart from it. All routines are deterministic:
-fixed sweep order, no data-dependent threading, stable tie-breaking.
+shift H + ||H||_F I) and the PSD square root. householder builds every
+orthonormal basis, and the Gauss-Jordan inverse is the one complex routine.
+All routines are deterministic: fixed sweep order, no data-dependent
+threading, stable tie-breaking.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ RANK_TOL = 1e-10
 CLAMP_TOL = 1e-10
 # hermitian_eig refuses H with ||H - H*|| above HERMITIAN_TOL * max(1, ||H||)
 HERMITIAN_TOL = 1e-12
-# gauss_inv refuses a pivot at or below PIVOT_TOL * max(1, largest |entry|)
+# gauss_inv refuses a pivot of _prescale(m) at or below PIVOT_TOL
 PIVOT_TOL = 1e-13
 
 
@@ -201,8 +202,8 @@ def svd(m, m2=None):
     its planes; a complex m is the planes (m, 0), whose j-plane no rotation
     touches. Jacobi runs on _prescale(A), so svd(2**k A) is svd(A) with s
     times 2**k, bit for bit; a wide A is factored through its adjoint.
-    Left singular vectors past the rank cut (dim the size of the complex
-    image) come from _complete_unitary.
+    Past the rank cut (dim the size of the complex image) the left
+    singular vectors are the trailing columns of householder(u_r).
 
     Returns (u, s, v), u and v unitary and s descending: complex arrays
     for a complex m, planes (2, k, k) for a quaternion A, with each of its
@@ -221,7 +222,9 @@ def svd(m, m2=None):
     if s.size and not np.isfinite(s[0]):
         raise NonFiniteInput("a singular value overflows a double")
     r = rank_from_singular_values(s, (1 if m2 is None else 2) * s.size)
-    u = _complete_unitary(w[:, :, :r] / norm[:r], w.shape[1])
+    u = w[:, :, :r] / norm[:r]
+    if r < u.shape[1]:
+        u = np.concatenate([u, householder(u)[0][:, :, r:]], axis=2)
     u, v = (v, u) if wide else (u, v)
     return (u[0], s, v[0]) if m2 is None else (u, s, v)
 
@@ -304,25 +307,35 @@ def _jacobi(a):
 _TINY = 2.0 ** -900
 
 
-def _complete_unitary(u, n: int) -> np.ndarray:
-    """Extend the orthonormal columns of the planes u to an n x n unitary:
-    each step projects every standard basis vector off the basis so far,
-    twice, and appends the one with the largest residual (first index on
-    ties within 1e-12)."""
-    out = np.zeros((2, n, n), dtype=complex)
-    out[:, :, :u.shape[2]] = u
-    eye = np.stack([np.eye(n), np.zeros((n, n))]).astype(complex)
-    for j in range(u.shape[2], n):
-        w = eye
-        for _ in range(2):
-            w = w - _qmul(out[:, :, :j], _qmul(_qadj(out[:, :, :j]), w))
-        norms = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=(0, 1)))
-        best, best_norm = 0, -1.0
-        for k in range(n):
-            if norms[k] > best_norm + 1e-12:
-                best, best_norm = k, norms[k]
-        out[:, :, j] = w[:, :, best] / best_norm
-    return out
+def householder(a):
+    """(q, k_kept): the n x n unitary q, as planes, whose first k_kept
+    columns are an orthonormal basis of the span of the columns of the
+    planes a (2, n, k), in order, and whose other columns complete it.
+
+    Householder QR of [_prescale(a), I] (Bunse-Gerstner, Byers and
+    Mehrmann, 1989). A column's part x orthogonal to the columns kept
+    before it is skipped if ||x|| <= RANK_TOL times the column's norm;
+    otherwise u = x + e1 mu ||x||, mu = x1 / |x1| (1 if x1 = 0), makes u* x
+    real, and B - u ((2 / ||u||**2) (u* B)), with u normalized, maps x to
+    -e1 mu ||x|| in the shrinking block of later columns and of I (q*).
+    """
+    a, _ = _prescale(a)
+    n, k = a.shape[1:]
+    x = np.concatenate([a, _as_planes(np.eye(n))], axis=2)
+    kept = 0
+    for c in range(k):
+        col = x[:, kept:, c:c + 1]
+        norm = frobenius(col)
+        if norm <= RANK_TOL * frobenius(a[:, :, c]):
+            continue
+        mag = np.hypot(abs(col[0, 0, 0]), abs(col[1, 0, 0]))
+        u = col / norm
+        u[:, 0, 0] += col[:, 0, 0] / mag if mag else (1.0, 0.0)
+        u /= np.sqrt(2.0 * (1.0 + mag / norm))
+        blk = x[:, kept:, c + 1:]
+        blk -= _qmul(u, 2.0 * _qmul(_qadj(u), blk))
+        kept += 1
+    return _qadj(x[:, :, k:]), kept
 
 
 def rank_from_singular_values(s, dim: int) -> int:
@@ -342,15 +355,15 @@ def gauss_inv(m):
     """Matrix inverse by Gauss-Jordan elimination with partial pivoting.
 
     Kept separate from the eigensolver so iterative cross-checks built on
-    it do not share a code path with the spectral routines.
+    it do not share a code path with the spectral routines. It runs on
+    _prescale(m), so gauss_inv(2**k A) is 2**-k gauss_inv(A) where exact.
     """
-    a = _as_square(m)
+    a, e = _prescale(_as_square(m))
     n = a.shape[0]
-    scale = max(np.max(np.abs(a)), 0.0) if n else 0.0
     aug = np.hstack([a, np.eye(n, dtype=complex)])
     for col in range(n):
         piv = col + int(np.argmax(np.abs(aug[col:, col])))
-        if abs(aug[piv, col]) <= PIVOT_TOL * max(1.0, scale):
+        if abs(aug[piv, col]) <= PIVOT_TOL:
             raise SingularMatrix(f"pivot {abs(aug[piv, col]):.3e} too small")
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
@@ -358,7 +371,7 @@ def gauss_inv(m):
         for r in range(n):
             if r != col and aug[r, col] != 0.0:
                 aug[r] = aug[r] - aug[r, col] * aug[col]
-    return aug[:, n:]
+    return np.ldexp(aug[:, n:].view(float), -e).view(complex)
 
 
 class Factorization:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ckernel
-from .ckernel import DEFAULT_CLASS_TOL, RANK_TOL
+from .ckernel import DEFAULT_CLASS_TOL
 from .quaternion import ComplexPair, Quaternion
 
 
@@ -28,6 +28,13 @@ def _planes(a1, a2, ndim):
         raise ShapeMismatch(
             f"component shapes {a1.shape} and {a2.shape} do not match")
     return a1, a2
+
+
+def _adopt(cls, planes):
+    """cls over the planes that ckernel._qmul or _qadj stacked, uncopied."""
+    obj = cls.__new__(cls)
+    obj.a1, obj.a2 = planes
+    return obj
 
 
 class QVector:
@@ -167,7 +174,7 @@ class QMatrix:
         return QVector(self.a1[:, k].copy(), self.a2[:, k].copy())
 
     def adjoint(self) -> "QMatrix":
-        return QMatrix(*ckernel._qadj((self.a1, self.a2)))
+        return _adopt(QMatrix, ckernel._qadj((self.a1, self.a2)))
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
         return QMatrix(self.a1 + other.a1, self.a2 + other.a2)
@@ -189,7 +196,8 @@ class QMatrix:
         if self.shape[1] != len(x):
             raise ShapeMismatch(
                 f"matrix {self.shape} cannot act on length {len(x)}")
-        return QVector(*ckernel._qmul((self.a1, self.a2), (x.a1, x.a2)))
+        return _adopt(QVector,
+                      ckernel._qmul((self.a1, self.a2), (x.a1, x.a2)))
 
     def __matmul__(self, other):
         if isinstance(other, QVector):
@@ -198,8 +206,8 @@ class QMatrix:
             if self.shape[1] != other.shape[0]:
                 raise ShapeMismatch(
                     f"shapes {self.shape} and {other.shape} do not chain")
-            return QMatrix(*ckernel._qmul((self.a1, self.a2),
-                                          (other.a1, other.a2)))
+            return _adopt(QMatrix, ckernel._qmul((self.a1, self.a2),
+                                                 (other.a1, other.a2)))
         return NotImplemented
 
     def frobenius_norm(self) -> float:
@@ -213,14 +221,11 @@ class QMatrix:
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm of a QMatrix, or the norm of a QVector."""
-    return _planes_norm(a.a1, a.a2)
-
-
-def _planes_norm(a1, a2) -> float:
-    """Frobenius norm of the complex planes (a1, a2); ckernel.rescaled_norm
-    when the plain sum of squares underflows to 0 or overflows with every
-    entry finite, so other values keep their bytes."""
+    """Frobenius norm of a QMatrix, or the norm of a QVector, from the sums
+    of squares of its planes; ckernel.rescaled_norm when that underflows to
+    0 or overflows with every entry finite, so other values keep their
+    bytes."""
+    a1, a2 = a.a1, a.a2
     with np.errstate(over="ignore"):
         norm = float(np.sqrt(np.sum(np.abs(a1) ** 2)
                              + np.sum(np.abs(a2) ** 2)))
@@ -236,34 +241,16 @@ def adjoint(a: QMatrix) -> QMatrix:
 
 
 def gram_schmidt(vectors) -> list[QVector]:
-    """Orthonormalize over H with two-pass re-orthogonalization.
-
-    Dependent inputs (residual norm below RANK_TOL relative to the input,
-    the rank cut of the singular values) are dropped, so rank-deficient
-    input shrinks the output.
-
-    Works on the complex planes (a1, a2) of each vector: removing the
-    component u * <u|w> is, with alpha + beta j = <u|w>,
-    w1 -= u1 alpha - u2 conj(beta) and w2 -= u1 beta + u2 conj(alpha).
-    These are the floating-point operations of inner() and of the right
-    scalar action, in the same order, so the result is the same as
-    looping with QVector and Quaternion objects, bit for bit.
-    """
-    basis = []
-    for v in vectors:
-        w1, w2 = v.a1, v.a2
-        orig = _planes_norm(w1, w2)
-        for _ in range(2):
-            for u1, u2 in basis:
-                alpha = np.vdot(u1, w1) + np.vdot(w2, u2)
-                beta = np.vdot(u1, w2) - np.vdot(w1, u2)
-                w1 = w1 - (u1 * alpha - u2 * np.conj(beta))
-                w2 = w2 - (u1 * beta + u2 * np.conj(alpha))
-        nw = _planes_norm(w1, w2)
-        if nw > RANK_TOL * max(1.0, orig):
-            scale = 1.0 / nw
-            basis.append((w1 * scale, w2 * scale))
-    return [QVector(u1, u2) for u1, u2 in basis]
+    """Orthonormal basis of the right H-span of vectors, in order: the
+    leading columns of ckernel.householder. A vector whose part orthogonal
+    to the ones before it is at most RANK_TOL times its own norm is
+    dropped, so rank-deficient input shrinks the output."""
+    vectors = list(vectors)
+    if not vectors:
+        return []
+    f = QMatrix.from_columns(vectors)
+    q, kept = ckernel.householder(np.stack([f.a1, f.a2]))
+    return _columns(q, 0, kept)
 
 
 def projector_onto(vectors) -> QMatrix:

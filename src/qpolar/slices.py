@@ -59,8 +59,7 @@ def chi_pullback(m, tol: float = BLOCK_TOL) -> QMatrix:
     n = mat.shape[0] // 2
     p, q, r, s = mat[:n, :n], mat[:n, n:], mat[n:, :n], mat[n:, n:]
     scale = max(1.0, ckernel.frobenius(mat))
-    resid = float(np.sqrt(np.sum(np.abs(r + np.conj(q)) ** 2)
-                          + np.sum(np.abs(s - np.conj(p)) ** 2)))
+    resid = ckernel.frobenius(np.stack([r + np.conj(q), s - np.conj(p)]))
     if resid > tol * scale:
         raise BlockStructureViolation(
             f"block residual {resid:.3e} exceeds {tol:.1e} * {scale:.3e}")
@@ -133,7 +132,7 @@ def equivalence_suite(a: QMatrix, tol: float = ckernel.DEFAULT_CLASS_TOL
     rows = [EquivalenceRow(name, flags_q[name], flags_c[name], res_q[name],
                            res_c[name])
             for name in _CLASS_NAMES]
-    adj_res = float(np.linalg.norm(chi(a.adjoint()) - m.conj().T))
+    adj_res = ckernel.frobenius(chi(a.adjoint()) - m.conj().T)
     scale = max(1.0, smax)
     ok = adj_res <= tol * scale
     rows.append(EquivalenceRow("adjoint_compatible", ok, ok, adj_res, adj_res))

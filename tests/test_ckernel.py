@@ -266,6 +266,18 @@ def test_gauss_inv():
         gauss_inv(np.ones((3, 3), dtype=complex))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gauss_inv_scale_equivariant():
+    # gauss_inv(2**k A) is 2**-k gauss_inv(A) bit for bit where both scalings
+    # are exact; the pivot rule is relative, so tiny A is not singular
+    m = rand_complex(6) + 3 * np.eye(6)
+    inv = gauss_inv(m)
+    for k in range(-1000, 1001, 50):
+        scaled = np.ldexp(m.view(float), k).view(complex)
+        want = np.ldexp(inv.view(float), -k).view(complex)
+        assert np.array_equal(gauss_inv(scaled), want), k
+
+
 def test_svd_deterministic():
     m = rand_complex(7)
     u1, s1, v1 = svd(m)
@@ -431,35 +443,6 @@ def test_svd_orthogonal_input_takes_no_sweep():
     assert np.max(np.abs(s - 1.0)) <= 1e-13
 
 
-def complete_unitary_per_candidate(cols, n):
-    """Reference completion on planes: every standard basis candidate built
-    and orthogonalized on its own, one basis vector at a time, with the
-    quaternion inner product <b|w> = alpha + beta j."""
-    basis = [(c[0], c[1]) for c in cols]
-
-    def orthogonalize(w1, w2):
-        for _ in range(2):
-            for b1, b2 in basis:
-                alpha = np.vdot(b1, w1) + np.vdot(w2, b2)
-                beta = np.vdot(b1, w2) - np.vdot(w1, b2)
-                w1 = w1 - (b1 * alpha - b2 * np.conj(beta))
-                w2 = w2 - (b1 * beta + b2 * np.conj(alpha))
-        return w1, w2
-
-    while len(basis) < n:
-        best, best_norm = None, -1.0
-        for k in range(n):
-            w1 = np.zeros(n, dtype=complex)
-            w1[k] = 1.0
-            w1, w2 = orthogonalize(w1, np.zeros(n, dtype=complex))
-            nw = np.sqrt(np.linalg.norm(w1) ** 2 + np.linalg.norm(w2) ** 2)
-            if nw > best_norm + 1e-12:
-                best, best_norm = (w1, w2), nw
-        basis.append((best[0] / best_norm, best[1] / best_norm))
-    return np.stack([np.stack([b1 for b1, _ in basis], axis=1),
-                     np.stack([b2 for _, b2 in basis], axis=1)])
-
-
 def range_columns(a):
     """Planes of the columns a v_k / s_k that svd hands to the completion."""
     _, s, v = svd(a[0], a[1])
@@ -469,15 +452,27 @@ def range_columns(a):
 
 
 def check_completion(u_r, n):
-    u = ckernel._complete_unitary(u_r, n)
-    assert u.shape == (2, n, n)
-    # within 1e-12 of the reference means the same candidate at every step
-    cols = [u_r[:, :, k] for k in range(u_r.shape[2])]
-    assert np.max(np.abs(u - complete_unitary_per_candidate(cols, n))) < 1e-12
-    gram = ckernel._qmul(ckernel._qadj(u), u)
-    assert frobenius(gram[0] - np.eye(n)) < 1e-12
-    assert frobenius(gram[1]) < 1e-12
+    """householder(u_r) keeps every orthonormal column of u_r, and u_r
+    followed by the trailing columns of q, as svd completes it, is
+    unitary to 1e-12."""
+    r = u_r.shape[2]
+    q, kept = ckernel.householder(u_r)
+    assert q.shape == (2, n, n) and kept == r
+    u = np.concatenate([u_r, q[:, :, r:]], axis=2)
+    for w in (u, q):
+        gram = ckernel._qmul(ckernel._qadj(w), w)
+        assert frobenius(gram[0] - np.eye(n)) < 1e-12
+        assert frobenius(gram[1]) < 1e-12
     return u
+
+
+def check_svd_completion(a):
+    """svd's u is its first r columns followed by the trailing columns of
+    householder of them, bit for bit, and unitary to 1e-12."""
+    u, s, _ = svd(a[0], a[1])
+    r = ckernel.rank_from_singular_values(s, 2 * s.size)
+    assert np.array_equal(u, check_completion(u[:, :, :r], u.shape[1]))
+    return u, r
 
 
 @pytest.mark.parametrize("n2", [8, 16, 32, 64])
@@ -485,9 +480,18 @@ def test_complete_unitary_rank_deficient_square(n2):
     g = np.random.default_rng(n2)
     n = n2 // 2
     for rank in (n // 4, n // 2, 3 * n // 4):
-        u_r, cols = range_columns(quaternion_planes(g, n, n, rank))
+        a = quaternion_planes(g, n, n, rank)
+        u_r, cols = range_columns(a)
         assert len(cols) == rank
         check_completion(u_r, n)
+        assert check_svd_completion(a)[1] == rank
+
+
+def test_complete_unitary_rank_one_n48():
+    a = quaternion_planes(np.random.default_rng(48), 48, 48, 1)
+    u, r = check_svd_completion(a)
+    assert r == 1
+    assert np.max(np.abs(u[:, :, :1] - range_columns(a)[0])) < 1e-12
 
 
 @pytest.mark.parametrize("rows, cols", [(5, 3), (33, 8)])
@@ -495,8 +499,8 @@ def test_complete_unitary_tall(rows, cols):
     a = quaternion_planes(np.random.default_rng(rows), rows, cols)
     u_r, range_cols = range_columns(a)
     assert len(range_cols) == cols
-    u = check_completion(svd(a[0], a[1])[0][:, :, :cols], rows)
-    assert np.array_equal(svd(a[0], a[1])[0], u)
+    u, r = check_svd_completion(a)
+    assert r == cols
     assert np.max(np.abs(u[:, :, :cols] - u_r)) < 1e-12
 
 
@@ -504,13 +508,33 @@ def test_complete_unitary_zero_matrix_and_empty_cols():
     eye = np.stack([np.eye(6), np.zeros((6, 6))])
     assert np.array_equal(svd(np.zeros((6, 6)), np.zeros((6, 6)))[0], eye)
     assert np.array_equal(svd(np.zeros((6, 6), dtype=complex))[0], np.eye(6))
-    empty = np.zeros((2, 5, 0), dtype=complex)
-    assert np.array_equal(ckernel._complete_unitary(empty, 5), eye[:, :5, :5])
-    check_completion(empty, 5)
+    for cols in (0, 3):
+        q, kept = ckernel.householder(np.zeros((2, 5, cols), dtype=complex))
+        assert np.array_equal(q, eye[:, :5, :5]) and kept == 0
+    check_completion(np.zeros((2, 5, 0), dtype=complex), 5)
 
 
 def test_complete_unitary_deterministic():
     g = np.random.default_rng(26)
     u_r, _ = range_columns(quaternion_planes(g, 16, 16, 6))
-    assert np.array_equal(ckernel._complete_unitary(u_r, 16),
-                          ckernel._complete_unitary(u_r, 16))
+    q, kept = ckernel.householder(u_r)
+    again = ckernel.householder(u_r)
+    assert np.array_equal(q, again[0]) and kept == again[1] == 6
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.3 - 0.4j, 0.5 + 0.2j)])
+def test_householder_reflects_onto_e1(alpha, beta):
+    # one column x with x1 = alpha + beta j: q is the reflection H, H* = H,
+    # and H x = -e1 mu ||x|| with mu = x1 / |x1|, or 1 when x1 = 0
+    x = quaternion_planes(np.random.default_rng(27), 6, 1)
+    x[:, 0, 0] = alpha, beta
+    q, kept = ckernel.householder(x)
+    assert kept == 1
+    norm = frobenius(x)
+    mag = np.hypot(abs(alpha), abs(beta))
+    mu = np.array([alpha, beta]) / mag if mag else np.array([1.0, 0.0])
+    want = np.zeros_like(x)
+    want[:, 0, 0] = -mu * norm
+    hx = ckernel._qmul(ckernel._qadj(q), x)
+    assert np.max(np.abs(hx - want)) < 1e-14 * norm
+    assert np.max(np.abs(q - ckernel._qadj(q))) < 1e-15

@@ -64,6 +64,18 @@ def test_sqrt_strictly_positive_hand_values():
     assert (sqrt_strictly_positive(eye, 0.5) - eye).frobenius_norm() < 1e-10
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("k", [-600, -200, 200, 600])
+def test_sqrt_strictly_positive_any_scale(k):
+    # the Gauss-Jordan inverses and the pullback's block residual are
+    # scale-invariant, so a well-conditioned 2**k P keeps its root
+    p = random_ops.psd(SplitMix64(3), 4) + QMatrix.identity(4)
+    want = sqrt_positive_spectral(p)
+    got = sqrt_strictly_positive(p * 2.0 ** k, 2.0 ** (k - 1))
+    assert ((got * 2.0 ** (-k // 2) - want).frobenius_norm()
+            < 1e-12 * want.frobenius_norm())
+
+
 def test_sqrt_routes_agree():
     rr = trial_rng(51)
     for _ in range(10):

@@ -134,7 +134,9 @@ def test_gram_schmidt_rank_deficient_shrinks():
 
 
 def gram_schmidt_objects(vectors, drop_tol=1e-10):
-    """Reference: the loop over QVector and Quaternion objects."""
+    """Reference: two-pass Gram-Schmidt over QVector and Quaternion
+    objects, dropping a vector whose residual is at most drop_tol times
+    its norm."""
     basis = []
     for v in vectors:
         w = v.copy()
@@ -143,7 +145,7 @@ def gram_schmidt_objects(vectors, drop_tol=1e-10):
             for u in basis:
                 w = w - u * inner(u, w)
         nw = w.norm()
-        if nw > drop_tol * max(1.0, orig):
+        if nw > drop_tol * orig:
             basis.append(w * (1.0 / nw))
     return basis
 
@@ -163,13 +165,33 @@ def _gram_schmidt_cases():
 
 
 def test_gram_schmidt_matches_object_loop_bytes():
+    # the Householder basis spans what the object loop spans, and keeps as
+    # many vectors; the basis vectors themselves differ by unit scalars
     for vectors in _gram_schmidt_cases():
         got = gram_schmidt(vectors)
         want = gram_schmidt_objects(vectors)
         assert len(got) == len(want)
+        if want:
+            diff = projector_onto(got) - projector_onto(want)
+            assert diff.frobenius_norm() < 1e-12
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gram_schmidt_keeps_independent_vectors_at_any_scale():
+    # the drop rule is relative to each vector's norm, and the basis of
+    # 2**k v is that of v, bit for bit; dependent vectors are still dropped
+    rr = trial_rng(20)
+    vs = [random_ops.rand_qvector(rr, 4) for _ in range(3)]
+    vs.append(vs[0] * random_ops.rand_quaternion(rr) + vs[2])
+    units = [QVector.basis(3, 0), QVector.basis(3, 1)]
+    want = gram_schmidt(vs)
+    assert len(want) == 3
+    for k in (-600, -40, 0, 600):
+        assert len(gram_schmidt([v * 2.0 ** k for v in units])) == 2
+        got = gram_schmidt([v * 2.0 ** k for v in vs])
+        assert len(got) == 3
         for g, w in zip(got, want):
-            assert g.a1.tobytes() == w.a1.tobytes()
-            assert g.a2.tobytes() == w.a2.tobytes()
+            assert np.array_equal(g.a1, w.a1) and np.array_equal(g.a2, w.a2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
