@@ -369,12 +369,22 @@ def test_cmd_verify_small_battery():
     assert "summary" in text
 
 
-def test_verify_report_matches_committed_bytes():
-    # a change in any report byte at this fixed config shows up as a diff
-    # of the committed file, to be made deliberately and explained
-    want = (DATA / "verify_d8_t10_s42.txt").read_text(encoding="utf-8")
-    cfg = SuiteConfig(dim=8, trials=10, seed=42, tol=1e-9)
+def _assert_verify_matches_committed(dim: int, trials: int, seed: int):
+    # a change in any report byte at a fixed config shows up as a diff of
+    # the committed file, to be made deliberately and explained
+    name = f"verify_d{dim}_t{trials}_s{seed}.txt"
+    want = (DATA / name).read_text(encoding="utf-8")
+    cfg = SuiteConfig(dim=dim, trials=trials, seed=seed, tol=1e-9)
     assert cmd_verify(cfg).format() == want
+
+
+def test_verify_report_matches_committed_bytes():
+    _assert_verify_matches_committed(8, 10, 42)
+
+
+def test_verify_report_at_n16_matches_committed_bytes():
+    # the d8 report never draws n above 8; this one reaches n = 16
+    _assert_verify_matches_committed(16, 6, 3)
 
 
 def _pinned_polar_inputs():
