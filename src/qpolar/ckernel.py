@@ -14,7 +14,6 @@ threading, stable tie-breaking.
 from __future__ import annotations
 
 import functools
-from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,21 +80,16 @@ class EigResult:
 
 
 def frobenius(m) -> float:
-    """Frobenius norm; rescaled_norm if the sum of squares of the finite,
-    nonzero entries underflows to 0 or overflows."""
+    """Frobenius norm of an array, such as planes. If the sum of squares
+    of the finite, nonzero entries underflows to 0 or overflows, it is
+    taken on _prescale(m), where no square does."""
     a = np.asarray(m).ravel()
     with np.errstate(over="ignore"):
         norm = float(np.linalg.norm(a))
-    return (rescaled_norm(a) if norm in (0.0, np.inf) and a.any()
-            and np.isfinite(a).all() else norm)
-
-
-def rescaled_norm(a) -> float:
-    """Frobenius norm of the finite array a, taken on _prescale(a) so that
-    no square underflows or overflows."""
-    b, e = _prescale(a)
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(np.linalg.norm(b.ravel()), e))
+        if norm in (0.0, np.inf) and a.any() and np.isfinite(a).all():
+            b, e = _prescale(a)
+            norm = float(np.ldexp(np.linalg.norm(b), e))
+    return norm
 
 
 def _prescale(a):
@@ -408,11 +402,11 @@ class Factorization:
         values = self.eig.values
         return values[-1] if values.size else 0.0
 
-    def polar(self, rank: int):
-        """Polar factors u0 = u_r v_r* and p = v diag(s) v* of a quaternion
-        matrix, as planes, p exactly self-adjoint and u0 of the given rank."""
-        u, v = self.u, self.v
-        u0 = _qmul(u[:, :, :rank], _qadj(v[:, :, :rank]))
+    def polar(self):
+        """Polar factors u0 = u_r v_r*, r = rank, and p = v diag(s) v* of a
+        quaternion matrix, as planes, p exactly self-adjoint."""
+        u, v, r = self.u, self.v, self.rank
+        u0 = _qmul(u[:, :, :r], _qadj(v[:, :, :r]))
         p = _qmul(v * self.s, _qadj(v))
         return u0, 0.5 * (p + _qadj(p))
 
@@ -426,18 +420,6 @@ class Factorization:
         exceeds that perturbation more than 1e3-fold.
         """
         return self.rank == self.s.size
-
-
-# what class_residuals needs from a matrix algebra: adjoint, Frobenius
-# norm, identity(n), rank(fac) from the factorization of the operator,
-# and coimage(fac, rank), an orthonormal basis of N(a)-perp from it
-Algebra = namedtuple("Algebra", "adjoint norm identity rank coimage")
-
-
-COMPLEX = Algebra(adjoint=lambda a: a.conj().T, norm=frobenius,
-                  identity=lambda n: np.eye(n, dtype=complex),
-                  rank=lambda fac: fac.rank,
-                  coimage=lambda fac, rank: fac.v.T[:rank])
 
 
 def positivity(sa: float, fac: Factorization, tol: float):
@@ -462,33 +444,35 @@ def positivity(sa: float, fac: Factorization, tol: float):
 DEFAULT_CLASS_TOL = 1e-9
 
 
-def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
-    """Structural class residuals of a square operator a in algebra alg.
+def class_residuals(a, fac: Factorization, coimage, tol: float):
+    """Structural class residuals of the square operator with planes a.
 
-    fac factors a: the planes of a quaternion matrix, or a complex one.
-    Returns (residuals, flags, rank, sigma_max), each flag meaning a
-    residual within tol * max(1, sigma_max). A residual beyond the largest
-    double is inf; one that overflows to NaN (inf - inf when a* a and a a*
+    A complex matrix m is the planes (m, 0). fac factors the operator, and
+    the columns of the planes coimage are an orthonormal basis of N(a)-perp
+    read from it. Returns (residuals, flags), each flag meaning a residual
+    within tol * max(1, sigma_max). A residual beyond the largest double
+    is inf; one that overflows to NaN (inf - inf when a* a and a a*
     overflow) raises NonFiniteInput.
     """
-    smax, rank = fac.sigma_max, alg.rank(fac)  # the SVD rejects NaN and inf
+    smax = fac.sigma_max  # the SVD rejects NaN and inf
     with np.errstate(over="ignore", invalid="ignore"):
-        astar = alg.adjoint(a)
-        g = astar @ a
-        gg = a @ astar
-        eye = alg.identity(a.shape[0])
+        astar = _qadj(a)
+        g = _qmul(astar, a)
+        gg = _qmul(a, astar)
+        eye = _as_planes(np.eye(a.shape[1]))
         # the norms each residual is the largest of
         parts = {
-            "self_adjoint": [alg.norm(a - astar)],
-            "anti_self_adjoint": [alg.norm(a + astar)],
-            "normal": [alg.norm(g - gg)],
-            "unitary": [alg.norm(g - eye), alg.norm(gg - eye)],
-            "projection": [alg.norm(a @ a - a), alg.norm(a - astar)],
+            "self_adjoint": [frobenius(a - astar)],
+            "anti_self_adjoint": [frobenius(a + astar)],
+            "normal": [frobenius(g - gg)],
+            "unitary": [frobenius(g - eye), frobenius(gg - eye)],
+            "projection": [frobenius(_qmul(a, a) - a), frobenius(a - astar)],
             # a* a is an orthogonal projection, and a preserves norms on
             # the orthogonal complement of its null space
-            "partial_isometry": [alg.norm(g @ g - g),
-                                 alg.norm(g - alg.adjoint(g))]
-            + [abs(alg.norm(a @ w) - 1.0) for w in alg.coimage(fac, rank)],
+            "partial_isometry": [frobenius(_qmul(g, g) - g),
+                                 frobenius(g - _qadj(g))]
+            + [abs(frobenius(_qmul(a, coimage[:, :, k])) - 1.0)
+               for k in range(coimage.shape[2])],
         }
     if np.isnan(sum(parts.values(), [])).any():
         raise NonFiniteInput("a class residual overflows a double")
@@ -498,7 +482,7 @@ def class_residuals(a, fac: Factorization, alg: Algebra, tol: float):
     flags = {name: bool(val <= thresh) for name, val in res.items()}
     if flags["unitary"]:
         flags["normal"] = True
-    return res, flags, rank, smax
+    return res, flags
 
 
 def classify_cmatrix(m, tol: float = DEFAULT_CLASS_TOL) -> dict:
@@ -509,5 +493,8 @@ def classify_cmatrix(m, tol: float = DEFAULT_CLASS_TOL) -> dict:
     a quaternionic operator with its complex block image.
     """
     a = _as_square(m)
-    res, flags, rank, smax = class_residuals(a, Factorization(a), COMPLEX, tol)
-    return {"residuals": res, "flags": flags, "rank": rank, "sigma_max": smax}
+    fac = Factorization(a)
+    res, flags = class_residuals(_as_planes(a), fac,
+                                 _as_planes(fac.v[:, :fac.rank]), tol)
+    return {"residuals": res, "flags": flags, "rank": fac.rank,
+            "sigma_max": fac.sigma_max}

@@ -231,7 +231,7 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
     out = [("polar." + name, value) for name, value in _polar_identities(t, f)]
     out.append(("polar.null_rank_mismatches",
                 0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
-    null_basis = _svd_bases(f.fac, f.null_rank)[0]
+    null_basis = _svd_bases(f.fac)[0]
     annihilation = max((u0.matvec(v).norm() for v in null_basis), default=0.0)
     out.append(("polar.null_annihilation_rel", annihilation / scale))
     # structure transfer on class-constructed draws
@@ -487,7 +487,7 @@ def example_report(which: str, n: int) -> Report:
                 for k in range(6, n + 1)),
         )
         checks.append(CheckResult("isometry_action", act, EXAMPLE_TOL))
-        null_basis, _, corange_basis = _svd_bases(f.fac, f.null_rank)
+        null_basis, _, corange_basis = _svd_bases(f.fac)
         checks.append(CheckResult(
             "null_space_span",
             _span_residual(null_basis, [3, 4, 5], n), EXAMPLE_TOL))

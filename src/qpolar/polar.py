@@ -100,7 +100,7 @@ def _require_positive(p: QMatrix) -> ckernel.Factorization:
 
 def _root(h: QMatrix) -> QMatrix:
     """ckernel.psd_sqrt of the self-adjoint h, on its planes."""
-    return QMatrix(*ckernel.psd_sqrt(h.a1, h.a2))
+    return QMatrix._adopt(ckernel.psd_sqrt(*h.p))
 
 
 def _inverse(h: QMatrix) -> QMatrix:
@@ -117,7 +117,7 @@ def _inverse(h: QMatrix) -> QMatrix:
 def sqrt_positive_spectral(p: QMatrix) -> QMatrix:
     """Positive square root of p's Hermitian part, from the one
     eigendecomposition of its planes that the positivity test solved."""
-    return QMatrix(*_require_positive(p).eig.sqrt())
+    return QMatrix._adopt(_require_positive(p).eig.sqrt())
 
 
 def sqrt_positive_composite(p: QMatrix) -> QMatrix:
@@ -168,10 +168,10 @@ def polar_decompose(t: QMatrix) -> PolarFactors:
     """
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("polar decomposition needs a square operator")
-    fac = ckernel.Factorization(t.a1, t.a2)
-    u0, p = fac.polar(fac.rank)
+    fac = ckernel.Factorization(*t.p)
+    u0, p = fac.polar()
     null_rank = t.shape[0] - fac.rank
-    return PolarFactors(u0=QMatrix(*u0), abs_t=QMatrix(*p),
+    return PolarFactors(u0=QMatrix._adopt(u0), abs_t=QMatrix._adopt(p),
                         null_rank=null_rank, unique=null_rank == 0, fac=fac)
 
 
@@ -183,7 +183,7 @@ def unitary_extension(t: QMatrix, f: PolarFactors) -> QMatrix:
     """
     if not _classify(t, f.fac, DEFAULT_CLASS_TOL).normal:
         raise NotNormal("unitary extension needs a normal operator")
-    null_basis = _svd_bases(f.fac, f.null_rank)[0]
+    null_basis = _svd_bases(f.fac)[0]
     if not null_basis:
         return f.u0.copy()
     return f.u0 + projector_onto(null_basis)
@@ -208,7 +208,7 @@ def perturb_polar(f: PolarFactors, v: QMatrix) -> QMatrix:
             f"perturbation is not a partial isometry "
             f"(residual {oc.residuals['partial_isometry']:.3e})")
     scale = max(1.0, v_norm)
-    null_basis, range_basis, _ = _svd_bases(f.fac, f.null_rank)
+    null_basis, range_basis, _ = _svd_bases(f.fac)
     p_null = projector_onto(null_basis)
     off_initial = (v - v @ p_null).frobenius_norm()
     if off_initial > DEFAULT_CLASS_TOL * scale:
@@ -230,7 +230,7 @@ def canonical_perturbation(f: PolarFactors) -> QMatrix:
     R(T)-perp, both read from f = polar_decompose(T). Returns the zero
     matrix when the decomposition is unique.
     """
-    null_basis, _, corange_basis = _svd_bases(f.fac, f.null_rank)
+    null_basis, _, corange_basis = _svd_bases(f.fac)
     k = min(len(null_basis), len(corange_basis))
     if k == 0:
         return QMatrix.zeros(f.u0.shape[0])

@@ -1,9 +1,10 @@
 """Right H-module vectors, quaternion matrices, and operator classification.
 
 Vectors live in H^n with scalars acting on the right, so matrices acting by
-left multiplication are right H-linear. Internally every object is stored
-as a pair of complex arrays (a1, a2) with entries a1 + a2 * j; regrouping
-between quaternion components and the complex pair is exact.
+left multiplication are right H-linear. Internally every object holds its
+planes p, one complex array (2, ...) with entries p[0] + p[1] * j, which
+the kernel in ckernel works on as they are; regrouping between quaternion
+components and the complex pair is exact.
 """
 
 from __future__ import annotations
@@ -21,33 +22,61 @@ class ShapeMismatch(ValueError):
     pass
 
 
-def _planes(a1, a2, ndim):
-    a1 = np.array(a1, dtype=complex)
-    a2 = np.zeros_like(a1) if a2 is None else np.array(a2, dtype=complex)
-    if a1.shape != a2.shape or a1.ndim != ndim:
-        raise ShapeMismatch(
-            f"component shapes {a1.shape} and {a2.shape} do not match")
-    return a1, a2
+class _Planes:
+    """The planes p = (a1, a2) of a QVector or QMatrix, and the arithmetic
+    that acts on them plane by plane."""
 
-
-def _adopt(cls, planes):
-    """cls over the planes that ckernel._qmul or _qadj stacked, uncopied."""
-    obj = cls.__new__(cls)
-    obj.a1, obj.a2 = planes
-    return obj
-
-
-class QVector:
-    """Vector in H^n, entries a1[k] + a2[k] * j, scalars on the right."""
-
-    __slots__ = ("a1", "a2")
+    __slots__ = ("p",)
 
     def __init__(self, a1, a2=None):
-        self.a1, self.a2 = _planes(a1, a2, 1)
+        a1 = np.asarray(a1, dtype=complex)
+        a2 = np.zeros_like(a1) if a2 is None else np.asarray(a2, dtype=complex)
+        if a1.shape != a2.shape or a1.ndim != self.ndim:
+            raise ShapeMismatch(
+                f"component shapes {a1.shape} and {a2.shape} do not match")
+        self.p = np.stack([a1, a2])  # a new array, viewing neither input
+
+    a1 = property(lambda self: self.p[0])
+    a2 = property(lambda self: self.p[1])
+
+    @classmethod
+    def _adopt(cls, p):
+        """cls over the planes p, uncopied: p must be a new array, such as
+        the ones ckernel._qmul and _qadj stack."""
+        obj = cls.__new__(cls)
+        obj.p = p
+        return obj
+
+    def __add__(self, other):
+        return self._adopt(self.p + other.p)
+
+    def __sub__(self, other):
+        return self._adopt(self.p - other.p)
+
+    def __neg__(self):
+        return self._adopt(-self.p)
+
+    def __mul__(self, r):
+        """Scaling by a real number."""
+        if isinstance(r, (int, float)):
+            return self._adopt(self.p * r)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def copy(self):
+        return self._adopt(self.p.copy())
+
+
+class QVector(_Planes):
+    """Vector in H^n, entries a1[k] + a2[k] * j, scalars on the right."""
+
+    __slots__ = ()
+    ndim = 1
 
     @classmethod
     def zeros(cls, n: int) -> "QVector":
-        return cls(np.zeros(n, dtype=complex), np.zeros(n, dtype=complex))
+        return cls._adopt(np.zeros((2, n), dtype=complex))
 
     @classmethod
     def basis(cls, n: int, k: int) -> "QVector":
@@ -67,16 +96,7 @@ class QVector:
                 for k in range(len(self))]
 
     def __len__(self):
-        return self.a1.shape[0]
-
-    def __add__(self, other: "QVector") -> "QVector":
-        return QVector(self.a1 + other.a1, self.a2 + other.a2)
-
-    def __sub__(self, other: "QVector") -> "QVector":
-        return QVector(self.a1 - other.a1, self.a2 - other.a2)
-
-    def __neg__(self) -> "QVector":
-        return QVector(-self.a1, -self.a2)
+        return self.p.shape[1]
 
     def __mul__(self, q):
         """Right scalar action x * q for q a Quaternion or a real number."""
@@ -84,15 +104,10 @@ class QVector:
             al, be = q.split().alpha, q.split().beta
             return QVector(self.a1 * al - self.a2 * np.conj(be),
                            self.a1 * be + self.a2 * np.conj(al))
-        if isinstance(q, (int, float)):
-            return QVector(self.a1 * q, self.a2 * q)
-        return NotImplemented
+        return super().__mul__(q)
 
     def norm(self) -> float:
         return frobenius_norm(self)
-
-    def copy(self) -> "QVector":
-        return QVector(self.a1.copy(), self.a2.copy())
 
     def __repr__(self):
         return f"QVector({self.to_quaternions()!r})"
@@ -110,23 +125,20 @@ def inner(x: QVector, y: QVector) -> Quaternion:
     return ComplexPair(complex(alpha), complex(beta)).reassemble()
 
 
-class QMatrix:
+class QMatrix(_Planes):
     """Quaternion matrix acting on QVector by left multiplication."""
 
-    __slots__ = ("a1", "a2")
-
-    def __init__(self, a1, a2=None):
-        self.a1, self.a2 = _planes(a1, a2, 2)
+    __slots__ = ()
+    ndim = 2
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":
         cols = rows if cols is None else cols
-        return cls(np.zeros((rows, cols), dtype=complex),
-                   np.zeros((rows, cols), dtype=complex))
+        return cls._adopt(np.zeros((2, rows, cols), dtype=complex))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
+        return cls(np.eye(n, dtype=complex))
 
     @classmethod
     def diag(cls, entries) -> "QMatrix":
@@ -153,10 +165,7 @@ class QMatrix:
 
     @classmethod
     def from_columns(cls, vectors) -> "QMatrix":
-        vectors = list(vectors)
-        a1 = np.stack([v.a1 for v in vectors], axis=1)
-        a2 = np.stack([v.a2 for v in vectors], axis=1)
-        return cls(a1, a2)
+        return cls._adopt(np.stack([v.p for v in vectors], axis=2))
 
     def to_quaternions(self) -> list[list[Quaternion]]:
         r, c = self.shape
@@ -164,40 +173,23 @@ class QMatrix:
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self.a1.shape
+        return self.p.shape[1:]
 
     def entry(self, r: int, s: int) -> Quaternion:
         return ComplexPair(complex(self.a1[r, s]),
                            complex(self.a2[r, s])).reassemble()
 
     def column(self, k: int) -> QVector:
-        return QVector(self.a1[:, k].copy(), self.a2[:, k].copy())
+        return QVector._adopt(self.p[:, :, k].copy())
 
     def adjoint(self) -> "QMatrix":
-        return _adopt(QMatrix, ckernel._qadj((self.a1, self.a2)))
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.a1 + other.a1, self.a2 + other.a2)
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.a1 - other.a1, self.a2 - other.a2)
-
-    def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.a1, -self.a2)
-
-    def __mul__(self, r):
-        if isinstance(r, (int, float)):
-            return QMatrix(self.a1 * r, self.a2 * r)
-        return NotImplemented
-
-    __rmul__ = __mul__
+        return QMatrix._adopt(ckernel._qadj(self.p))
 
     def matvec(self, x: QVector) -> QVector:
         if self.shape[1] != len(x):
             raise ShapeMismatch(
                 f"matrix {self.shape} cannot act on length {len(x)}")
-        return _adopt(QVector,
-                      ckernel._qmul((self.a1, self.a2), (x.a1, x.a2)))
+        return QVector._adopt(ckernel._qmul(self.p, x.p))
 
     def __matmul__(self, other):
         if isinstance(other, QVector):
@@ -206,33 +198,19 @@ class QMatrix:
             if self.shape[1] != other.shape[0]:
                 raise ShapeMismatch(
                     f"shapes {self.shape} and {other.shape} do not chain")
-            return _adopt(QMatrix, ckernel._qmul((self.a1, self.a2),
-                                                 (other.a1, other.a2)))
+            return QMatrix._adopt(ckernel._qmul(self.p, other.p))
         return NotImplemented
 
     def frobenius_norm(self) -> float:
         return frobenius_norm(self)
-
-    def copy(self) -> "QMatrix":
-        return QMatrix(self.a1.copy(), self.a2.copy())
 
     def __repr__(self):
         return f"QMatrix(shape={self.shape})"
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm of a QMatrix, or the norm of a QVector, from the sums
-    of squares of its planes; ckernel.rescaled_norm when that underflows to
-    0 or overflows with every entry finite, so other values keep their
-    bytes."""
-    a1, a2 = a.a1, a.a2
-    with np.errstate(over="ignore"):
-        norm = float(np.sqrt(np.sum(np.abs(a1) ** 2)
-                             + np.sum(np.abs(a2) ** 2)))
-    if norm in (0.0, np.inf) and np.isfinite(a1).all() \
-            and np.isfinite(a2).all():
-        norm = ckernel.rescaled_norm(np.stack([a1, a2]))
-    return norm
+    """Frobenius norm of a QMatrix, or the norm of a QVector."""
+    return ckernel.frobenius(a.p)
 
 
 def adjoint(a: QMatrix) -> QMatrix:
@@ -248,8 +226,7 @@ def gram_schmidt(vectors) -> list[QVector]:
     vectors = list(vectors)
     if not vectors:
         return []
-    f = QMatrix.from_columns(vectors)
-    q, kept = ckernel.householder(np.stack([f.a1, f.a2]))
+    q, kept = ckernel.householder(QMatrix.from_columns(vectors).p)
     return _columns(q, 0, kept)
 
 
@@ -263,7 +240,7 @@ def projector_onto(vectors) -> QMatrix:
 
 def operator_norm(a: QMatrix) -> float:
     """Operator norm ||A||, the largest singular value of the Jacobi SVD."""
-    return ckernel.Factorization(a.a1, a.a2).sigma_max
+    return ckernel.Factorization(*a.p).sigma_max
 
 
 @dataclass
@@ -282,14 +259,9 @@ class OperatorClass:
 
 
 def _columns(w, start: int, stop: int) -> list[QVector]:
-    """Columns start..stop-1 of the quaternion matrix held as planes w."""
-    return [QVector(w[0][:, k], w[1][:, k]) for k in range(start, stop)]
-
-
-QUATERNION = ckernel.Algebra(
-    adjoint=adjoint, norm=frobenius_norm, identity=QMatrix.identity,
-    rank=lambda fac: fac.rank,
-    coimage=lambda fac, rank: _columns(fac.v, 0, rank))
+    """Columns start..stop-1 of the quaternion matrix held as planes w,
+    copied."""
+    return [QVector(*w[:, :, k]) for k in range(start, stop)]
 
 
 def _check_square(a: QMatrix, tol: float, what: str):
@@ -310,7 +282,7 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
     but positivity reads the SVD of the block image.
     """
     _check_square(a, tol, "classify")
-    return _classify(a, ckernel.Factorization(a.a1, a.a2), tol)
+    return _classify(a, ckernel.Factorization(*a.p), tol)
 
 
 def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
@@ -322,7 +294,7 @@ def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
     already computed); the SVD is taken only when a residual exceeds tol.
     """
     _check_square(a, tol, "positivity")
-    fac = ckernel.Factorization(a.a1, a.a2)
+    fac = ckernel.Factorization(*a.p)
     residual, positive = ckernel.positivity(
         frobenius_norm(a - adjoint(a)), fac, tol)
     return residual, positive, fac
@@ -331,13 +303,14 @@ def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
 def _classify(a: QMatrix, fac: ckernel.Factorization,
               tol: float) -> OperatorClass:
     """classify(a), reading the given factorization of a."""
-    res, flags, rank, _ = ckernel.class_residuals(a, fac, QUATERNION, tol)
-    return OperatorClass(**flags, residuals=res, rank=rank)
+    res, flags = ckernel.class_residuals(a.p, fac, fac.v[:, :, :fac.rank],
+                                         tol)
+    return OperatorClass(**flags, residuals=res, rank=fac.rank)
 
 
 def quaternionic_rank(a: QMatrix) -> int:
     """Count of singular values above the rank cut RANK_TOL * 2n * s[0]."""
-    return ckernel.Factorization(a.a1, a.a2).rank
+    return ckernel.Factorization(*a.p).rank
 
 
 def null_range_bases(a: QMatrix):
@@ -349,16 +322,15 @@ def null_range_bases(a: QMatrix):
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("null_range_bases needs a square operator")
-    fac = ckernel.Factorization(a.a1, a.a2)
-    return _svd_bases(fac, a.shape[0] - fac.rank)[:2]
+    return _svd_bases(ckernel.Factorization(*a.p))[:2]
 
 
-def _svd_bases(fac: ckernel.Factorization, null_rank: int):
+def _svd_bases(fac: ckernel.Factorization):
     """Orthonormal bases of N(A), R(A) and R(A)-perp, in that order.
 
-    fac factors A. With r = n - null_rank, they are the right singular
-    vectors after the first r, and the left ones up to r and after r.
+    fac factors A. With r = fac.rank, they are the right singular vectors
+    after the first r, and the left ones up to r and after r.
     """
-    n, r = fac.s.size, fac.s.size - null_rank
+    n, r = fac.s.size, fac.rank
     return (_columns(fac.v, r, n), _columns(fac.u, 0, r),
             _columns(fac.u, r, n))

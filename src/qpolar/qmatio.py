@@ -120,7 +120,7 @@ def emit_qmat(a: QMatrix, comment: str | None = None) -> str:
             out.append(f"# {line}")
     # the header, then w x y z of each entry in turn: the float view of
     # the interleaved planes
-    data = np.stack([a.a1, a.a2], axis=-1).view(float).ravel()
+    data = np.moveaxis(a.p, 0, -1).copy().view(float).ravel()
     row = " ".join(["%.17g"] * (4 * cols))
     out.append("\n".join([f"QMAT {rows} {cols}"] + [row] * rows)
                % tuple(data.tolist()))

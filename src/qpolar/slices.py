@@ -19,15 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel
-from .qlinalg import QMatrix, QUATERNION, QVector, _check_square
-
-# the complex algebra as read from the factors of a quaternion A: chi(A)
-# has each singular value of A twice, so twice its rank, and chi(V) holds
-# embedded v_k and, up to sign, v_k j in columns k and n + k
-CHI = ckernel.COMPLEX._replace(
-    rank=lambda fac: 2 * fac.rank,
-    coimage=lambda fac, rank: chi(QMatrix(*fac.v))[:, [
-        j for k in range(rank // 2) for j in (k, fac.s.size + k)]].T)
+from .qlinalg import QMatrix, QVector, _check_square
 
 # default relative tolerance on the block-structure invariants; Gauss-Jordan
 # does not keep the block structure exactly, so pullbacks of its inverses
@@ -50,15 +42,15 @@ def chi_pullback(m, tol: float = BLOCK_TOL) -> QMatrix:
 
     Takes a 2n x 2n complex array [[P, Q], [R, S]]. Raises
     BlockStructureViolation when (R, S) differs from (-conj(Q), conj(P))
-    by more than tol relative to the input norm, which signals a matrix
-    outside the image of the embedding.
+    by more than tol times the input norm, which signals a matrix outside
+    the image of the embedding.
     """
     mat = np.asarray(m, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] % 2:
         raise ValueError(f"expected an even square matrix, got {mat.shape}")
     n = mat.shape[0] // 2
     p, q, r, s = mat[:n, :n], mat[:n, n:], mat[n:, :n], mat[n:, n:]
-    scale = max(1.0, ckernel.frobenius(mat))
+    scale = ckernel.frobenius(mat)
     resid = ckernel.frobenius(np.stack([r + np.conj(q), s - np.conj(p)]))
     if resid > tol * scale:
         raise BlockStructureViolation(
@@ -120,20 +112,23 @@ def equivalence_suite(a: QMatrix, tol: float = ckernel.DEFAULT_CLASS_TOL
 
     Covers the seven operator classes plus compatibility of the adjoint
     with the embedding (chi of A* equals the conjugate transpose of
-    chi of A). Both sides read one factorization of A, the complex side
-    as the SVD of chi of A it gives (CHI), but each computes its residuals
-    in its own algebra. Disagreement is reported, not raised.
+    chi of A). Both sides read one factorization of A, but each computes
+    its residuals in its own algebra: the complex side on the planes
+    (chi(A), 0). Disagreement is reported, not raised.
     """
     _check_square(a, tol, "equivalence_suite")
-    fac = ckernel.Factorization(a.a1, a.a2)
-    m = chi(a)
-    res_q, flags_q, _, _ = ckernel.class_residuals(a, fac, QUATERNION, tol)
-    res_c, flags_c, _, smax = ckernel.class_residuals(m, fac, CHI, tol)
+    fac = ckernel.Factorization(*a.p)
+    m, n, r = chi(a), a.shape[0], fac.rank
+    res_q, flags_q = ckernel.class_residuals(a.p, fac, fac.v[:, :, :r], tol)
+    # chi(A) has each singular value of A twice, and chi(V) holds embedded
+    # v_k and, up to sign, v_k j in columns k and n + k
+    coimage_c = chi(QMatrix(*fac.v))[:, np.r_[:r, n:n + r]]
+    res_c, flags_c = ckernel.class_residuals(
+        ckernel._as_planes(m), fac, ckernel._as_planes(coimage_c), tol)
     rows = [EquivalenceRow(name, flags_q[name], flags_c[name], res_q[name],
                            res_c[name])
             for name in _CLASS_NAMES]
     adj_res = ckernel.frobenius(chi(a.adjoint()) - m.conj().T)
-    scale = max(1.0, smax)
-    ok = adj_res <= tol * scale
+    ok = adj_res <= tol * max(1.0, fac.sigma_max)
     rows.append(EquivalenceRow("adjoint_compatible", ok, ok, adj_res, adj_res))
     return EquivalenceReport(rows)

@@ -205,7 +205,7 @@ def _polar_factors(m):
     Factors m as the quaternion matrix m + 0 j, whose factors have a zero
     j-plane, and returns their complex planes."""
     fac = ckernel.Factorization(m, 0 * m)
-    u0, p = fac.polar(ckernel.rank_from_singular_values(fac.s, m.shape[0]))
+    u0, p = fac.polar()
     assert not u0[1].any() and not p[1].any()
     return u0[0], p[0]
 
@@ -243,7 +243,7 @@ def test_factorization_p_definite():
         m = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         fac = ckernel.Factorization(m, 0 * m)
         assert fac.p_definite
-        assert hermitian_eig(fac.polar(n)[1][0]).values[-1] > 0.0
+        assert hermitian_eig(fac.polar()[1][0]).values[-1] > 0.0
     m = g.standard_normal((6, 3)) @ g.standard_normal((3, 6))
     assert not ckernel.Factorization(m, 0 * m).p_definite
     for smallest, definite in ((1e-9, True), (1e-12, False)):

@@ -8,7 +8,7 @@ from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
                     classify, gram_schmidt, inner, null_range_bases,
                     operator_norm, projector_onto, quaternionic_rank,
                     weight_matrix)
-from qpolar.qlinalg import frobenius_norm, positivity
+from qpolar.qlinalg import _svd_bases, frobenius_norm, positivity
 from qpolar.slices import chi, pullback_vector
 from qpolar.quaternion import I, J, K
 from qpolar import ckernel, random_ops
@@ -398,3 +398,52 @@ def test_matrix_in_basis():
             assert (b.entry(r, s) - want).norm() < 1e-12
     # conjugation by a unitary basis preserves the operator norm
     assert abs(operator_norm(b) - operator_norm(a)) < 1e-9
+
+
+def test_values_share_no_memory(monkeypatch):
+    # values are immutable after construction: a QMatrix or QVector holds
+    # its planes p, and none may view the arrays it was built from, an
+    # operand's planes, or the factors its bases were read from
+    a1, a2 = np.eye(3, dtype=complex), np.ones((3, 3), dtype=complex)
+    for built, parts in ((QMatrix(a1, a2), (a1, a2)), (QMatrix(a1), (a1,)),
+                         (QVector(a1[0], a2[0]), (a1, a2)),
+                         (QVector(a1[0]), (a1,))):
+        assert not any(np.shares_memory(built.p, x) for x in parts)
+    rr = trial_rng(95)
+    a, b = random_ops.rand_qmatrix(rr, 3), random_ops.rand_qmatrix(rr, 3)
+    x = random_ops.rand_qvector(rr, 3)
+    results = [
+        (a + b, (a, b)), (a - b, (a, b)), (-a, (a,)), (a * 2.0, (a,)),
+        (2.0 * a, (a,)), (a @ b, (a, b)), (a @ x, (a, x)),
+        (a.adjoint(), (a,)), (a.copy(), (a,)), (a.column(1), (a,)),
+        (x + x, (x,)), (x * 2.0, (x,)), (x * J, (x,)), (x.copy(), (x,)),
+        (QMatrix.from_columns([x, x]), (x,)),
+    ]
+    for k, (result, operands) in enumerate(results):
+        assert not any(np.shares_memory(result.p, o.p) for o in operands), k
+    # every Factorization's u and v, and every householder q
+    factors, facs = [], []
+    real_householder = ckernel.householder
+
+    def householder(w):
+        q, kept = real_householder(w)
+        factors.append(q)
+        return q, kept
+
+    class Recorded(ckernel.Factorization):
+        def __init__(self, *planes):
+            super().__init__(*planes)
+            facs.append(self)
+
+    monkeypatch.setattr(ckernel, "householder", householder)
+    monkeypatch.setattr(ckernel, "Factorization", Recorded)
+    t = random_ops.rank_deficient(rr, 5, 2)
+    columns = [t.column(k) for k in range(5)]
+    bases = [*null_range_bases(t), gram_schmidt(columns),
+             *_svd_bases(ckernel.Factorization(*t.p))]
+    factors += [m for f in facs for m in (f.u, f.v)]
+    assert len(bases) == 6 and all(bases) and len(facs) == 2
+    for basis in bases:
+        for v in basis:
+            assert not any(np.shares_memory(v.p, m) for m in factors)
+            assert not any(np.shares_memory(v.p, c.p) for c in columns)

@@ -147,6 +147,16 @@ def test_chi_pullback_roundtrip_and_violation():
         chi_pullback(np.zeros((3, 3), dtype=complex))
 
 
+@pytest.mark.parametrize("k", [-600, -40, 0, 600])
+def test_chi_pullback_block_check_is_relative(k):
+    # the block residual of diag(1, 2) is 1/sqrt(5) of its norm at every
+    # scale, and chi(A) pulls back exactly at every scale
+    with pytest.raises(BlockStructureViolation):
+        chi_pullback(2.0 ** k * np.diag([1.0, 2.0]).astype(complex))
+    a = random_ops.rand_qmatrix(trial_rng(39), 3) * 2.0 ** k
+    assert np.array_equal(chi_pullback(chi(a)).p, a.p)
+
+
 def test_chi_injective_via_roundtrip():
     rr = trial_rng(38)
     a = random_ops.rand_qmatrix(rr, 3)
