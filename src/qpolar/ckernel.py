@@ -26,9 +26,11 @@ MAX_SWEEPS = 30
 ORTH_TOL = 2 * np.finfo(float).eps
 # singular values below RANK_TOL * sigma_max * dim are treated as zero
 RANK_TOL = 1e-10
-# negative eigenvalues within CLAMP_TOL * max(1, ||H||) are clamped to zero
+# negative eigenvalues within CLAMP_TOL * |largest eigenvalue| are clamped
+# to zero; like the next window, it is relative to H, never absolute
 CLAMP_TOL = 1e-10
-# hermitian_eig refuses H with ||H - H*|| above HERMITIAN_TOL * max(1, ||H||)
+# hermitian_eig refuses H with ||H - H*||_F above HERMITIAN_TOL * ||H||_F, so
+# scaling H by a power of two never changes the verdict
 HERMITIAN_TOL = 1e-12
 # gauss_inv refuses a pivot of _prescale(m) at or below PIVOT_TOL
 PIVOT_TOL = 1e-13
@@ -65,11 +67,11 @@ class EigResult:
 
     def sqrt(self):
         """V diag(sqrt(values)) V*, exactly self-adjoint, in the form of
-        vectors. Values in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to
+        vectors. Values in [-CLAMP_TOL * |values[0]|, 0) are clamped to
         zero; anything more negative raises NegativeEigenvalue."""
         lo, hi = ((self.values[-1], abs(self.values[0])) if self.values.size
                   else (0.0, 0.0))
-        if lo < -CLAMP_TOL * max(1.0, hi):
+        if lo < -CLAMP_TOL * hi:
             raise NegativeEigenvalue(
                 f"minimum eigenvalue {lo:.3e} below clamping window")
         complex_ = self.vectors.ndim == 2
@@ -155,15 +157,12 @@ def hermitian_eig(m, m2=None) -> EigResult:
     Returns vectors as a complex unitary for a complex m, planes (2, n, n)
     for a quaternion H. Raises NonFiniteInput if H has a NaN or infinite
     entry or an eigenvalue overflows, NotHermitian if
-    ||H - H*|| > HERMITIAN_TOL * max(1, ||H||), and NoConvergence.
+    ||H - H*||_F > HERMITIAN_TOL * ||H||_F, and NoConvergence.
     """
     a, e = _prescale(_as_planes(m, m2))
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
-    scale = frobenius(a)
-    with np.errstate(over="ignore"):
-        unit = np.ldexp(1.0, -e)  # 1 in the units of the scaled matrix
-    if frobenius(a - _qadj(a)) > HERMITIAN_TOL * max(unit, scale):
+    if frobenius(a - _qadj(a)) > HERMITIAN_TOL * frobenius(a):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     h = 0.5 * (a + _qadj(a))
     b = h.copy()

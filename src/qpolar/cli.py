@@ -21,7 +21,8 @@ import numpy as np
 
 from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, perturb_polar,
-                    polar_decompose)
+                    polar_decompose, sqrt_positive_composite,
+                    sqrt_positive_spectral, sqrt_strictly_positive)
 from .qlinalg import (QMatrix, QVector, classify, operator_norm,
                       projector_onto, quaternionic_rank, _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
@@ -188,8 +189,6 @@ def _class_constructions(rr, n: int) -> list:
 
 
 def _sqrt_trial(dim: int, tol: float, rr, trial: int) -> list:
-    from .polar import (sqrt_positive_spectral, sqrt_positive_composite,
-                        sqrt_strictly_positive)
     n = 1 + rr.randint(dim)
     p = random_ops.psd(rr, n)
     scale = max(1.0, p.frobenius_norm())
@@ -525,9 +524,8 @@ def example_report(which: str, n: int) -> Report:
 
 def _span_residual(basis, coords, n: int) -> float:
     """Frobenius distance between span(basis) and span of the given axes."""
-    want = QMatrix.zeros(n)
-    for k in coords:
-        want.a1[k - 1, k - 1] = 1.0
+    want = QMatrix.diag([1.0 if k in coords else 0.0
+                         for k in range(1, n + 1)])
     if not basis:
         return want.frobenius_norm()
     have = projector_onto(basis)

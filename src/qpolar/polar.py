@@ -1,11 +1,11 @@
 """Positive square roots, the modulus, and the polar decomposition T = U0 |T|.
 
 U0 is the partial isometry with initial space N(T)-perp and final space
-R(T), uniquely determined by N(U0) = N(T). polar_decompose factors T once
-by the quaternion Jacobi SVD T = U diag(s) V*, forms U0 = U_r V_r* and
-|T| = V diag(s) V* on the complex planes, and keeps the factorization as
-PolarFactors.fac. The bases of N(T), R(T) and R(T)-perp, the unitary
-extension and the second factorizations U0 + V P all read it.
+R(T), uniquely determined by N(U0) = N(T). polar_decompose reads T's one
+factorization, the quaternion Jacobi SVD T = U diag(s) V* (T.fac), forms
+U0 = U_r V_r* and |T| = V diag(s) V* on the complex planes, and keeps the
+factorization as PolarFactors.fac. The bases of N(T), R(T) and R(T)-perp,
+the unitary extension and the second factorizations U0 + V P all read it.
 
 Besides the spectral square root there are two constructive routes for
 positive operators: inversion of a strictly positive operator (take the
@@ -13,7 +13,7 @@ bounded square root of the inverse and invert back), and the composite
 S^(1/2) C with S = I - (I+P)^(-1) and C = sqrt(I+P). All three agree
 with each other, which is the uniqueness statement made executable.
 Every root is EigResult.sqrt of an eigensolve on the planes (the
-spectral route reuses its positivity test's); every inverse is
+spectral route reuses its positivity test's, p.fac.eig); every inverse is
 Gauss-Jordan on the complex image, pulled back before a root is taken.
 """
 
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 from . import ckernel
 from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, ShapeMismatch, classify,
-                      frobenius_norm, positivity, projector_onto,
-                      _classify, _svd_bases)
+                      frobenius_norm, positivity, projector_onto, _svd_bases)
 from .slices import PULLBACK_SQRT_TOL, chi, chi_pullback
 
 
@@ -65,7 +64,7 @@ class PolarFactors:
         return self.null_rank
 
     def abs_positivity(self):
-        """(residual, positive), equal to positivity(abs_t)[:2].
+        """(residual, positive), equal to positivity(abs_t).
 
         At full rank it needs no eigensolve. abs_t is the p of fac.polar(),
         so when fac.p_definite holds, the lowest eigenvalue of chi(abs_t)
@@ -78,24 +77,20 @@ class PolarFactors:
             sa = frobenius_norm(self.abs_t - self.abs_t.adjoint())
             if sa <= DEFAULT_CLASS_TOL:
                 return sa, True
-        return positivity(self.abs_t)[:2]
+        return positivity(self.abs_t)
 
 
 # positivity tolerance of the square-root routes
 SQRT_TOL = 1e-8
 
 
-def _require_positive(p: QMatrix) -> ckernel.Factorization:
-    """Raise NotPositive unless classify(p, SQRT_TOL) would find p positive.
-
-    Returns the factorization of p, whose eig (of p's Hermitian part) is
-    then computed.
-    """
-    residual, positive, fac = positivity(p, SQRT_TOL)
+def _require_positive(p: QMatrix):
+    """Raise NotPositive unless classify(p, SQRT_TOL) would find p positive,
+    which computes p.fac.eig (of p's Hermitian part) when it is."""
+    residual, positive = positivity(p, SQRT_TOL)
     if not positive:
         raise NotPositive(
             f"positivity residual {residual:.3e} above tolerance")
-    return fac
 
 
 def _root(h: QMatrix) -> QMatrix:
@@ -117,7 +112,8 @@ def _inverse(h: QMatrix) -> QMatrix:
 def sqrt_positive_spectral(p: QMatrix) -> QMatrix:
     """Positive square root of p's Hermitian part, from the one
     eigendecomposition of its planes that the positivity test solved."""
-    return QMatrix._adopt(_require_positive(p).eig.sqrt())
+    _require_positive(p)
+    return QMatrix._adopt(p.fac.eig.sqrt())
 
 
 def sqrt_positive_composite(p: QMatrix) -> QMatrix:
@@ -147,10 +143,10 @@ def sqrt_strictly_positive(p: QMatrix, lambda_min: float) -> QMatrix:
     """
     if lambda_min <= 0.0:
         raise ValueError("lambda_min must be positive")
-    fac = _require_positive(p)
-    if fac.lam_min < lambda_min:
+    _require_positive(p)
+    if p.fac.lam_min < lambda_min:
         raise NotStrictlyPositive(
-            f"minimum eigenvalue {fac.lam_min:.3e} below {lambda_min:.3e}")
+            f"minimum eigenvalue {p.fac.lam_min:.3e} below {lambda_min:.3e}")
     return _inverse(_root(_inverse(p)))
 
 
@@ -162,27 +158,28 @@ def modulus(t: QMatrix) -> QMatrix:
 def polar_decompose(t: QMatrix) -> PolarFactors:
     """Polar decomposition T = U0 |T| with N(U0) = N(T).
 
-    Read from the quaternion SVD of T (ckernel.Factorization.polar); its
+    Read from the quaternion SVD of T (T.fac.polar()); its
     rank cut, RANK_TOL relative to 2n s[0], decides the null and corange
     dimensions. Raises ckernel.NoConvergence if the SVD does not converge.
     """
     if t.shape[0] != t.shape[1]:
         raise ShapeMismatch("polar decomposition needs a square operator")
-    fac = ckernel.Factorization(*t.p)
+    fac = t.fac
     u0, p = fac.polar()
     null_rank = t.shape[0] - fac.rank
     return PolarFactors(u0=QMatrix._adopt(u0), abs_t=QMatrix._adopt(p),
                         null_rank=null_rank, unique=null_rank == 0, fac=fac)
 
 
-def unitary_extension(t: QMatrix, f: PolarFactors) -> QMatrix:
+def unitary_extension(t: QMatrix) -> QMatrix:
     """Extend U0 of a normal operator to a unitary W with W |T| = T.
 
-    W acts as U0 on the range of |T| and as the identity on N(T). f must
-    be polar_decompose(t).
+    W acts as U0 on the range of |T| and as the identity on N(T); the
+    normality test and the polar factors both read t.fac.
     """
-    if not _classify(t, f.fac, DEFAULT_CLASS_TOL).normal:
+    if not classify(t).normal:
         raise NotNormal("unitary extension needs a normal operator")
+    f = polar_decompose(t)
     null_basis = _svd_bases(f.fac)[0]
     if not null_basis:
         return f.u0.copy()

@@ -2,13 +2,14 @@
 
 Vectors live in H^n with scalars acting on the right, so matrices acting by
 left multiplication are right H-linear. Internally every object holds its
-planes p, one complex array (2, ...) with entries p[0] + p[1] * j, which
-the kernel in ckernel works on as they are; regrouping between quaternion
-components and the complex pair is exact.
+planes p, one read-only complex array (2, ...) with entries p[0] + p[1] * j,
+which the kernel in ckernel works on as they are; regrouping between
+quaternion components and the complex pair is exact.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,8 +24,8 @@ class ShapeMismatch(ValueError):
 
 
 class _Planes:
-    """The planes p = (a1, a2) of a QVector or QMatrix, and the arithmetic
-    that acts on them plane by plane."""
+    """The planes p = (a1, a2) of a QVector or QMatrix, read-only, and the
+    arithmetic that acts on them plane by plane."""
 
     __slots__ = ("p",)
 
@@ -35,16 +36,18 @@ class _Planes:
             raise ShapeMismatch(
                 f"component shapes {a1.shape} and {a2.shape} do not match")
         self.p = np.stack([a1, a2])  # a new array, viewing neither input
+        self.p.flags.writeable = False
 
     a1 = property(lambda self: self.p[0])
     a2 = property(lambda self: self.p[1])
 
     @classmethod
     def _adopt(cls, p):
-        """cls over the planes p, uncopied: p must be a new array, such as
-        the ones ckernel._qmul and _qadj stack."""
+        """cls over the planes p, uncopied and made read-only: p must be a
+        new array, such as the ones ckernel._qmul and _qadj stack."""
         obj = cls.__new__(cls)
         obj.p = p
+        p.flags.writeable = False
         return obj
 
     def __add__(self, other):
@@ -80,9 +83,9 @@ class QVector(_Planes):
 
     @classmethod
     def basis(cls, n: int, k: int) -> "QVector":
-        v = cls.zeros(n)
-        v.a1[k] = 1.0
-        return v
+        p = np.zeros((2, n), dtype=complex)
+        p[0, k] = 1.0
+        return cls._adopt(p)
 
     @classmethod
     def from_quaternions(cls, quats) -> "QVector":
@@ -101,9 +104,9 @@ class QVector(_Planes):
     def __mul__(self, q):
         """Right scalar action x * q for q a Quaternion or a real number."""
         if isinstance(q, Quaternion):
-            al, be = q.split().alpha, q.split().beta
-            return QVector(self.a1 * al - self.a2 * np.conj(be),
-                           self.a1 * be + self.a2 * np.conj(al))
+            s = q.split()
+            return QVector(self.a1 * s.alpha - self.a2 * np.conj(s.beta),
+                           self.a1 * s.beta + self.a2 * np.conj(s.alpha))
         return super().__mul__(q)
 
     def norm(self) -> float:
@@ -128,8 +131,13 @@ def inner(x: QVector, y: QVector) -> Quaternion:
 class QMatrix(_Planes):
     """Quaternion matrix acting on QVector by left multiplication."""
 
-    __slots__ = ()
     ndim = 2
+
+    @functools.cached_property
+    def fac(self) -> ckernel.Factorization:
+        """The one factorization of this matrix, which everything derived
+        from it reads; the read-only planes keep it from going stale."""
+        return ckernel.Factorization(*self.p)
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":
@@ -240,7 +248,7 @@ def projector_onto(vectors) -> QMatrix:
 
 def operator_norm(a: QMatrix) -> float:
     """Operator norm ||A||, the largest singular value of the Jacobi SVD."""
-    return ckernel.Factorization(*a.p).sigma_max
+    return a.fac.sigma_max
 
 
 @dataclass
@@ -279,38 +287,29 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
     in positivity(a, tol); the partial isometry check combines "A* A is
     an orthogonal projection" with a norm spot-check on an orthonormal
     basis of the orthogonal complement of the null space. Every class
-    but positivity reads the SVD of the block image.
+    but positivity reads the SVD of the block image, a.fac.
     """
     _check_square(a, tol, "classify")
-    return _classify(a, ckernel.Factorization(*a.p), tol)
-
-
-def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
-    """The positivity residual and flag of classify(a, tol), and the factors.
-
-    Returns (residual, positive, fac), residual and positive equal to
-    classify's, with fac the Factorization of a. A positive A costs one
-    eigensolve, of the planes of its Hermitian part (fac.lam_min, then
-    already computed); the SVD is taken only when a residual exceeds tol.
-    """
-    _check_square(a, tol, "positivity")
-    fac = ckernel.Factorization(*a.p)
-    residual, positive = ckernel.positivity(
-        frobenius_norm(a - adjoint(a)), fac, tol)
-    return residual, positive, fac
-
-
-def _classify(a: QMatrix, fac: ckernel.Factorization,
-              tol: float) -> OperatorClass:
-    """classify(a), reading the given factorization of a."""
+    fac = a.fac
     res, flags = ckernel.class_residuals(a.p, fac, fac.v[:, :, :fac.rank],
                                          tol)
     return OperatorClass(**flags, residuals=res, rank=fac.rank)
 
 
+def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
+    """(residual, positive): classify(a, tol)'s positivity residual and flag.
+
+    A positive A costs one eigensolve, of the planes of its Hermitian part
+    (a.fac.lam_min, then already computed); the SVD is taken only when a
+    residual exceeds tol.
+    """
+    _check_square(a, tol, "positivity")
+    return ckernel.positivity(frobenius_norm(a - adjoint(a)), a.fac, tol)
+
+
 def quaternionic_rank(a: QMatrix) -> int:
     """Count of singular values above the rank cut RANK_TOL * 2n * s[0]."""
-    return ckernel.Factorization(*a.p).rank
+    return a.fac.rank
 
 
 def null_range_bases(a: QMatrix):
@@ -322,7 +321,7 @@ def null_range_bases(a: QMatrix):
     """
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch("null_range_bases needs a square operator")
-    return _svd_bases(ckernel.Factorization(*a.p))[:2]
+    return _svd_bases(a.fac)[:2]
 
 
 def _svd_bases(fac: ckernel.Factorization):

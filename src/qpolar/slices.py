@@ -112,12 +112,12 @@ def equivalence_suite(a: QMatrix, tol: float = ckernel.DEFAULT_CLASS_TOL
 
     Covers the seven operator classes plus compatibility of the adjoint
     with the embedding (chi of A* equals the conjugate transpose of
-    chi of A). Both sides read one factorization of A, but each computes
+    chi of A). Both sides read A's one factorization, A.fac, but each computes
     its residuals in its own algebra: the complex side on the planes
     (chi(A), 0). Disagreement is reported, not raised.
     """
     _check_square(a, tol, "equivalence_suite")
-    fac = ckernel.Factorization(*a.p)
+    fac = a.fac
     m, n, r = chi(a), a.shape[0], fac.rank
     res_q, flags_q = ckernel.class_residuals(a.p, fac, fac.v[:, :, :r], tol)
     # chi(A) has each singular value of A twice, and chi(V) holds embedded

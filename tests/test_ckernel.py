@@ -169,6 +169,24 @@ def test_psd_sqrt_rejects():
     assert not classify(QMatrix(h[0], h[1])).positive
 
 
+@pytest.mark.parametrize("k", [-600, -40, 0, 600])
+def test_acceptance_windows_scale_with_h(k):
+    # H + W, W skew-Hermitian at 1e-3 of ||H||, is not Hermitian at any
+    # scale, and H, with eigenvalues from 5.09 down to -4.34, has no root
+    # at any scale: neither window turns absolute below norm 1
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    h = random_ops.hermitian(SplitMix64(4), 5).p
+    w = random_ops.anti_self_adjoint(SplitMix64(5), 5).p
+    a = (h + w * (1e-3 * frobenius(h) / frobenius(w))) * 2.0 ** k
+    with pytest.raises(NotHermitian):
+        hermitian_eig(a[0], a[1])
+    with pytest.raises(NotHermitian):
+        psd_sqrt(a[0], a[1])
+    with pytest.raises(NegativeEigenvalue):
+        psd_sqrt(*(h * 2.0 ** k))
+
+
 def test_psd_sqrt_against_denman_beavers_and_scipy():
     for _ in range(10):
         b = rand_complex(5)

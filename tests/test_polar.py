@@ -8,12 +8,12 @@ from helpers import (conditioned_qmatrix, gaussian_qmatrix, matmul_oracle,
 from qpolar import (BadPerturbation, NotNormal, NotPositive,
                     NotStrictlyPositive, QMatrix, QVector, Quaternion,
                     adjoint, canonical_perturbation, chi, chi_pullback,
-                    classify, inner, modulus, null_range_bases,
-                    null_swap_perturbation, operator_norm, perturb_polar,
-                    polar_decompose, quaternionic_rank,
+                    classify, equivalence_suite, inner, modulus,
+                    null_range_bases, null_swap_perturbation, operator_norm,
+                    perturb_polar, polar_decompose, quaternionic_rank,
                     sqrt_positive_spectral, sqrt_positive_composite,
                     sqrt_strictly_positive, unitary_extension,
-                    weight_matrix)
+                    weight_matrix, z_inverse, z_transform)
 from qpolar import ckernel, random_ops
 from qpolar.qlinalg import _svd_bases, positivity
 from qpolar.quaternion import I, J, K
@@ -97,7 +97,9 @@ def test_sqrt_routes_agree_on_nearly_hermitian_input(monkeypatch):
     # the root of p's Hermitian part, from the one eigensolve of positivity
     w = random_ops.anti_self_adjoint(SplitMix64(6), 4)
     p = random_ops.psd(SplitMix64(5), 4) + w * (1e-10 / w.frobenius_norm())
-    assert classify(p, 1e-8).positive
+    # classify a copy: p itself has not been factored yet, so the spectral
+    # route takes exactly one eigensolve
+    assert classify(p.copy(), 1e-8).positive
     inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
     spectral = sqrt_positive_spectral(p)
     assert len(inputs) == 1
@@ -182,8 +184,8 @@ def test_abs_positivity_certificate_matches_eigensolve(monkeypatch):
         del eig_inputs[:]
         certified = f.abs_positivity()
         assert eig_inputs == [], name
-        residual, positive, fac = positivity(f.abs_t)
-        assert fac.lam_min > 0.0, name
+        residual, positive = positivity(f.abs_t)
+        assert f.abs_t.fac.lam_min > 0.0, name
         assert positive and certified == (residual, positive), name
 
 
@@ -328,14 +330,10 @@ def test_structure_transfer_random_classes():
 
 
 def test_unitary_extension_examples():
-    t = QMatrix.zeros(2)
-    f = polar_decompose(t)
-    w = unitary_extension(t, f)
+    w = unitary_extension(QMatrix.zeros(2))
     assert (w - QMatrix.identity(2)).frobenius_norm() < 1e-12
 
-    t = QMatrix.diag([J, Quaternion(0)])
-    f = polar_decompose(t)
-    w = unitary_extension(t, f)
+    w = unitary_extension(QMatrix.diag([J, Quaternion(0)]))
     assert (w - QMatrix.diag([J, Quaternion(1)])).frobenius_norm() < 1e-12
 
 
@@ -349,13 +347,13 @@ def test_unitary_extension_random_normal():
                           complex(rr.uniform(-1, 1), rr.uniform(-1, 1))])
         t = w0 @ d @ adjoint(w0)  # normal and singular
         f = polar_decompose(t)
-        w = unitary_extension(t, f)
+        w = unitary_extension(t)
         assert classify(w).unitary
         assert (w @ f.abs_t - t).frobenius_norm() \
             <= 1e-9 * max(1.0, t.frobenius_norm())
     with pytest.raises(NotNormal):
         t = weight_matrix(7)
-        unitary_extension(t, polar_decompose(t))
+        unitary_extension(t)
 
 
 def test_perturb_polar_zero_and_weight_example():
@@ -385,10 +383,10 @@ def test_perturb_polar_rejections():
     with pytest.raises(BadPerturbation):
         perturb_polar(fa, random_ops.rand_qmatrix(rr, 7))  # not an isometry
     # partial isometry with the wrong initial space
-    wrong = QMatrix.zeros(7)
-    wrong.a1[0, 0] = 1.0  # e1 -> e1, but e1 is not in N(A)
+    wrong = np.zeros((7, 7), dtype=complex)
+    wrong[0, 0] = 1.0  # e1 -> e1, but e1 is not in N(A)
     with pytest.raises(BadPerturbation):
-        perturb_polar(fa, wrong)
+        perturb_polar(fa, QMatrix(wrong))
 
 
 def test_perturb_polar_trivial_null_space_rejected_first(monkeypatch):
@@ -483,7 +481,37 @@ def test_modulus_is_the_abs_t_of_polar_decompose():
 
 def test_polar_decompose_rejects_nan():
     from qpolar.ckernel import NonFiniteInput
-    t = random_ops.rand_qmatrix(trial_rng(70), 3)
-    t.a1[1, 1] = np.nan
+    t = random_ops.rand_qmatrix(trial_rng(70), 3).p.copy()
+    t[0, 1, 1] = np.nan
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
-        polar_decompose(t)
+        polar_decompose(QMatrix(*t))
+
+
+def test_one_factorization_per_operator(monkeypatch):
+    # every quantity derived from a reads a.fac: one SVD in all
+    a = random_ops.rank_deficient(trial_rng(71), 5, 3)
+    inputs = record_svd_inputs(monkeypatch)
+    operator_norm(a)
+    quaternionic_rank(a)
+    classify(a)
+    null_range_bases(a)
+    polar_decompose(a)
+    equivalence_suite(a)
+    assert len(inputs) == 1
+
+
+def test_z_inverse_and_polar_share_one_factorization(monkeypatch):
+    z = z_transform(random_ops.bounded_norm(trial_rng(72), 4, 10.0))
+    inputs = record_svd_inputs(monkeypatch)
+    z_inverse(z)
+    polar_decompose(z)
+    assert len(inputs) == 1 and np.array_equal(inputs[0], z.p)
+
+
+def test_sqrt_routes_solve_the_hermitian_part_once(monkeypatch):
+    p = random_ops.psd(trial_rng(73), 5)
+    hermitian_part = 0.5 * (p.p + ckernel._qadj(p.p))
+    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    sqrt_positive_spectral(p)
+    sqrt_positive_composite(p)
+    assert sum(np.array_equal(x, hermitian_part) for x in inputs) == 1

@@ -5,8 +5,9 @@ import pytest
 
 from helpers import inner_oracle, matmul_oracle, matvec_oracle, trial_rng
 from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
-                    classify, gram_schmidt, inner, null_range_bases,
-                    operator_norm, projector_onto, quaternionic_rank,
+                    classify, emit_qmat, gram_schmidt, inner,
+                    null_range_bases, operator_norm, parse_qmat,
+                    polar_decompose, projector_onto, quaternionic_rank,
                     weight_matrix)
 from qpolar.qlinalg import _svd_bases, frobenius_norm, positivity
 from qpolar.slices import chi, pullback_vector
@@ -323,7 +324,7 @@ def test_positivity_matches_classify():
     for a in ops:
         for tol in (1e-9, 1e-6):
             oc = classify(a, tol)
-            residual, positive, _ = positivity(a, tol)
+            residual, positive = positivity(a, tol)
             assert residual == oc.residuals["positive"]
             assert positive == oc.positive
             flags.append(positive)
@@ -346,10 +347,11 @@ def test_null_range_bases_weight_matrix():
     a = weight_matrix(10)
     null_basis, range_basis = null_range_bases(a)
     assert len(null_basis) == 3 and len(range_basis) == 7
-    want = QMatrix.zeros(10)
+    want = np.zeros((10, 10), dtype=complex)
     for k in (2, 3, 4):
-        want.a1[k, k] = 1.0
-    assert (projector_onto(null_basis) - want).frobenius_norm() < 1e-10
+        want[k, k] = 1.0
+    assert (projector_onto(null_basis) - QMatrix(want)).frobenius_norm() \
+        < 1e-10
     for v in null_basis:
         assert a.matvec(v).norm() <= 1e-10 * operator_norm(a)
 
@@ -447,3 +449,34 @@ def test_values_share_no_memory(monkeypatch):
         for v in basis:
             assert not any(np.shares_memory(v.p, m) for m in factors)
             assert not any(np.shares_memory(v.p, c.p) for c in columns)
+
+
+def _built_values():
+    rr = trial_rng(74)
+    a, b = random_ops.rand_qmatrix(rr, 3), random_ops.rand_qmatrix(rr, 3)
+    f = polar_decompose(a)
+    return {
+        "QMatrix": QMatrix(np.eye(2), np.ones((2, 2))),
+        "zeros": QMatrix.zeros(2),
+        "identity": QMatrix.identity(2),
+        "diag": QMatrix.diag([1.0, J]),
+        "basis": QVector.basis(3, 1),
+        "sum": a + b,
+        "product": a @ b,
+        "adjoint": a.adjoint(),
+        "copy": a.copy(),
+        "column": a.column(0),
+        "from_columns": QMatrix.from_columns([a.column(0), b.column(1)]),
+        "parse_qmat": parse_qmat(emit_qmat(a)),
+        "u0": f.u0,
+        "abs_t": f.abs_t,
+        "gram_schmidt": gram_schmidt([a.column(0), a.column(1)])[0],
+    }
+
+
+@pytest.mark.parametrize("name", list(_built_values()))
+def test_planes_are_read_only(name):
+    value = _built_values()[name]
+    for plane in (value.a1, value.a2, value.p):
+        with pytest.raises(ValueError):
+            plane[(0,) * plane.ndim] = 1.0
