@@ -26,8 +26,8 @@ MAX_SWEEPS = 30
 ORTH_TOL = 2 * np.finfo(float).eps
 # singular values below RANK_TOL * sigma_max * dim are treated as zero
 RANK_TOL = 1e-10
-# negative eigenvalues within CLAMP_TOL * |largest eigenvalue| are clamped
-# to zero; like the next window, it is relative to H, never absolute
+# negative eigenvalues within CLAMP_TOL * max(1, ||H||) are clamped to zero;
+# absolute below 1, as the composite root's I - (I+P)^-1 rounds to ~n eps
 CLAMP_TOL = 1e-10
 # hermitian_eig refuses H with ||H - H*||_F above HERMITIAN_TOL * ||H||_F, so
 # scaling H by a power of two never changes the verdict
@@ -67,11 +67,11 @@ class EigResult:
 
     def sqrt(self):
         """V diag(sqrt(values)) V*, exactly self-adjoint, in the form of
-        vectors. Values in [-CLAMP_TOL * |values[0]|, 0) are clamped to
+        vectors. Values in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to
         zero; anything more negative raises NegativeEigenvalue."""
         lo, hi = ((self.values[-1], abs(self.values[0])) if self.values.size
                   else (0.0, 0.0))
-        if lo < -CLAMP_TOL * hi:
+        if lo < -CLAMP_TOL * max(1.0, hi):
             raise NegativeEigenvalue(
                 f"minimum eigenvalue {lo:.3e} below clamping window")
         complex_ = self.vectors.ndim == 2
