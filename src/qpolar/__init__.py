@@ -2,8 +2,8 @@
 
 Operators are quaternion matrices acting on right H-module vectors, held
 as complex planes A = A1 + A2 j. One kernel carries the numerics: a
-quaternion one-sided Jacobi iteration on the planes, which gives the SVD
-and the Hermitian eigensolves. The complex block embedding
+quaternion Householder QR and a one-sided Jacobi iteration on the planes,
+which give the SVD and the Hermitian eigensolves. The complex block embedding
 chi_A = [[A1, A2], [-conj(A2), conj(A1)]] preserves norms, null spaces,
 ranges, and every structural class; the battery checks both sides.
 """

@@ -1,19 +1,19 @@
 """Self-contained numerical engine on complex matrices and quaternion planes.
 
-Everything quaternionic in this library is ultimately computed here: one
-one-sided Jacobi iteration (_jacobi) that works on the complex planes
-(A1, A2) of A = A1 + A2 j with quaternion-structured rotations (a complex
-matrix is the planes (M, 0)). It serves the SVD, the polar factors built
-from it (Factorization.polar), the Hermitian eigensolver (through the
-shift H + ||H||_F I) and the PSD square root. householder builds every
-orthonormal basis, and the Gauss-Jordan inverse is the one complex routine.
-All routines are deterministic: fixed sweep order, no data-dependent
-threading, stable tie-breaking.
+Everything quaternionic here is computed by one one-sided Jacobi
+iteration (_jacobi) on the complex planes (A1, A2) of A = A1 + A2 j (a
+complex matrix is (M, 0)) and one quaternion Householder QR (householder).
+The SVD, which gives the polar factors (Factorization.polar), is a pivoted
+QR, then _jacobi on R*; the Hermitian eigensolver (on H + ||H||_F I) and
+the PSD root are _jacobi alone; every orthonormal basis is householder's.
+Gauss-Jordan is the one complex routine. All routines are deterministic:
+fixed pivot and sweep order, no data-dependent threading, stable ties.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,14 +189,18 @@ def _qadj(x):
 
 
 def svd(m, m2=None):
-    """Singular value decomposition A = u diag(s) v* by one-sided Jacobi.
+    """Singular value decomposition A = u diag(s) v*: a pivoted QR, then
+    one-sided Jacobi (Drmac and Veselic, 2008).
 
     A is the complex matrix m, or the quaternion matrix m + m2 j given by
-    its planes; a complex m is the planes (m, 0), whose j-plane no rotation
-    touches. Jacobi runs on _prescale(A), so svd(2**k A) is svd(A) with s
-    times 2**k, bit for bit; a wide A is factored through its adjoint.
-    Past the rank cut (dim the size of the complex image) the left
-    singular vectors are the trailing columns of householder(u_r).
+    its planes; a complex m is the planes (m, 0), whose j-plane nothing
+    touches. It runs on _prescale(A), so svd(2**k A) is svd(A) with s
+    times 2**k, bit for bit; a wide A is factored through its adjoint. If
+    the Gram matrix finds no pair of columns to rotate, u is A's columns
+    normalized; else householder(A, pivot=True) = (Q, R, k), _jacobi(R*) =
+    (W, V_x), u = [Q[:, :k] V_x, Q[:, k:]], v = W / s and s is 0 past k.
+    Past the rank cut (dim the size of the complex image) householder
+    completes v (u without a QR).
 
     Returns (u, s, v), u and v unitary and s descending: complex arrays
     for a complex m, planes (2, k, k) for a quaternion A, with each of its
@@ -206,20 +210,37 @@ def svd(m, m2=None):
     if a.ndim != 3:
         raise ValueError("expected a 2-d array")
     wide = a.shape[2] > a.shape[1]
-    w, v = _jacobi(_qadj(a) if wide else a)
+    a = _qadj(a) if wide else a
+    qr = _live_columns(_qmul(_qadj(a), a), a.shape[1]) is not None
+    if qr:
+        q, r_k, k = householder(a, pivot=True)
+    w, v = _jacobi(_qadj(r_k) if qr else a)  # without a QR it takes no sweep
     norm = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=(0, 1)))
     order = np.argsort(-norm, kind="stable")
     w, v, norm = w[:, :, order], v[:, :, order], norm[order]
     with np.errstate(over="ignore"):
-        s = np.ldexp(norm, e)
+        s = np.ldexp(np.append(norm, np.zeros(a.shape[2] - norm.size)), e)
     if s.size and not np.isfinite(s[0]):
         raise NonFiniteInput("a singular value overflows a double")
     r = rank_from_singular_values(s, (1 if m2 is None else 2) * s.size)
-    u = w[:, :, :r] / norm[:r]
-    if r < u.shape[1]:
-        u = np.concatenate([u, householder(u)[0][:, :, r:]], axis=2)
+    b = w[:, :, :r] / norm[:r]
+    if r < b.shape[1]:
+        b = np.concatenate([b, householder(b)[0][:, :, r:]], axis=2)
+    u, v = ((np.concatenate([_qmul(q[:, :, :k], v), q[:, :, k:]], axis=2), b)
+            if qr else (b, v))
     u, v = (v, u) if wide else (u, v)
     return (u[0], s, v[0]) if m2 is None else (u, s, v)
+
+
+def _live_columns(g, rows):
+    """The columns above RANK_TOL times the largest, from the Gram matrix g
+    of rows rows, if _jacobi has a pair of columns to rotate; else None."""
+    norm = np.sqrt(np.diagonal(g[0]).real)
+    big = norm > RANK_TOL * np.max(norm, initial=0.0)
+    tol = ORTH_TOL * np.sqrt(rows) * np.outer(norm, norm)
+    act = np.hypot(np.abs(g[0]), np.abs(g[1])) > 2.0 * np.maximum(tol, _TINY)
+    act &= np.logical_or.outer(big, big) & ~np.eye(len(norm), dtype=bool)
+    return big if act.any() else None
 
 
 def _jacobi(a):
@@ -244,13 +265,8 @@ def _jacobi(a):
     eye = np.eye(2)
     for sweep in range(MAX_SWEEPS + 1):
         c = x[:, :, :rows].transpose(1, 2, 0)
-        g = _qmul(_qadj(c), c)  # alpha and beta of every pair
-        norm = np.sqrt(np.diagonal(g[0]).real)
-        big = norm > RANK_TOL * np.max(norm, initial=0.0)
-        act = (np.hypot(np.abs(g[0]), np.abs(g[1]))
-               > 2.0 * np.maximum(tol * np.outer(norm, norm), _TINY))
-        act &= np.logical_or.outer(big, big) & ~np.eye(cols, dtype=bool)
-        if not act.any():
+        big = _live_columns(_qmul(_qadj(c), c), rows)
+        if big is None:
             break
         if sweep == MAX_SWEEPS:
             raise NoConvergence(
@@ -300,42 +316,65 @@ def _jacobi(a):
 _TINY = 2.0 ** -900
 
 
-def householder(a):
-    """(q, k_kept): the n x n unitary q, as planes, whose first k_kept
-    columns are an orthonormal basis of the span of the columns of the
-    planes a (2, n, k), in order, and whose other columns complete it.
+def householder(a, pivot=False):
+    """(q, r, kept): q the n x n unitary, as planes, whose first kept columns
+    are an orthonormal basis of the span of the columns of the planes a
+    (2, n, k) and whose other columns complete it; r the planes of the
+    first kept rows of q* _prescale(a)[0].
 
     Householder QR of [_prescale(a), I] (Bunse-Gerstner, Byers and
-    Mehrmann, 1989). A column's part x orthogonal to the columns kept
-    before it is skipped if ||x|| <= RANK_TOL times the column's norm;
-    otherwise u = x + e1 mu ||x||, mu = x1 / |x1| (1 if x1 = 0), makes u* x
-    real, and B - u ((2 / ||u||**2) (u* B)), with u normalized, maps x to
-    -e1 mu ||x|| in the shrinking block of later columns and of I (q*).
+    Mehrmann, 1989), the columns in order; one whose part x orthogonal to
+    those kept has ||x|| <= RANK_TOL times its norm is skipped. With pivot
+    (Businger and Golub, 1965) the largest part comes next until those
+    left have a Frobenius norm of at most ORTH_TOL sqrt(n) ||a||_F <=
+    2 n eps sigma_max, which bounds the singular values left out and the
+    move of r's. u = x + e1 mu ||x||, mu = x1 / |x1| (1 if x1 = 0), makes
+    u* x real, and B - u (u* B) (2 / ||u||**2) maps x to -e1 mu ||x||. An
+    entry is held as the rows (b1, -conj b2) of the first block column of
+    its complex image: a reflection is two products with the image of u.
     """
     a, _ = _prescale(a)
     n, k = a.shape[1:]
-    x = np.concatenate([a, _as_planes(np.eye(n))], axis=2)
+    x = np.zeros((n, 2, k + n), dtype=complex)
+    x[:, 0, :k], x[:, 1, :k] = a[0], -a[1].conj()
+    x[:, 0, k:] = np.eye(n)
+    stop2 = (ORTH_TOL * math.sqrt(n) * frobenius(a)) ** 2
     kept = 0
     for c in range(k):
-        col = x[:, kept:, c:c + 1]
-        norm = frobenius(col)
-        if norm <= RANK_TOL * frobenius(a[:, :, c]):
-            continue
-        mag = np.hypot(abs(col[0, 0, 0]), abs(col[1, 0, 0]))
-        u = col / norm
-        u[:, 0, 0] += col[:, 0, 0] / mag if mag else (1.0, 0.0)
-        u /= np.sqrt(2.0 * (1.0 + mag / norm))
-        blk = x[:, kept:, c + 1:]
-        blk -= _qmul(u, 2.0 * _qmul(_qadj(u), blk))
+        if pivot:
+            t = x[kept:, :, :k]
+            norm2 = np.einsum("ijk,ijk->k", t.conj(), t).real
+            if norm2.sum() <= stop2:
+                break
+            c = int(norm2.argmax())
+            norm = math.sqrt(norm2[c])
+        else:
+            norm = frobenius(x[kept:, :, c])
+            if norm <= RANK_TOL * frobenius(a[:, :, c]):
+                continue
+        u = np.array(x[kept:, :, c])  # the part x, made u in place
+        x1 = u[0].tolist()
+        mag = math.hypot(*map(abs, x1))
+        u[0] += [z / mag * norm for z in x1] if mag else (norm, 0.0)
+        # w holds the columns of the (2 n, 2) image of u sqrt(2) / ||u||,
+        # divided as floats: numpy divides by a subnormal via its reciprocal
+        w = np.empty((2, n - kept, 2), dtype=complex)
+        scale = norm * math.sqrt(1.0 + mag / norm)
+        np.divide(u.view(float), scale, out=w[0].view(float))
+        w[1] = w[0, :, ::-1].conj() * (-1.0, 1.0)
+        w = w.reshape(2, -1)
+        blk = x[kept:].reshape(-1, k + n)
+        blk -= w.T @ (w.conj() @ blk)
+        x[kept + 1:, :, c] = 0.0
         kept += 1
-    return _qadj(x[:, :, k:]), kept
+    r = np.stack([x[:kept, 0, :k], -x[:kept, 1, :k].conj()])
+    return x[:, :, k:].transpose(1, 2, 0).conj(), r, kept
 
 
 def rank_from_singular_values(s, dim: int) -> int:
+    """Count of the singular values s (descending) above RANK_TOL s[0] dim."""
     s = np.asarray(s)
-    if s.size == 0 or s[0] <= 0.0:
-        return 0
-    return int(np.count_nonzero(s > RANK_TOL * s[0] * dim))
+    return int(np.count_nonzero(s > RANK_TOL * s[0] * dim)) if s.size else 0
 
 
 def psd_sqrt(m, m2=None):

@@ -299,7 +299,8 @@ def _transform_trial(dim: int, tol: float, rr, trial: int) -> list:
     n = 1 + rr.randint(dim)
     t = random_ops.bounded_norm(rr, n, 10.0)
     scale = max(1.0, t.frobenius_norm())
-    z = transform.z_transform(t)
+    damp = transform.inv_sqrt_shifted_gram(t)
+    z = t @ damp  # transform.z_transform(t)
     back = transform.z_inverse(z)
     fz, ft = polar_decompose(z), polar_decompose(t)
     out = [
@@ -308,8 +309,7 @@ def _transform_trial(dim: int, tol: float, rr, trial: int) -> list:
         ("transform.adjoint_identity",
          (transform.z_transform(t.adjoint()) - z.adjoint()).frobenius_norm()),
         ("transform.modulus_identity",
-         (fz.abs_t - ft.abs_t
-          @ transform.inv_sqrt_shifted_gram(t)).frobenius_norm()),
+         (fz.abs_t - ft.abs_t @ damp).frobenius_norm()),
         ("transform.polar_transport", (fz.u0 - ft.u0).frobenius_norm()),
     ]
     nm = random_ops.normal(rr, n)

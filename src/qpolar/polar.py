@@ -2,7 +2,7 @@
 
 U0 is the partial isometry with initial space N(T)-perp and final space
 R(T), uniquely determined by N(U0) = N(T). polar_decompose reads T's one
-factorization, the quaternion Jacobi SVD T = U diag(s) V* (T.fac), forms
+factorization, the quaternion SVD T = U diag(s) V* (T.fac), forms
 U0 = U_r V_r* and |T| = V diag(s) V* on the complex planes, and keeps the
 factorization as PolarFactors.fac. The bases of N(T), R(T) and R(T)-perp,
 the unitary extension and the second factorizations U0 + V P all read it.

@@ -234,7 +234,7 @@ def gram_schmidt(vectors) -> list[QVector]:
     vectors = list(vectors)
     if not vectors:
         return []
-    q, kept = ckernel.householder(QMatrix.from_columns(vectors).p)
+    q, _, kept = ckernel.householder(QMatrix.from_columns(vectors).p)
     return _columns(q, 0, kept)
 
 

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from qpolar import QMatrix, chi, ckernel
-from helpers import denman_beavers_sqrt, pinv
+from qpolar import QMatrix, chi, ckernel, random_ops
+from helpers import conditioned_qmatrix, denman_beavers_sqrt, pinv
 from qpolar.ckernel import (NegativeEigenvalue, NoConvergence, NonFiniteInput,
                             NotHermitian, SingularMatrix, frobenius,
                             gauss_inv, hermitian_eig, psd_sqrt, svd)
+from qpolar.rng import SplitMix64
 
 RNG = np.random.default_rng(1234)
 
@@ -458,35 +459,72 @@ def test_svd_orthogonal_input_takes_no_sweep():
     assert np.max(np.abs(s - 1.0)) <= 1e-13
 
 
+def test_svd_conditioned_input_converges_in_ten_sweeps(monkeypatch):
+    # the pivoted QR grades R, so Jacobi on R* needs about 8 sweeps at
+    # cond 1e8 where Jacobi on A itself needed up to 19 (n = 48)
+    inputs = {n: conditioned_qmatrix(0, n, 1e8) for n in (16, 32, 48)}
+    monkeypatch.setattr(ckernel, "MAX_SWEEPS", 10)
+    for n, t in inputs.items():
+        _, s, _ = svd(*t.p)
+        assert np.max(np.abs(s - np.logspace(0, -8, n))) <= 1e-13, n
+
+
+def test_svd_planted_rank_solved_on_r_columns(monkeypatch):
+    # the QR keeps exactly the r rows of the range, so _jacobi gets r
+    # columns, the rank verdict is r, and every value it drops is 0, far
+    # below the rank cut and below 64 eps 2n s[0] as well
+    cols = []
+    real = ckernel._jacobi
+    monkeypatch.setattr(ckernel, "_jacobi",
+                        lambda a: cols.append(a.shape[2]) or real(a))
+    cells = [(n, r) for n in range(1, 33) for r in range(1, n + 1)]
+    for n, r in cells + [(48, 1), (48, 12), (48, 24), (48, 47)]:
+        t = random_ops.rank_deficient(SplitMix64(1000 * n + r), n, r)
+        _, s, _ = svd(*t.p)
+        assert ckernel.rank_from_singular_values(s, 2 * n) == r, (n, r)
+        assert cols[-1] == r, (n, r)
+        cut = 64 * np.finfo(float).eps * 2 * n * s[0]
+        assert np.all(s[r:] <= 1e-2 * cut), (n, r)
+
+
 def range_columns(a):
-    """Planes of the columns a v_k / s_k that svd hands to the completion."""
+    """Planes of the columns a v_k / s_k up to the rank cut."""
     _, s, v = svd(a[0], a[1])
     rank = ckernel.rank_from_singular_values(s, 2 * s.size)
     w = ckernel._qmul(a, v[:, :, :rank]) / s[:rank]
     return w, [w[:, :, k] for k in range(rank)]
 
 
-def check_completion(u_r, n):
-    """householder(u_r) keeps every orthonormal column of u_r, and u_r
+def check_unitary(w, tol=1e-12):
+    n = w.shape[2]
+    gram = ckernel._qmul(ckernel._qadj(w), w)
+    assert frobenius(gram[0] - np.eye(n)) < tol
+    assert frobenius(gram[1]) < tol
+
+
+def check_completion(b_r, n):
+    """householder(b_r) keeps every orthonormal column of b_r, and b_r
     followed by the trailing columns of q, as svd completes it, is
     unitary to 1e-12."""
-    r = u_r.shape[2]
-    q, kept = ckernel.householder(u_r)
+    r = b_r.shape[2]
+    q, _, kept = ckernel.householder(b_r)
     assert q.shape == (2, n, n) and kept == r
-    u = np.concatenate([u_r, q[:, :, r:]], axis=2)
-    for w in (u, q):
-        gram = ckernel._qmul(ckernel._qadj(w), w)
-        assert frobenius(gram[0] - np.eye(n)) < 1e-12
-        assert frobenius(gram[1]) < 1e-12
-    return u
+    b = np.concatenate([b_r, q[:, :, r:]], axis=2)
+    for w in (b, q):
+        check_unitary(w)
+    return b
 
 
 def check_svd_completion(a):
-    """svd's u is its first r columns followed by the trailing columns of
-    householder of them, bit for bit, and unitary to 1e-12."""
-    u, s, _ = svd(a[0], a[1])
+    """svd's u is unitary to 1e-12 and its first r columns are a v_r / s_r
+    within 1e-12; its v is v_r followed by the trailing columns of
+    householder of v_r, the null basis, bit for bit."""
+    u, s, v = svd(a[0], a[1])
     r = ckernel.rank_from_singular_values(s, 2 * s.size)
-    assert np.array_equal(u, check_completion(u[:, :, :r], u.shape[1]))
+    check_unitary(u)
+    assert np.max(np.abs(u[:, :, :r] - range_columns(a)[0]),
+                  initial=0.0) < 1e-12
+    assert np.array_equal(v, check_completion(v[:, :, :r], v.shape[1]))
     return u, r
 
 
@@ -524,7 +562,7 @@ def test_complete_unitary_zero_matrix_and_empty_cols():
     assert np.array_equal(svd(np.zeros((6, 6)), np.zeros((6, 6)))[0], eye)
     assert np.array_equal(svd(np.zeros((6, 6), dtype=complex))[0], np.eye(6))
     for cols in (0, 3):
-        q, kept = ckernel.householder(np.zeros((2, 5, cols), dtype=complex))
+        q, _, kept = ckernel.householder(np.zeros((2, 5, cols), dtype=complex))
         assert np.array_equal(q, eye[:, :5, :5]) and kept == 0
     check_completion(np.zeros((2, 5, 0), dtype=complex), 5)
 
@@ -532,9 +570,27 @@ def test_complete_unitary_zero_matrix_and_empty_cols():
 def test_complete_unitary_deterministic():
     g = np.random.default_rng(26)
     u_r, _ = range_columns(quaternion_planes(g, 16, 16, 6))
-    q, kept = ckernel.householder(u_r)
+    q, _, kept = ckernel.householder(u_r)
     again = ckernel.householder(u_r)
-    assert np.array_equal(q, again[0]) and kept == again[1] == 6
+    assert np.array_equal(q, again[0]) and kept == again[2] == 6
+
+
+def test_householder_r_reconstructs_a():
+    # a = q[:, :kept] r, with or without pivoting; on a rank-6 product
+    # both keep 6 rows, and on (m, 0) the j-plane stays zero
+    g = np.random.default_rng(28)
+    for a, rank in ((quaternion_planes(g, 9, 7), 7),
+                    (quaternion_planes(g, 16, 16, 6), 6),
+                    (np.stack([quaternion_planes(g, 8, 8)[0],
+                               np.zeros((8, 8))]), 8)):
+        a = ckernel._prescale(a)[0]
+        for pivot in (False, True):
+            q, r, kept = ckernel.householder(a, pivot)
+            assert kept == rank
+            rec = ckernel._qmul(q[:, :, :kept], r)
+            assert frobenius(rec - a) < 1e-14 * frobenius(a) * a.shape[1]
+        if not a[1].any():
+            assert not q[1].any() and not r[1].any()
 
 
 @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.3 - 0.4j, 0.5 + 0.2j)])
@@ -543,7 +599,7 @@ def test_householder_reflects_onto_e1(alpha, beta):
     # and H x = -e1 mu ||x|| with mu = x1 / |x1|, or 1 when x1 = 0
     x = quaternion_planes(np.random.default_rng(27), 6, 1)
     x[:, 0, 0] = alpha, beta
-    q, kept = ckernel.householder(x)
+    q, _, kept = ckernel.householder(x)
     assert kept == 1
     norm = frobenius(x)
     mag = np.hypot(abs(alpha), abs(beta))

@@ -416,11 +416,12 @@ def test_cmd_polar_matches_pinned_digests(tmp_path):
 
 
 def test_transform_trial_reads_abs_t_from_polar_decompose(monkeypatch):
-    # the four transforms take one psd_sqrt each, z_inverse one more; |Z|
-    # and |T| come from the two polar_decompose calls, not a square root
+    # the damping factors of t, t* and the normal draw take one psd_sqrt
+    # each, z_inverse one more; t's factor serves z and the modulus
+    # identity, and |Z| and |T| come from the two polar_decompose calls
     inputs = record_kernel_inputs(monkeypatch, "psd_sqrt")
     _run_suite_trial(("transform", 4, 1e-9, 42, 0))
-    assert len(inputs) == 5
+    assert len(inputs) == 4
 
 
 def test_cmd_verify_deterministic_and_parallel():

@@ -527,3 +527,17 @@ def test_sqrt_routes_solve_the_hermitian_part_once(monkeypatch):
     sqrt_positive_spectral(p)
     sqrt_positive_composite(p)
     assert sum(np.array_equal(x, hermitian_part) for x in inputs) == 1
+
+
+def test_rank_deficient_polar_solves_r_columns(monkeypatch):
+    # below full rank the SVDs of T and of U0 each run _jacobi on the r
+    # kept rows of a pivoted QR, not on all n columns
+    t = random_ops.rank_deficient(SplitMix64(32), 32, 8)
+    shapes = []
+    real = ckernel._jacobi
+    monkeypatch.setattr(ckernel, "_jacobi",
+                        lambda a: shapes.append(a.shape[1:]) or real(a))
+    f = polar_decompose(t)
+    classify(f.u0)
+    assert f.null_rank == 24
+    assert shapes == [(32, 8), (32, 8)]

@@ -427,10 +427,10 @@ def test_values_share_no_memory(monkeypatch):
     factors, facs = [], []
     real_householder = ckernel.householder
 
-    def householder(w):
-        q, kept = real_householder(w)
+    def householder(w, pivot=False):
+        q, r, kept = real_householder(w, pivot)
         factors.append(q)
-        return q, kept
+        return q, r, kept
 
     class Recorded(ckernel.Factorization):
         def __init__(self, *planes):
