@@ -18,11 +18,10 @@ from .slices import (BlockStructureViolation, chi, chi_pullback, embed_vector,
 from .ckernel import (EigResult, NegativeEigenvalue, NoConvergence,
                       NotHermitian, SingularMatrix, gauss_inv, hermitian_eig,
                       psd_sqrt, svd)
-from .polar import (BadPerturbation, NotNormal, NotPositive,
-                    NotStrictlyPositive, PolarFactors, canonical_perturbation,
-                    modulus, perturb_polar, polar_decompose,
-                    sqrt_positive_spectral, sqrt_positive_composite,
-                    sqrt_strictly_positive, unitary_extension)
+from .polar import (BadPerturbation, NotPositive, NotStrictlyPositive,
+                    PolarFactors, canonical_perturbation, modulus,
+                    perturb_polar, polar_decompose, sqrt_positive_spectral,
+                    sqrt_positive_composite, sqrt_strictly_positive)
 from .transform import (DimensionTooSmall, NormTooLarge, TruncatedWeightOp,
                         null_swap_perturbation, truncated_example,
                         weight_matrix, z_inverse, z_transform)
@@ -45,9 +44,8 @@ __all__ = [
     "SingularMatrix", "NoConvergence",
     "PolarFactors", "sqrt_positive_spectral", "sqrt_positive_composite",
     "sqrt_strictly_positive", "modulus", "polar_decompose",
-    "unitary_extension", "perturb_polar", "canonical_perturbation",
-    "NotPositive",
-    "NotStrictlyPositive", "NotNormal", "BadPerturbation",
+    "perturb_polar", "canonical_perturbation",
+    "NotPositive", "NotStrictlyPositive", "BadPerturbation",
     "z_transform", "z_inverse", "TruncatedWeightOp", "truncated_example",
     "weight_matrix", "null_swap_perturbation", "NormTooLarge",
     "DimensionTooSmall",

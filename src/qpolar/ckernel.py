@@ -197,8 +197,9 @@ def svd(m, m2=None):
     touches. It runs on _prescale(A), so svd(2**k A) is svd(A) with s
     times 2**k, bit for bit; a wide A is factored through its adjoint. If
     the Gram matrix finds no pair of columns to rotate, u is A's columns
-    normalized; else householder(A, pivot=True) = (Q, R, k), _jacobi(R*) =
-    (W, V_x), u = [Q[:, :k] V_x, Q[:, k:]], v = W / s and s is 0 past k.
+    normalized and v the identity, with no Jacobi call; else
+    householder(A, pivot=True) = (Q, R, k), _jacobi(R*) = (W, V_x),
+    u = [Q[:, :k] V_x, Q[:, k:]], v = W / s and s is 0 past k.
     Past the rank cut (dim the size of the complex image) householder
     completes v (u without a QR).
 
@@ -214,7 +215,11 @@ def svd(m, m2=None):
     qr = _live_columns(_qmul(_qadj(a), a), a.shape[1]) is not None
     if qr:
         q, r_k, k = householder(a, pivot=True)
-    w, v = _jacobi(_qadj(r_k) if qr else a)  # without a QR it takes no sweep
+        w, v = _jacobi(_qadj(r_k))
+    else:  # what _jacobi(a) returns when it takes no sweep, in its layout
+        # (column by column), so that the norms below sum in the same order
+        w = np.ascontiguousarray(a.transpose(2, 0, 1)).transpose(1, 2, 0)
+        v = _as_planes(np.eye(a.shape[2]))
     norm = np.sqrt(np.sum(w.real ** 2 + w.imag ** 2, axis=(0, 1)))
     order = np.argsort(-norm, kind="stable")
     w, v, norm = w[:, :, order], v[:, :, order], norm[order]
@@ -412,6 +417,8 @@ class Factorization:
     Each is computed on first use and kept: (u, s, v) = svd(m, m2), planes
     for a quaternion matrix, and eig, the hermitian_eig of its Hermitian
     part, solved on the planes, which lam_min and a square root read.
+    polar() reads the SVD alone, and so does the certificate that its p
+    is positive (polar.PolarFactors.abs_positivity): eig is not solved.
     """
 
     def __init__(self, m, m2=None):
@@ -447,17 +454,6 @@ class Factorization:
         u0 = _qmul(u[:, :, :r], _qadj(v[:, :, :r]))
         p = _qmul(v * self.s, _qadj(v))
         return u0, 0.5 * (p + _qadj(p))
-
-    @property
-    def p_definite(self) -> bool:
-        """Whether the p of polar(), V diag(s) V*, is positive definite.
-
-        When every s is above the rank cut, Weyl's theorem puts the lowest
-        eigenvalue of p, and of any O(dim eps s[0]) perturbation of it such
-        as its rounding or a Jacobi solve for it, above zero: the cut
-        exceeds that perturbation more than 1e3-fold.
-        """
-        return self.rank == self.s.size
 
 
 def positivity(sa: float, fac: Factorization, tol: float):

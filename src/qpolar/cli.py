@@ -381,8 +381,8 @@ def polar_report(a: QMatrix, tol: float):
     checks += [
         CheckResult("u0_partial_isometry",
                     u0_class.residuals["partial_isometry"], tol),
-        # relative like the positivity flag: the residual is the rounding
-        # of an eigensolve of |T| below full rank, O(eps sigma_max)
+        # relative like the positivity flag: the residual is the
+        # certificate delta of the SVD, O(n eps sigma_max)
         CheckResult("abs_positive_rel",
                     f.abs_positivity()[0] / max(1.0, f.fac.sigma_max), tol),
         CheckResult("null_rank_match",

@@ -252,19 +252,20 @@ def test_complex_polar_singular_and_identities():
 
 
 def test_factorization_p_definite():
-    # every singular value above the rank cut 1e-10 * 2n * s[0]: the p of
-    # polar() has a positive lowest eigenvalue; one below it clears the flag
+    # every singular value above the rank cut 1e-10 * 2n * s[0]: the rank is
+    # full and the p of polar() has a positive lowest eigenvalue; one below
+    # the cut drops the rank, the verdict that once read p definite
     g = np.random.default_rng(7)
     for n in (1, 4, 16):
         m = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         fac = ckernel.Factorization(m, 0 * m)
-        assert fac.p_definite
+        assert fac.rank == n
         assert hermitian_eig(fac.polar()[1][0]).values[-1] > 0.0
     m = g.standard_normal((6, 3)) @ g.standard_normal((3, 6))
-    assert not ckernel.Factorization(m, 0 * m).p_definite
+    assert ckernel.Factorization(m, 0 * m).rank == 3
     for smallest, definite in ((1e-9, True), (1e-12, False)):
         m = np.diag([1.0, 1e-3, smallest])
-        assert ckernel.Factorization(m, 0 * m).p_definite == definite
+        assert (ckernel.Factorization(m, 0 * m).rank == 3) == definite
 
 
 def test_complex_polar_hermitian_gives_hermitian_isometry():
@@ -386,12 +387,8 @@ def test_rotation_rounds_cover_every_pair_once():
             assert len(set(pairs.ravel().tolist())) == 2 * (n // 2)
 
 
-def test_complex_svd_against_numpy_j_plane_exactly_zero(monkeypatch):
+def test_complex_svd_against_numpy_j_plane_exactly_zero():
     g = np.random.default_rng(22)
-    calls = []
-    real = ckernel._jacobi
-    monkeypatch.setattr(ckernel, "_jacobi",
-                        lambda a: calls.append(real(a)) or calls[-1])
     for rows, cols in ((1, 1), (6, 6), (16, 16), (32, 32), (7, 3), (3, 7)):
         m = g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))
         for mat in (m, m[:, :1] @ m[:1, :]):
@@ -401,9 +398,10 @@ def test_complex_svd_against_numpy_j_plane_exactly_zero(monkeypatch):
             k = min(rows, cols)
             assert np.max(np.abs((u[:, :k] * s) @ v[:, :k].conj().T - mat)) \
                 <= 1e-13 * max(ref[0], 1.0)
-            # the kernel saw the planes (m, 0); no rotation touched the j-plane
-            w, vj = calls[-1]
-            assert not w[1].any() and not vj[1].any()
+            # on the planes (m, 0) no step, QR, rotation or completion,
+            # writes the j-plane
+            u, _, v = svd(mat, np.zeros_like(mat))
+            assert not u[1].any() and not v[1].any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -472,7 +470,8 @@ def test_svd_conditioned_input_converges_in_ten_sweeps(monkeypatch):
 def test_svd_planted_rank_solved_on_r_columns(monkeypatch):
     # the QR keeps exactly the r rows of the range, so _jacobi gets r
     # columns, the rank verdict is r, and every value it drops is 0, far
-    # below the rank cut and below 64 eps 2n s[0] as well
+    # below the rank cut and below 64 eps 2n s[0] as well; a 1 x 1 has no
+    # pair to rotate, so it takes no QR and no Jacobi call
     cols = []
     real = ckernel._jacobi
     monkeypatch.setattr(ckernel, "_jacobi",
@@ -480,9 +479,10 @@ def test_svd_planted_rank_solved_on_r_columns(monkeypatch):
     cells = [(n, r) for n in range(1, 33) for r in range(1, n + 1)]
     for n, r in cells + [(48, 1), (48, 12), (48, 24), (48, 47)]:
         t = random_ops.rank_deficient(SplitMix64(1000 * n + r), n, r)
+        del cols[:]
         _, s, _ = svd(*t.p)
         assert ckernel.rank_from_singular_values(s, 2 * n) == r, (n, r)
-        assert cols[-1] == r, (n, r)
+        assert cols == ([r] if n > 1 else []), (n, r)
         cut = 64 * np.finfo(float).eps * 2 * n * s[0]
         assert np.all(s[r:] <= 1e-2 * cut), (n, r)
 

@@ -121,7 +121,8 @@ def test_cmd_polar_overflow_exit(tmp_path, capsys):
 def test_polar_report_factors_each_operator_once(monkeypatch):
     # one SVD each for T and U0: the rank of T comes from the polar
     # factorization and the rank of U0 from its classification; the
-    # positivity of |T| needs only its lowest eigenvalue, no SVD
+    # positivity of |T| is certified from the SVD of T, with no
+    # factorization of |T|
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
     t = random_ops.rank_deficient(SplitMix64(11), 5, 3)
@@ -133,31 +134,40 @@ def test_polar_report_factors_each_operator_once(monkeypatch):
 
 
 def test_polar_report_eigensolves(monkeypatch):
-    # the SVDs of T and U0 are Jacobi SVDs and solve no eigenproblem; at
-    # full rank the positivity of |T| follows from the singular values of
-    # T, and below it |T| takes the one eigensolve of its lam_min
+    # the SVDs of T and U0 are Jacobi SVDs and solve no eigenproblem, and
+    # at every rank the positivity of |T| is certified from the SVD of T
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
     full = gaussian_qmatrix(np.random.default_rng(12), 6)
     deficient = random_ops.rank_deficient(SplitMix64(12), 6, 3)
-    for t, want in ((full, 0), (deficient, 1)):
+    for t in (full, deficient):
         inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
         report, f = polar_report(t, 1e-9)
         assert report.passed and f.unique == (t is full)
-        assert len(inputs) == want
+        assert inputs == []
         monkeypatch.undo()
 
 
+def test_cmd_polar_without_eigensolver(tmp_path, monkeypatch):
+    # below full rank too, qpolar polar runs with no Hermitian eigensolver
+    def refuse(m, m2=None):
+        raise AssertionError("qpolar polar solved an eigenproblem")
+
+    monkeypatch.setattr(ckernel, "hermitian_eig", refuse)
+    out = tmp_path / "r.txt"
+    assert cmd_polar(str(DATA / "rank_deficient_32_16.qmat"), 1e-9,
+                     str(out)) == 0
+    body = out.read_text()
+    assert "# null_rank 16\n" in body and "# unique false\n" in body
+    assert "summary 7 checks 7 passed 0 failed" in body
+
+
 def test_eigensolves_run_on_planes(monkeypatch):
-    # every eigensolve of qpolar polar and of the battery's quaternion
-    # operators gets the n x n planes, never the 2n x 2n complex image
-    from qpolar import random_ops
-    from qpolar.rng import SplitMix64
+    # every eigensolve of the battery's quaternion operators gets the
+    # n x n planes, never the 2n x 2n complex image
     inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
-    polar_report(random_ops.rank_deficient(SplitMix64(14), 6, 3), 1e-9)
-    assert len(inputs) == 1 and inputs[0].shape == (2, 6, 6)
     assert cmd_verify(SuiteConfig(dim=4, trials=3, seed=42, tol=1e-9)).passed
-    assert len(inputs) > 1
+    assert inputs
     assert all(x.ndim == 3 and x.shape[0] == 2 for x in inputs)
 
 
@@ -272,17 +282,18 @@ def test_cmd_polar_large_scale_no_overflow_warning(tmp_path):
 
 
 def test_polar_report_abs_positive_is_relative(tmp_path):
-    # below full rank the positivity residual of |T| is the rounding of
-    # forming it, O(eps ||T||), which numpy's eigenvalues of chi(|T|) show
-    # too; so the line is relative to max(1, ||T||), as the four identities
-    # and the positivity flag are
+    # the positivity residual of |T| is the certificate delta of the SVD,
+    # O(n eps ||T||), and the rounding of forming |T| that it bounds is
+    # O(eps ||T||) in numpy's eigenvalues of chi(|T|) too; so the line is
+    # relative to max(1, ||T||), as the four identities and the positivity
+    # flag are
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
     t = random_ops.rank_deficient(SplitMix64(3), 8, 4) * 2.0 ** 240
     report, f = polar_report(t, 1e-9)
     line = next(c for c in report.checks if c.name == "abs_positive_rel")
     residual = f.abs_positivity()[0]
-    assert line.value == residual / f.fac.sigma_max < 1e-15
+    assert line.value == residual / f.fac.sigma_max < 1e-14
     lam = np.linalg.eigvalsh(chi(f.abs_t))[0]
     assert abs(lam) < 1e-15 * f.fac.sigma_max
     assert report.passed

@@ -1,20 +1,22 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from helpers import (conditioned_qmatrix, gaussian_qmatrix, matmul_oracle,
                      record_kernel_inputs, record_svd_inputs, trial_rng)
-from qpolar import (BadPerturbation, NotNormal, NotPositive,
+from qpolar import (BadPerturbation, NotPositive,
                     NotStrictlyPositive, QMatrix, QVector, Quaternion,
                     adjoint, canonical_perturbation, chi, chi_pullback,
                     classify, equivalence_suite, inner, modulus,
                     null_range_bases, null_swap_perturbation, operator_norm,
                     perturb_polar, polar_decompose, quaternionic_rank,
                     sqrt_positive_spectral, sqrt_positive_composite,
-                    sqrt_strictly_positive, unitary_extension,
+                    sqrt_strictly_positive,
                     weight_matrix, z_inverse, z_transform)
-from qpolar import ckernel, random_ops
+from qpolar import ckernel, parse_qmat, random_ops
 from qpolar.qlinalg import _svd_bases, positivity
 from qpolar.quaternion import I, J, K
 from qpolar.rng import SplitMix64
@@ -182,34 +184,60 @@ def _certificate_cases():
     g = np.random.default_rng(57)
     for n in range(1, 33):
         yield f"gaussian n={n}", gaussian_qmatrix(g, n)
-    for n, cond in ((2, 1e8), (4, 1e6), (8, 1e3), (16, 1e3)):
-        yield f"cond {cond:.0e} n={n}", conditioned_qmatrix(n, n, cond)
+    for n in (16, 32, 48):
+        for cond in (1e4, 1e8, 1e12):
+            yield f"cond {cond:.0e} n={n}", conditioned_qmatrix(0, n, cond)
+    t = random_ops.rank_deficient(SplitMix64(1), 8, 4)
+    for e in (-996, -664, -565, -332, 0, 332, 531, 996):
+        yield f"rank 4 of 8 times 2**{e}", t * 2.0 ** e
+    for path in sorted((Path(__file__).parent / "data").glob("*.qmat")):
+        yield path.name, parse_qmat(path.read_text(encoding="utf-8"))
+    yield "zero n=5", QMatrix.zeros(5)
 
 
 def test_abs_positivity_certificate_matches_eigensolve(monkeypatch):
-    # at full rank the certificate reads the singular values of chi(T) and
-    # must give positivity(|T|) exactly, without solving for lam_min
+    # at every rank the certificate delta, read from the SVD of T, bounds
+    # the lowest eigenvalue of |T| that an eigensolve finds, and stays
+    # within 1e-12 of ||T||
     eig_inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
     for name, t in _certificate_cases():
         f = polar_decompose(t)
-        assert f.unique, name
-        del eig_inputs[:]
-        certified = f.abs_positivity()
+        delta, positive = f.abs_positivity()
         assert eig_inputs == [], name
-        residual, positive = positivity(f.abs_t)
-        assert f.abs_t.fac.lam_min > 0.0, name
-        assert positive and certified == (residual, positive), name
+        assert positive and delta <= 1e-12 * f.fac.sigma_max, name
+        assert delta >= -f.abs_t.fac.lam_min, name
+        del eig_inputs[:]
 
 
 def test_abs_positivity_rank_deficient_takes_the_eigensolve(monkeypatch):
+    # below full rank the certificate takes no eigensolve; the eigensolve of
+    # positivity(abs_t), taken here to check it, gives the same verdict and
+    # a residual no larger than the certificate's
     rr = trial_rng(58)
     for n, rank in ((4, 2), (8, 4), (8, 7)):
         f = polar_decompose(random_ops.rank_deficient(rr, n, rank))
         eig_inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
         certified = f.abs_positivity()
+        assert eig_inputs == []
+        solved = positivity(f.abs_t)
         assert len(eig_inputs) == 1
         monkeypatch.undo()
-        assert certified == positivity(f.abs_t)
+        assert certified[1] and solved[1]
+        assert solved[0] <= certified[0]
+
+
+def test_abs_positivity_needs_v_near_unitary():
+    # delta is bounded only for eta = ||I - V* V|| < 1; from eta = 1/2 on
+    # the certificate reports no bound, and a finite delta far above the
+    # rounding of the SVD reports not positive
+    f = polar_decompose(gaussian_qmatrix(np.random.default_rng(59), 4))
+    u, s, v = f.fac.u, f.fac.s, f.fac.v
+    for scale, bounded in ((1.01, True), (1.2, False)):
+        fac = ckernel.Factorization(*f.fac.planes)
+        fac._svd = (u, s, scale * v)
+        residual, positive = dataclasses.replace(f, fac=fac).abs_positivity()
+        assert not positive
+        assert math.isfinite(residual) == bounded
 
 
 def test_polar_decompose_invertible():
@@ -339,33 +367,6 @@ def test_structure_transfer_random_classes():
         assert {"normal", "commutes_abs_t", "unitary_on_range"} <= set(res)
         assert max(res.values()) <= 1e-8 * max(1.0, nm.frobenius_norm())
         assert res["commutes_abs_t"] < 1e-9 * max(1.0, nm.frobenius_norm())
-
-
-def test_unitary_extension_examples():
-    w = unitary_extension(QMatrix.zeros(2))
-    assert (w - QMatrix.identity(2)).frobenius_norm() < 1e-12
-
-    w = unitary_extension(QMatrix.diag([J, Quaternion(0)]))
-    assert (w - QMatrix.diag([J, Quaternion(1)])).frobenius_norm() < 1e-12
-
-
-def test_unitary_extension_random_normal():
-    rr = trial_rng(58)
-    for _ in range(5):
-        w0 = random_ops.unitary(rr, 5)
-        d = QMatrix.diag([complex(rr.uniform(-1, 1), rr.uniform(-1, 1)),
-                          0.0, 0.0,
-                          complex(rr.uniform(-1, 1), rr.uniform(-1, 1)),
-                          complex(rr.uniform(-1, 1), rr.uniform(-1, 1))])
-        t = w0 @ d @ adjoint(w0)  # normal and singular
-        f = polar_decompose(t)
-        w = unitary_extension(t)
-        assert classify(w).unitary
-        assert (w @ f.abs_t - t).frobenius_norm() \
-            <= 1e-9 * max(1.0, t.frobenius_norm())
-    with pytest.raises(NotNormal):
-        t = weight_matrix(7)
-        unitary_extension(t)
 
 
 def test_perturb_polar_zero_and_weight_example():
