@@ -8,9 +8,9 @@ chi_A = [[A1, A2], [-conj(A2), conj(A1)]] preserves norms, null spaces,
 ranges, and every structural class; the battery checks both sides.
 """
 
-from .quaternion import ComplexPair, Quaternion, q_mul
+from .quaternion import Quaternion, q_mul
 from .qlinalg import (OperatorClass, QMatrix, QVector, ShapeMismatch,
-                      adjoint, classify, frobenius_norm, gram_schmidt, inner,
+                      classify, frobenius_norm, gram_schmidt, inner,
                       null_range_bases, operator_norm, projector_onto,
                       quaternionic_rank)
 from .slices import (BlockStructureViolation, chi, chi_pullback, embed_vector,
@@ -22,7 +22,7 @@ from .polar import (BadPerturbation, NotPositive, NotStrictlyPositive,
                     PolarFactors, canonical_perturbation, modulus,
                     perturb_polar, polar_decompose, sqrt_positive_spectral,
                     sqrt_positive_composite, sqrt_strictly_positive)
-from .transform import (DimensionTooSmall, NormTooLarge, TruncatedWeightOp,
+from .transform import (DimensionTooSmall, NormTooLarge,
                         null_swap_perturbation, truncated_example,
                         weight_matrix, z_inverse, z_transform)
 from .qmatio import (BadNumber, MalformedHeader, QMatFormatError,
@@ -32,9 +32,9 @@ from .rng import SplitMix64, stream
 __version__ = "0.1.0"
 
 __all__ = [
-    "Quaternion", "ComplexPair", "q_mul",
+    "Quaternion", "q_mul",
     "QVector", "QMatrix", "OperatorClass", "ShapeMismatch",
-    "inner", "gram_schmidt", "adjoint", "operator_norm", "classify",
+    "inner", "gram_schmidt", "operator_norm", "classify",
     "null_range_bases", "quaternionic_rank", "frobenius_norm",
     "projector_onto",
     "chi", "chi_pullback", "embed_vector", "pullback_vector",
@@ -46,7 +46,7 @@ __all__ = [
     "sqrt_strictly_positive", "modulus", "polar_decompose",
     "perturb_polar", "canonical_perturbation",
     "NotPositive", "NotStrictlyPositive", "BadPerturbation",
-    "z_transform", "z_inverse", "TruncatedWeightOp", "truncated_example",
+    "z_transform", "z_inverse", "truncated_example",
     "weight_matrix", "null_swap_perturbation", "NormTooLarge",
     "DimensionTooSmall",
     "parse_qmat", "emit_qmat", "QMatFormatError", "MalformedHeader",

@@ -32,6 +32,13 @@ DEFAULT_TOL = 1e-9
 ENV_TOL = "QPOLAR_TOL"
 
 
+def check_tol(tol: float, what: str = "tol") -> float:
+    """tol, if it is finite and positive; otherwise ValueError."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {tol!r}")
+    return tol
+
+
 def default_tol() -> float:
     raw = os.environ.get(ENV_TOL)
     if raw is None:
@@ -40,9 +47,7 @@ def default_tol() -> float:
         val = float(raw)
     except ValueError:
         raise ValueError(f"{ENV_TOL}={raw!r} is not a number") from None
-    if val <= 0.0:
-        raise ValueError(f"{ENV_TOL} must be positive")
-    return val
+    return check_tol(val, ENV_TOL)
 
 
 @dataclass(frozen=True)
@@ -59,8 +64,7 @@ class SuiteConfig:
             raise ValueError("trials must be at least 1")
         if not (0 <= self.seed < 2 ** 64):
             raise ValueError("seed must fit in 64 unsigned bits")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
+        check_tol(self.tol)
 
 
 @dataclass
@@ -420,22 +424,28 @@ def cmd_polar(in_path: str, tol: float, out_path: str | None = None) -> int:
               file=sys.stderr)
         return 3
     except ckernel.NoConvergence as exc:
-        print(f"error: a Jacobi solve (an SVD or an eigensolve) did not "
-              f"converge: {exc}", file=sys.stderr)
+        print(f"error: the Jacobi SVD (of T or U0) did not converge: {exc}",
+              file=sys.stderr)
         return 3
     body = report.format()
     body += "# U0\n" + emit_qmat(factors.u0)
     body += "# |T|\n" + emit_qmat(factors.abs_t)
-    _write_out(body, out_path)
-    return 0 if report.passed else 3
+    return _write_out(body, out_path, 0 if report.passed else 3)
 
 
-def _write_out(body: str, out_path: str | None):
-    if out_path:
+def _write_out(body: str, out_path: str | None, code: int) -> int:
+    """Write body to out_path, or to stdout, and return the exit code:
+    code, or 2 if out_path cannot be written."""
+    if not out_path:
+        sys.stdout.write(body)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(body)
-    else:
-        sys.stdout.write(body)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
+        return 2
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -506,7 +516,7 @@ def example_report(which: str, n: int) -> Report:
         checks.append(CheckResult(
             "verdict_nonunique", 0.0 if not f.unique else 1.0, 0.0))
     else:
-        op, z = transform.truncated_example(n)
+        s, z = transform.truncated_example(n)
         coincide = (z - a).frobenius_norm()
         checks.append(
             CheckResult("transform_coincides", coincide, EXAMPLE_TOL))
@@ -515,7 +525,7 @@ def example_report(which: str, n: int) -> Report:
             "contraction_excess", max(0.0, fz.fac.sigma_max - 1.0),
             EXAMPLE_TOL))
         u_z = fz.u0
-        u_s = polar_decompose(op.matrix).u0
+        u_s = polar_decompose(s).u0
         checks.append(CheckResult(
             "polar_transport", (u_z - u_s).frobenius_norm(), 1e-8))
     header = [f"qpolar example {which} n={n} tol={EXAMPLE_TOL:.6e}"]
@@ -538,8 +548,7 @@ def cmd_example(which: str, n: int, out_path: str | None = None) -> int:
     except transform.DimensionTooSmall as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_out(report.format(), out_path)
-    return 0 if report.passed else 1
+    return _write_out(report.format(), out_path, 0 if report.passed else 1)
 
 
 # ---------------------------------------------------------------------------
@@ -584,7 +593,8 @@ def main(argv=None) -> int:
     if args.command == "example":
         return cmd_example(args.which, args.n, args.out_path)
     try:
-        tol = args.tol if args.tol is not None else default_tol()
+        tol = (default_tol() if args.tol is None
+               else check_tol(args.tol, "--tol"))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -598,8 +608,8 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         report = cmd_verify(cfg, jobs=max(1, args.jobs))
-        _write_out(report.format(), args.out_path)
-        return 0 if report.passed else 1
+        return _write_out(report.format(), args.out_path,
+                          0 if report.passed else 1)
     return 2
 
 

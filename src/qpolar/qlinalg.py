@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ckernel
 from .ckernel import DEFAULT_CLASS_TOL
-from .quaternion import ComplexPair, Quaternion
+from .quaternion import Quaternion
 
 
 class ShapeMismatch(ValueError):
@@ -87,33 +87,22 @@ class QVector(_Planes):
         p[0, k] = 1.0
         return cls._adopt(p)
 
-    @classmethod
-    def from_quaternions(cls, quats) -> "QVector":
-        quats = list(quats)
-        a1 = np.array([complex(q.w, q.x) for q in quats], dtype=complex)
-        a2 = np.array([complex(q.y, q.z) for q in quats], dtype=complex)
-        return cls(a1, a2)
-
-    def to_quaternions(self) -> list[Quaternion]:
-        return [ComplexPair(self.a1[k], self.a2[k]).reassemble()
-                for k in range(len(self))]
-
     def __len__(self):
         return self.p.shape[1]
 
     def __mul__(self, q):
         """Right scalar action x * q for q a Quaternion or a real number."""
         if isinstance(q, Quaternion):
-            s = q.split()
-            return QVector(self.a1 * s.alpha - self.a2 * np.conj(s.beta),
-                           self.a1 * s.beta + self.a2 * np.conj(s.alpha))
+            alpha, beta = complex(q.w, q.x), complex(q.y, q.z)
+            return QVector(self.a1 * alpha - self.a2 * np.conj(beta),
+                           self.a1 * beta + self.a2 * np.conj(alpha))
         return super().__mul__(q)
 
     def norm(self) -> float:
         return frobenius_norm(self)
 
     def __repr__(self):
-        return f"QVector({self.to_quaternions()!r})"
+        return f"QVector(len={len(self)})"
 
 
 def inner(x: QVector, y: QVector) -> Quaternion:
@@ -125,7 +114,7 @@ def inner(x: QVector, y: QVector) -> Quaternion:
         raise ShapeMismatch(f"lengths {len(x)} and {len(y)} differ")
     alpha = np.vdot(x.a1, y.a1) + np.vdot(y.a2, x.a2)
     beta = np.vdot(x.a1, y.a2) - np.vdot(y.a1, x.a2)
-    return ComplexPair(complex(alpha), complex(beta)).reassemble()
+    return Quaternion(alpha.real, alpha.imag, beta.real, beta.imag)
 
 
 class QMatrix(_Planes):
@@ -163,34 +152,23 @@ class QMatrix(_Planes):
         return cls(a1, a2)
 
     @classmethod
-    def from_quaternions(cls, grid) -> "QMatrix":
-        rows = [list(r) for r in grid]
-        a1 = np.array([[complex(q.w, q.x) for q in r] for r in rows],
-                      dtype=complex)
-        a2 = np.array([[complex(q.y, q.z) for q in r] for r in rows],
-                      dtype=complex)
-        return cls(a1, a2)
-
-    @classmethod
     def from_columns(cls, vectors) -> "QMatrix":
         return cls._adopt(np.stack([v.p for v in vectors], axis=2))
-
-    def to_quaternions(self) -> list[list[Quaternion]]:
-        r, c = self.shape
-        return [[self.entry(i, j) for j in range(c)] for i in range(r)]
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.p.shape[1:]
 
     def entry(self, r: int, s: int) -> Quaternion:
-        return ComplexPair(complex(self.a1[r, s]),
-                           complex(self.a2[r, s])).reassemble()
+        alpha, beta = self.a1[r, s], self.a2[r, s]
+        return Quaternion(alpha.real, alpha.imag, beta.real, beta.imag)
 
     def column(self, k: int) -> QVector:
         return QVector._adopt(self.p[:, :, k].copy())
 
     def adjoint(self) -> "QMatrix":
+        """Entrywise conjugate transpose, the unique A* with
+        <x|Ay> = <A*x|y>."""
         return QMatrix._adopt(ckernel._qadj(self.p))
 
     def matvec(self, x: QVector) -> QVector:
@@ -219,11 +197,6 @@ class QMatrix(_Planes):
 def frobenius_norm(a) -> float:
     """Frobenius norm of a QMatrix, or the norm of a QVector."""
     return ckernel.frobenius(a.p)
-
-
-def adjoint(a: QMatrix) -> QMatrix:
-    """Entrywise conjugate transpose, the unique A* with <x|Ay> = <A*x|y>."""
-    return a.adjoint()
 
 
 def gram_schmidt(vectors) -> list[QVector]:
@@ -304,7 +277,7 @@ def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
     residual exceeds tol.
     """
     _check_square(a, tol, "positivity")
-    return ckernel.positivity(frobenius_norm(a - adjoint(a)), a.fac, tol)
+    return ckernel.positivity(frobenius_norm(a - a.adjoint()), a.fac, tol)
 
 
 def quaternionic_rank(a: QMatrix) -> int:

@@ -111,17 +111,12 @@ def _raise_bad_number(line: str, line_no: int):
     raise BadNumber(f"non-ASCII separator in {line!r}", line_no)
 
 
-def emit_qmat(a: QMatrix, comment: str | None = None) -> str:
+def emit_qmat(a: QMatrix) -> str:
     """Emit the text form, round-trip exact."""
     rows, cols = a.shape
-    out = []
-    if comment:
-        for line in comment.splitlines():
-            out.append(f"# {line}")
     # the header, then w x y z of each entry in turn: the float view of
     # the interleaved planes
     data = np.moveaxis(a.p, 0, -1).copy().view(float).ravel()
     row = " ".join(["%.17g"] * (4 * cols))
-    out.append("\n".join([f"QMAT {rows} {cols}"] + [row] * rows)
-               % tuple(data.tolist()))
-    return "\n".join(out) + "\n"
+    return ("\n".join([f"QMAT {rows} {cols}"] + [row] * rows)
+            % tuple(data.tolist())) + "\n"

@@ -1,4 +1,4 @@
-"""Scalar quaternion arithmetic and the complex slice split.
+"""Scalar quaternion arithmetic.
 
 A quaternion q = w + x*i + y*j + z*k is stored as four real components.
 The library fixes the slice plane C_i (complex numbers alpha = w + x*i)
@@ -10,19 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class ComplexPair:
-    """The split q = alpha + beta * j, both parts in C_i."""
-
-    alpha: complex
-    beta: complex
-
-    def reassemble(self) -> "Quaternion":
-        """Regroup the pair back into a quaternion, bit-exact."""
-        return Quaternion(self.alpha.real, self.alpha.imag,
-                          self.beta.real, self.beta.imag)
 
 
 @dataclass(frozen=True)
@@ -73,10 +60,6 @@ class Quaternion:
                          + self.y * self.y + self.z * self.z)
 
     __abs__ = norm
-
-    def split(self) -> ComplexPair:
-        """Return (alpha, beta) with self = alpha + beta * j exactly."""
-        return ComplexPair(complex(self.w, self.x), complex(self.y, self.z))
 
     def __repr__(self):
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"

@@ -9,7 +9,6 @@ growing weights exercises the transform against closed-form values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,29 +58,6 @@ def z_inverse(z: QMatrix) -> QMatrix:
     return z @ _root(_inverse(QMatrix.identity(z.shape[0]) - z.adjoint() @ z))
 
 
-@dataclass(frozen=True)
-class TruncatedWeightOp:
-    """Truncation of the diagonal shift-and-weight operator.
-
-    Sends e1 -> e2 and e2 -> e4, kills e3, e4, e5, and scales e_k by the
-    weight k for 6 <= k <= N. The weights grow without bound with the
-    truncation size, which is how unboundedness shows up at finite
-    dimension.
-    """
-
-    dimension: int
-
-    @property
-    def matrix(self) -> QMatrix:
-        n = self.dimension
-        a = np.zeros((n, n), dtype=complex)
-        a[1, 0] = 1.0
-        a[3, 1] = 1.0
-        for k in range(6, n + 1):
-            a[k - 1, k - 1] = float(k)
-        return QMatrix(a)
-
-
 def weight_matrix(n: int) -> QMatrix:
     """The contracted companion of the weight operator, built directly.
 
@@ -115,9 +91,21 @@ def null_swap_perturbation(n: int) -> QMatrix:
     return QMatrix(a)
 
 
-def truncated_example(n: int) -> tuple[TruncatedWeightOp, QMatrix]:
-    """The truncated weight operator together with its bounded transform."""
+def truncated_example(n: int) -> tuple[QMatrix, QMatrix]:
+    """(S, Z_S): the truncation S of the diagonal shift-and-weight operator
+    and its bounded transform.
+
+    S sends e1 -> e2 and e2 -> e4, kills e3, e4, e5, and scales e_k by the
+    weight k for 6 <= k <= N. The weights grow without bound with the
+    truncation size, which is how unboundedness shows up at finite
+    dimension.
+    """
     if n < 7:
         raise DimensionTooSmall("need dimension at least 7")
-    op = TruncatedWeightOp(n)
-    return op, z_transform(op.matrix)
+    a = np.zeros((n, n), dtype=complex)
+    a[1, 0] = 1.0
+    a[3, 1] = 1.0
+    for k in range(6, n + 1):
+        a[k - 1, k - 1] = float(k)
+    s = QMatrix(a)
+    return s, z_transform(s)

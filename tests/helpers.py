@@ -22,28 +22,54 @@ def q_sum(quats):
     return total
 
 
+def entries(a: QMatrix) -> list:
+    """The entries of a, row by row, each read through QMatrix.entry."""
+    rows, cols = a.shape
+    return [[a.entry(r, c) for c in range(cols)] for r in range(rows)]
+
+
+def vector_entries(x: QVector) -> list:
+    return [row[0] for row in entries(QMatrix.from_columns([x]))]
+
+
+def planes(grid) -> tuple:
+    """The planes (a1, a2) of a grid of quaternions: a1 = w + x i and
+    a2 = y + z i entrywise."""
+    a1 = np.array([[complex(q.w, q.x) for q in row] for row in grid],
+                  dtype=complex)
+    a2 = np.array([[complex(q.y, q.z) for q in row] for row in grid],
+                  dtype=complex)
+    return a1, a2
+
+
+def qvector(quats) -> QVector:
+    """The QVector with the given quaternion entries."""
+    a1, a2 = planes([list(quats)])
+    return QVector(a1[0], a2[0])
+
+
 def matvec_oracle(a: QMatrix, x: QVector) -> QVector:
-    grid = a.to_quaternions()
-    vec = x.to_quaternions()
+    grid = entries(a)
+    vec = vector_entries(x)
     rows, cols = a.shape
     out = [q_sum(q_mul(grid[r][c], vec[c]) for c in range(cols))
            for r in range(rows)]
-    return QVector.from_quaternions(out)
+    return qvector(out)
 
 
 def matmul_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
-    ga = a.to_quaternions()
-    gb = b.to_quaternions()
+    ga = entries(a)
+    gb = entries(b)
     rows, inner_dim = a.shape
     cols = b.shape[1]
     grid = [[q_sum(q_mul(ga[r][k], gb[k][c]) for k in range(inner_dim))
              for c in range(cols)] for r in range(rows)]
-    return QMatrix.from_quaternions(grid)
+    return QMatrix(*planes(grid))
 
 
 def inner_oracle(x: QVector, y: QVector) -> Quaternion:
     return q_sum(q_mul(xq.conjugate(), yq)
-                 for xq, yq in zip(x.to_quaternions(), y.to_quaternions()))
+                 for xq, yq in zip(vector_entries(x), vector_entries(y)))
 
 
 def qmat_close(a: QMatrix, b: QMatrix, tol: float) -> bool:

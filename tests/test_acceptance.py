@@ -60,11 +60,11 @@ def test_criterion_1_bounded_example():
 
 def test_criterion_2_unbounded_example():
     t0 = time.perf_counter()
-    op, z = truncated_example(10)
+    s, z = truncated_example(10)
     a = weight_matrix(10)
     coincide = (z - a).frobenius_norm()
     transport = (polar_decompose(z).u0
-                 - polar_decompose(op.matrix).u0).frobenius_norm()
+                 - polar_decompose(s).u0).frobenius_norm()
     elapsed = time.perf_counter() - t0
     ok = coincide <= 1e-10 and transport <= 1e-8 and elapsed < 1.0
     _report(2, "unbounded example N=10", ok)

@@ -31,8 +31,9 @@ def test_suite_config_validation():
         SuiteConfig(dim=1, trials=0, seed=0, tol=1e-9)
     with pytest.raises(ValueError):
         SuiteConfig(dim=1, trials=1, seed=-1, tol=1e-9)
-    with pytest.raises(ValueError):
-        SuiteConfig(dim=1, trials=1, seed=0, tol=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            SuiteConfig(dim=1, trials=1, seed=0, tol=tol)
 
 
 def test_default_tol_env(monkeypatch, tmp_path, weight_file, capsys):
@@ -47,9 +48,29 @@ def test_default_tol_env(monkeypatch, tmp_path, weight_file, capsys):
     assert main(["polar", "--in", weight_file]) == 2
     assert main(["verify", "--dim", "2", "--trials", "1", "--seed", "1"]) == 2
     assert capsys.readouterr().err.count("is not a number") == 2
+    # a tolerance that is not finite and positive would let every check
+    # pass (inf, nan) or fail (negative), so it is refused before any work
+    for raw in ("nan", "inf", "-1"):
+        monkeypatch.setenv("QPOLAR_TOL", raw)
+        with pytest.raises(ValueError):
+            default_tol()
+        assert main(["polar", "--in", weight_file]) == 2
+        assert main(["verify", "--dim", "2", "--trials", "1",
+                     "--seed", "1"]) == 2
+    assert capsys.readouterr().err.count(
+        "error: QPOLAR_TOL must be finite and positive") == 6
     assert main(["example", "bounded", "--n", "9",
                  "--out", str(tmp_path / "e.txt")]) == 0
     assert "summary" in (tmp_path / "e.txt").read_text()
+    # --tol goes through the same check
+    monkeypatch.delenv("QPOLAR_TOL")
+    for raw in ("nan", "inf", "-1", "0"):
+        assert main(["polar", "--in", weight_file, "--tol", raw]) == 2
+        assert main(["verify", "--dim", "2", "--trials", "1", "--seed", "1",
+                     "--tol", raw]) == 2
+    err = capsys.readouterr().err
+    assert err.count("error: --tol must be finite and positive") == 8
+    assert main(["polar", "--in", weight_file, "--tol", "1e-9"]) == 0
 
 
 def test_cmd_polar_weight_matrix(weight_file, tmp_path, capsys):
@@ -231,7 +252,7 @@ def test_cmd_polar_no_convergence_exit(tmp_path, monkeypatch, capsys):
     assert cmd_polar(str(path), 1e-9, str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith(
-        "error: a Jacobi solve (an SVD or an eigensolve) did not converge")
+        "error: the Jacobi SVD (of T or U0) did not converge")
     assert not out.exists()
 
 
@@ -451,6 +472,20 @@ def test_main_verify_and_exit_codes(tmp_path, capsys):
     assert "summary" in out.read_text()
     # invalid config is rejected before any work happens
     assert main(["verify", "--dim", "2", "--trials", "0", "--seed", "5"]) == 2
+
+
+def test_unwritable_out_exits_2(tmp_path, weight_file, capsys):
+    # exit 1 would read as a failed check, so a report that cannot be
+    # written is a usage error, like an unreadable --in
+    out = str(tmp_path / "missing" / "r.txt")
+    assert main(["polar", "--in", weight_file, "--out", out]) == 2
+    assert main(["verify", "--dim", "1", "--trials", "1", "--seed", "0",
+                 "--out", out]) == 2
+    assert main(["example", "bounded", "--n", "7", "--out", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3
+    assert all(line.startswith(f"error: cannot write {out}: ")
+               for line in err)
 
 
 def test_main_polar_and_example(tmp_path, weight_file):

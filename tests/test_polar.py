@@ -9,7 +9,7 @@ from helpers import (conditioned_qmatrix, gaussian_qmatrix, matmul_oracle,
                      record_kernel_inputs, record_svd_inputs, trial_rng)
 from qpolar import (BadPerturbation, NotPositive,
                     NotStrictlyPositive, QMatrix, QVector, Quaternion,
-                    adjoint, canonical_perturbation, chi, chi_pullback,
+                    canonical_perturbation, chi, chi_pullback,
                     classify, equivalence_suite, inner, modulus,
                     null_range_bases, null_swap_perturbation, operator_norm,
                     perturb_polar, polar_decompose, quaternionic_rank,
@@ -42,7 +42,7 @@ def test_sqrt_spectral_squares_back():
 
 def test_sqrt_rejects_non_positive():
     with pytest.raises(NotPositive):
-        sqrt_positive_spectral(QMatrix.from_quaternions([[J]]))
+        sqrt_positive_spectral(QMatrix.diag([J]))
     with pytest.raises(NotPositive):
         sqrt_positive_composite(QMatrix.diag([-1.0]))
     with pytest.raises(NotStrictlyPositive):
@@ -158,7 +158,7 @@ def test_sqrt_commutant_property():
 
 
 def test_modulus_examples():
-    assert (modulus(QMatrix.from_quaternions([[J]]))
+    assert (modulus(QMatrix.diag([J]))
             - QMatrix.identity(1)).frobenius_norm() < 1e-12
     rr = trial_rng(53)
     w = random_ops.unitary(rr, 4)
@@ -175,7 +175,7 @@ def test_modulus_weight_matrix_against_diagonal_oracle():
     # A* A is diagonal here, so the modulus is the entrywise square root:
     # brute-force oracle via Hamilton-entrywise multiplication
     a = weight_matrix(10)
-    gram = matmul_oracle(adjoint(a), a)
+    gram = matmul_oracle(a.adjoint(), a)
     expected = QMatrix.diag([math.sqrt(gram.entry(k, k).w) for k in range(10)])
     assert (modulus(a) - expected).frobenius_norm() < 1e-10
 
@@ -300,7 +300,7 @@ def test_polar_invariants_random():
         f = polar_decompose(t)
         scale = max(1.0, t.frobenius_norm())
         u0, p = f.u0, f.abs_t
-        u0s = adjoint(u0)
+        u0s = u0.adjoint()
         assert (u0 @ p - t).frobenius_norm() <= 1e-9 * scale
         assert (u0s @ u0 @ p - p).frobenius_norm() <= 1e-9 * scale
         assert (u0s @ t - p).frobenius_norm() <= 1e-9 * scale
@@ -326,7 +326,7 @@ def _structure_residuals(t: QMatrix) -> dict:
     """
     f = polar_decompose(t)
     oc, u0 = classify(t), f.u0
-    u0s = adjoint(u0)
+    u0s = u0.adjoint()
     out = {}
     if oc.self_adjoint:
         out["self_adjoint"] = (u0 - u0s).frobenius_norm()
@@ -337,8 +337,8 @@ def _structure_residuals(t: QMatrix) -> dict:
         out["commutes_abs_t"] = (u0 @ f.abs_t - f.abs_t @ u0).frobenius_norm()
         r = QMatrix.from_columns(null_range_bases(t)[1])
         images = u0 @ r
-        gram = adjoint(images) @ images - QMatrix.identity(r.shape[1])
-        leak = images - r @ (adjoint(r) @ images)
+        gram = images.adjoint() @ images - QMatrix.identity(r.shape[1])
+        leak = images - r @ (r.adjoint() @ images)
         out["unitary_on_range"] = max(gram.frobenius_norm(),
                                       leak.frobenius_norm())
     return out
@@ -439,7 +439,7 @@ def test_uniqueness_verdict_and_dichotomy():
         src = random_ops.rand_qvector(rr, 3)
         dst = random_ops.rand_qvector(rr, 3)
         v = (QMatrix.from_columns([dst * (1.0 / dst.norm())])
-             @ adjoint(QMatrix.from_columns([src * (1.0 / src.norm())])))
+             @ QMatrix.from_columns([src * (1.0 / src.norm())]).adjoint())
         with pytest.raises(BadPerturbation):
             perturb_polar(f, v)
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from helpers import inner_oracle, matmul_oracle, matvec_oracle, trial_rng
-from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch, adjoint,
+from helpers import (inner_oracle, matmul_oracle, matvec_oracle, qvector,
+                     trial_rng)
+from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch,
                     classify, emit_qmat, gram_schmidt, inner,
                     null_range_bases, operator_norm, parse_qmat,
                     polar_decompose, projector_onto, quaternionic_rank,
@@ -18,7 +19,7 @@ from qpolar import ckernel, random_ops
 def test_inner_examples():
     e1 = QVector.basis(2, 0)
     assert inner(e1, e1 * J) == J
-    x = QVector.from_quaternions([I, J])
+    x = qvector([I, J])
     assert inner(x, x) == Quaternion(2)
     with pytest.raises(ShapeMismatch):
         inner(QVector.zeros(2), QVector.zeros(3))
@@ -85,15 +86,15 @@ def test_matmul_matches_hamilton_oracle():
 
 
 def test_adjoint_examples():
-    assert adjoint(QMatrix.from_quaternions([[J]])).entry(0, 0) == -J
+    assert QMatrix.diag([J]).adjoint().entry(0, 0) == -J
     eye = QMatrix.identity(3)
-    assert (adjoint(eye) - eye).frobenius_norm() == 0.0
+    assert (eye.adjoint() - eye).frobenius_norm() == 0.0
 
 
 def test_adjoint_identity_random_pairs():
     rr = trial_rng(17)
     a = random_ops.rand_qmatrix(rr, 4)
-    astar = adjoint(a)
+    astar = a.adjoint()
     worst = 0.0
     for _ in range(100):
         x = random_ops.rand_qvector(rr, 4)
@@ -101,7 +102,7 @@ def test_adjoint_identity_random_pairs():
         diff = inner(x, a.matvec(y)) - inner(astar.matvec(x), y)
         worst = max(worst, diff.norm())
     assert worst < 1e-12
-    assert (adjoint(astar) - a).frobenius_norm() == 0.0
+    assert (astar.adjoint() - a).frobenius_norm() == 0.0
 
 
 def test_gram_schmidt_examples():
@@ -114,8 +115,8 @@ def test_gram_schmidt_examples():
     want = QMatrix.identity(2)
     assert (p - want).frobenius_norm() < 1e-12
 
-    pair = gram_schmidt([QVector.from_quaternions([Quaternion(1), Quaternion(1)]),
-                         QVector.from_quaternions([Quaternion(1), Quaternion(0)])])
+    pair = gram_schmidt([qvector([Quaternion(1), Quaternion(1)]),
+                         qvector([Quaternion(1), Quaternion(0)])])
     assert len(pair) == 2
     for r, u in enumerate(pair):
         for s, v in enumerate(pair):
@@ -252,7 +253,7 @@ def test_operator_norm_matches_block_svd():
         a = random_ops.rand_qmatrix(rr, 6)
         sigma = np.linalg.svd(chi(a), compute_uv=False)[0]
         assert abs(operator_norm(a) - sigma) <= 1e-9 * max(1.0, sigma)
-        assert abs(operator_norm(a) - operator_norm(adjoint(a))) \
+        assert abs(operator_norm(a) - operator_norm(a.adjoint())) \
             <= 1e-9 * max(1.0, sigma)
 
 
@@ -264,7 +265,7 @@ def test_classify_identity():
 
 
 def test_classify_j_scalar():
-    oc = classify(QMatrix.from_quaternions([[J]]))
+    oc = classify(QMatrix.diag([J]))
     assert oc.anti_self_adjoint and oc.unitary and oc.normal
     assert not oc.self_adjoint and not oc.positive
 
@@ -375,7 +376,7 @@ def test_rank_nullity_and_corange_orthogonality():
         null_basis, range_basis = null_range_bases(a)
         assert len(null_basis) + len(range_basis) == n
         # R(A)-perp equals N(A*): mutual orthogonality of computed bases
-        null_star = null_range_bases(adjoint(a))[0]
+        null_star = null_range_bases(a.adjoint())[0]
         for u in null_star:
             for v in range_basis:
                 assert inner(u, v).norm() < 1e-10

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import matvec_oracle, record_svd_inputs, trial_rng
+from helpers import matvec_oracle, qvector, record_svd_inputs, trial_rng
 from qpolar import (BlockStructureViolation, QMatrix, QVector, Quaternion,
-                    adjoint, chi, chi_pullback, classify, embed_vector,
+                    chi, chi_pullback, classify, embed_vector,
                     equivalence_suite, inner, operator_norm, pullback_vector,
                     quaternionic_rank, weight_matrix)
 from qpolar import ckernel, random_ops
@@ -24,8 +24,8 @@ def _plus_minus(x: QVector):
 
 def test_standard_j_invariants():
     m = QMatrix(1j * np.eye(4, dtype=complex))
-    assert (adjoint(m) + m).frobenius_norm() == 0.0
-    assert (adjoint(m) @ m - QMatrix.identity(4)).frobenius_norm() == 0.0
+    assert (m.adjoint() + m).frobenius_norm() == 0.0
+    assert (m.adjoint() @ m - QMatrix.identity(4)).frobenius_norm() == 0.0
     rr = trial_rng(31)
     x = random_ops.rand_qvector(rr, 4)
     q = random_ops.rand_quaternion(rr)
@@ -34,7 +34,7 @@ def test_standard_j_invariants():
 
 
 def test_slice_project_examples():
-    x = QVector.from_quaternions([Quaternion(1), Quaternion(-2)])
+    x = qvector([Quaternion(1), Quaternion(-2)])
     plus, minus = _plus_minus(x)
     assert (plus - x).norm() == 0.0 and minus.norm() == 0.0
 
@@ -80,7 +80,7 @@ def test_anti_iso_phi_antilinear():
 
 
 def test_split_operator_examples():
-    s = QMatrix.from_quaternions([[J]])
+    s = QMatrix.diag([J])
     assert s.a1[0, 0] == 0 and s.a2[0, 0] == 1
     c = QMatrix(np.array([[1 + 2j, 0], [0, 3j]]))
     assert np.all(c.a2 == 0)
@@ -102,7 +102,7 @@ def test_split_operator_action_identity():
 
 
 def test_chi_examples():
-    img = chi(QMatrix.from_quaternions([[J]]))
+    img = chi(QMatrix.diag([J]))
     assert np.allclose(img, np.array([[0, 1], [-1, 0]]))
     eye = chi(QMatrix.identity(3))
     assert np.allclose(eye, np.eye(6))
@@ -116,7 +116,7 @@ def test_chi_homomorphism():
         ca, cb = chi(a), chi(b)
         assert ckernel.frobenius(chi(a + b) - (ca + cb)) < 1e-12
         assert ckernel.frobenius(chi(a @ b) - ca @ cb) < 1e-12
-        assert ckernel.frobenius(chi(adjoint(a)) - ca.conj().T) < 1e-12
+        assert ckernel.frobenius(chi(a.adjoint()) - ca.conj().T) < 1e-12
         lam = complex(rr.uniform(-1, 1), rr.uniform(-1, 1))
         lam_op = QMatrix(lam * np.eye(4, dtype=complex))
         assert ckernel.frobenius(chi(lam_op @ a) - chi(lam_op) @ ca) < 1e-12
@@ -136,7 +136,7 @@ def test_chi_norm_equality():
 
 def test_chi_pullback_roundtrip_and_violation():
     assert (chi_pullback(np.array([[0, 1], [-1, 0]], dtype=complex))
-            - QMatrix.from_quaternions([[J]])).frobenius_norm() == 0.0
+            - QMatrix.diag([J])).frobenius_norm() == 0.0
     rr = trial_rng(37)
     for _ in range(25):
         a = random_ops.rand_qmatrix(rr, 3)
@@ -206,7 +206,7 @@ def test_null_dimension_doubles():
 
 def test_equivalence_suite_examples():
     assert equivalence_suite(QMatrix.identity(3)).all_agree
-    rep = equivalence_suite(QMatrix.from_quaternions([[J]]))
+    rep = equivalence_suite(QMatrix.diag([J]))
     assert rep.all_agree
     byname = {r.name: r for r in rep.rows}
     assert byname["anti_self_adjoint"].flag_quaternionic
