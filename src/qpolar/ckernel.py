@@ -87,11 +87,22 @@ def frobenius(m) -> float:
     taken on _prescale(m), where no square does."""
     a = np.asarray(m).ravel()
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
+        norm = _norm(a)
         if norm in (0.0, np.inf) and a.any() and np.isfinite(a).all():
             b, e = _prescale(a)
-            norm = float(np.ldexp(np.linalg.norm(b), e))
+            norm = float(np.ldexp(_norm(b), e))
     return norm
+
+
+def _norm(a) -> float:
+    """What np.linalg.norm computes for the 1-d array a, without its
+    generic dispatch: the square root of the dot products of the real and
+    imaginary parts with themselves, summed."""
+    if a.dtype.kind == "c":
+        re, im = a.real, a.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    a = a if a.dtype.kind == "f" else a.astype(float)
+    return math.sqrt(a.dot(a))
 
 
 def _prescale(a):
@@ -118,7 +129,12 @@ def _as_square(m) -> np.ndarray:
 def _as_planes(m, m2=None) -> np.ndarray:
     """Planes (2, rows, cols) of the complex matrix m, or of m + m2 j."""
     m = np.asarray(m, dtype=complex)
-    return np.stack([m, np.zeros_like(m) if m2 is None else m2])
+    if m2 is not None and np.shape(m2) != m.shape:
+        raise ValueError(f"planes of shapes {m.shape} and {np.shape(m2)}")
+    p = np.empty((2,) + m.shape, dtype=complex)
+    p[0] = m
+    p[1] = 0.0 if m2 is None else m2
+    return p
 
 
 @functools.cache
@@ -180,12 +196,19 @@ def hermitian_eig(m, m2=None) -> EigResult:
 
 def _qmul(x, y):
     """Product of quaternion matrices held as stacked planes x[0] + x[1] j."""
-    return np.stack([x[0] @ y[0] - x[1] @ y[1].conj(),
-                     x[0] @ y[1] + x[1] @ y[0].conj()])
+    x0, x1, y0, y1 = x[0], x[1], y[0], y[1]
+    a = x0 @ y0
+    p = np.empty((2,) + a.shape, dtype=complex)
+    np.subtract(a, x1 @ y1.conj(), out=p[0])
+    np.add(x0 @ y1, x1 @ y0.conj(), out=p[1])
+    return p
 
 
 def _qadj(x):
-    return np.stack([x[0].conj().T, -x[1].T])
+    p = np.empty((2,) + x.shape[:0:-1], dtype=x.dtype)
+    np.conjugate(x[0].T, out=p[0])
+    np.negative(x[1].T, out=p[1])
+    return p
 
 
 def svd(m, m2=None):
@@ -240,11 +263,12 @@ def svd(m, m2=None):
 def _live_columns(g, rows):
     """The columns above RANK_TOL times the largest, from the Gram matrix g
     of rows rows, if _jacobi has a pair of columns to rotate; else None."""
-    norm = np.sqrt(np.diagonal(g[0]).real)
-    big = norm > RANK_TOL * np.max(norm, initial=0.0)
-    tol = ORTH_TOL * np.sqrt(rows) * np.outer(norm, norm)
+    norm = np.sqrt(g[0].diagonal().real)
+    big = norm > RANK_TOL * norm.max(initial=0.0)
+    tol = ORTH_TOL * np.sqrt(rows) * np.multiply.outer(norm, norm)
     act = np.hypot(np.abs(g[0]), np.abs(g[1])) > 2.0 * np.maximum(tol, _TINY)
-    act &= np.logical_or.outer(big, big) & ~np.eye(len(norm), dtype=bool)
+    act &= np.logical_or.outer(big, big)
+    np.fill_diagonal(act, False)
     return big if act.any() else None
 
 
@@ -394,6 +418,9 @@ def gauss_inv(m):
     Kept separate from the eigensolver so iterative cross-checks built on
     it do not share a code path with the spectral routines. It runs on
     _prescale(m), so gauss_inv(2**k A) is 2**-k gauss_inv(A) where exact.
+    Each pivot column is eliminated from all the other rows at once, row
+    r - f_r * pivot row, except from the rows whose multiplier f_r is
+    exactly zero: subtracting 0 * row would turn a -0.0 into +0.0.
     """
     a, e = _prescale(_as_square(m))
     n = a.shape[0]
@@ -405,9 +432,10 @@ def gauss_inv(m):
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
         aug[col] = aug[col] / aug[col, col]
-        for r in range(n):
-            if r != col and aug[r, col] != 0.0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
+        f = aug[:, col].copy()
+        f[col] = 0.0
+        rows = np.flatnonzero(f)
+        aug[rows] -= f[rows, None] * aug[col]
     return np.ldexp(aug[:, n:].view(float), -e).view(complex)
 
 

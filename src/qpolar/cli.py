@@ -23,20 +23,13 @@ from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, perturb_polar,
                     polar_decompose, sqrt_positive_composite,
                     sqrt_positive_spectral, sqrt_strictly_positive)
-from .qlinalg import (QMatrix, QVector, classify, operator_norm,
+from .qlinalg import (QMatrix, QVector, check_tol, classify, operator_norm,
                       projector_onto, quaternionic_rank, _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
 DEFAULT_TOL = 1e-9
 ENV_TOL = "QPOLAR_TOL"
-
-
-def check_tol(tol: float, what: str = "tol") -> float:
-    """tol, if it is finite and positive; otherwise ValueError."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"{what} must be finite and positive, got {tol!r}")
-    return tol
 
 
 def default_tol() -> float:

@@ -10,6 +10,7 @@ quaternion components and the complex pair is exact.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,11 +32,13 @@ class _Planes:
 
     def __init__(self, a1, a2=None):
         a1 = np.asarray(a1, dtype=complex)
-        a2 = np.zeros_like(a1) if a2 is None else np.asarray(a2, dtype=complex)
-        if a1.shape != a2.shape or a1.ndim != self.ndim:
+        shape2 = a1.shape if a2 is None else np.shape(a2)
+        if a1.shape != shape2 or a1.ndim != self.ndim:
             raise ShapeMismatch(
-                f"component shapes {a1.shape} and {a2.shape} do not match")
-        self.p = np.stack([a1, a2])  # a new array, viewing neither input
+                f"component shapes {a1.shape} and {shape2} do not match")
+        self.p = np.empty((2,) + a1.shape, dtype=complex)  # views no input
+        self.p[0] = a1
+        self.p[1] = 0.0 if a2 is None else a2
         self.p.flags.writeable = False
 
     a1 = property(lambda self: self.p[0])
@@ -245,9 +248,16 @@ def _columns(w, start: int, stop: int) -> list[QVector]:
     return [QVector(*w[:, :, k]) for k in range(start, stop)]
 
 
+def check_tol(tol: float, what: str = "tol") -> float:
+    """tol, if it is finite and positive; otherwise ValueError. The one
+    rule for a class tolerance, from the library or the command line."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"{what} must be finite and positive, got {tol!r}")
+    return tol
+
+
 def _check_square(a: QMatrix, tol: float, what: str):
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"{what} needs a square operator")
 

@@ -6,6 +6,8 @@ explicit SplitMix64 generator, so a (seed, trial) pair pins the operator.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .polar import polar_decompose
@@ -19,21 +21,20 @@ def rand_quaternion(r: SplitMix64) -> Quaternion:
                       r.uniform(-1, 1), r.uniform(-1, 1))
 
 
+def _draw_planes(r: SplitMix64, shape: tuple) -> np.ndarray:
+    """Planes (2, *shape) of uniform(-1, 1) draws: a1 row-major, each entry
+    drawn as its real then its imaginary part, then a2 likewise."""
+    count = 2 * 2 * math.prod(shape)
+    return r.uniforms(count, -1, 1).view(complex).reshape((2,) + shape)
+
+
 def rand_qvector(r: SplitMix64, n: int) -> QVector:
-    a1 = np.array([complex(r.uniform(-1, 1), r.uniform(-1, 1))
-                   for _ in range(n)])
-    a2 = np.array([complex(r.uniform(-1, 1), r.uniform(-1, 1))
-                   for _ in range(n)])
-    return QVector(a1, a2)
+    return QVector._adopt(_draw_planes(r, (n,)))
 
 
 def rand_qmatrix(r: SplitMix64, n: int, cols: int | None = None) -> QMatrix:
     cols = n if cols is None else cols
-    a1 = np.array([[complex(r.uniform(-1, 1), r.uniform(-1, 1))
-                    for _ in range(cols)] for _ in range(n)])
-    a2 = np.array([[complex(r.uniform(-1, 1), r.uniform(-1, 1))
-                    for _ in range(cols)] for _ in range(n)])
-    return QMatrix(a1, a2)
+    return QMatrix._adopt(_draw_planes(r, (n, cols)))
 
 
 def hermitian(r: SplitMix64, n: int) -> QMatrix:
@@ -63,8 +64,7 @@ def unitary(r: SplitMix64, n: int) -> QMatrix:
 def normal(r: SplitMix64, n: int) -> QMatrix:
     """Unitary conjugate of a diagonal with complex entries."""
     w = unitary(r, n)
-    d = QMatrix.diag([complex(r.uniform(-1, 1), r.uniform(-1, 1))
-                      for _ in range(n)])
+    d = QMatrix(np.diag(r.uniforms(2 * n, -1, 1).view(complex)))
     return w @ d @ w.adjoint()
 
 

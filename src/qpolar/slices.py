@@ -34,7 +34,13 @@ class BlockStructureViolation(ValueError):
 
 def chi(a: QMatrix) -> np.ndarray:
     """Embed A = A1 + A2 j as the 2n x 2n [[A1, A2], [-conj(A2), conj(A1)]]."""
-    return np.block([[a.a1, a.a2], [-np.conj(a.a2), np.conj(a.a1)]])
+    rows, cols = a.shape
+    m = np.empty((2 * rows, 2 * cols), dtype=complex)
+    m[:rows, :cols], m[:rows, cols:] = a.p
+    lower = m[rows:, :cols]
+    np.negative(np.conjugate(a.a2, out=lower), out=lower)
+    np.conjugate(a.a1, out=m[rows:, cols:])
+    return m
 
 
 def chi_pullback(m, tol: float = BLOCK_TOL) -> QMatrix:

@@ -146,3 +146,93 @@ def conditioned_qmatrix(seed: int, n: int, cond: float) -> QMatrix:
     w1 = polar_decompose(gaussian_qmatrix(g, n)).u0
     w2 = polar_decompose(gaussian_qmatrix(g, n)).u0
     return w1 @ QMatrix.diag(list(np.logspace(0, -np.log10(cond), n))) @ w2
+
+
+# The formulations the library's vectorized helpers replaced, kept as
+# oracles: each must agree with its replacement byte for byte.
+
+def rand_qvector_entrywise(r: SplitMix64, n: int) -> QVector:
+    """random_ops.rand_qvector, one complex(uniform, uniform) per entry."""
+    a1 = np.array([complex(r.uniform(-1, 1), r.uniform(-1, 1))
+                   for _ in range(n)])
+    a2 = np.array([complex(r.uniform(-1, 1), r.uniform(-1, 1))
+                   for _ in range(n)])
+    return QVector(a1, a2)
+
+
+def rand_qmatrix_entrywise(r: SplitMix64, n: int, cols=None) -> QMatrix:
+    """random_ops.rand_qmatrix, one complex(uniform, uniform) per entry,
+    row by row."""
+    cols = n if cols is None else cols
+    a1 = np.array([[complex(r.uniform(-1, 1), r.uniform(-1, 1))
+                    for _ in range(cols)] for _ in range(n)], dtype=complex)
+    a2 = np.array([[complex(r.uniform(-1, 1), r.uniform(-1, 1))
+                    for _ in range(cols)] for _ in range(n)], dtype=complex)
+    return QMatrix(a1, a2)
+
+
+def normal_entrywise(r: SplitMix64, n: int) -> QMatrix:
+    """random_ops.normal on rand_qmatrix_entrywise draws, its diagonal
+    entry by entry."""
+    from qpolar import polar_decompose
+    while True:
+        f = polar_decompose(rand_qmatrix_entrywise(r, n))
+        if f.null_rank == 0:
+            w = f.u0
+            break
+    d = QMatrix.diag([complex(r.uniform(-1, 1), r.uniform(-1, 1))
+                      for _ in range(n)])
+    return w @ d @ w.adjoint()
+
+
+def gauss_inv_rowwise(m):
+    """ckernel.gauss_inv, eliminating one row at a time."""
+    a, e = ckernel._prescale(ckernel._as_square(m))
+    n = a.shape[0]
+    aug = np.hstack([a, np.eye(n, dtype=complex)])
+    for col in range(n):
+        piv = col + int(np.argmax(np.abs(aug[col:, col])))
+        if abs(aug[piv, col]) <= ckernel.PIVOT_TOL:
+            raise ckernel.SingularMatrix("pivot too small")
+        if piv != col:
+            aug[[col, piv]] = aug[[piv, col]]
+        aug[col] = aug[col] / aug[col, col]
+        for r in range(n):
+            if r != col and aug[r, col] != 0.0:
+                aug[r] = aug[r] - aug[r, col] * aug[col]
+    return np.ldexp(aug[:, n:].view(float), -e).view(complex)
+
+
+def qmul_stacked(x, y):
+    return np.stack([x[0] @ y[0] - x[1] @ y[1].conj(),
+                     x[0] @ y[1] + x[1] @ y[0].conj()])
+
+
+def qadj_stacked(x):
+    return np.stack([x[0].conj().T, -x[1].T])
+
+
+def chi_block(a: QMatrix):
+    return np.block([[a.a1, a.a2], [-np.conj(a.a2), np.conj(a.a1)]])
+
+
+def frobenius_linalg(m) -> float:
+    """ckernel.frobenius through np.linalg.norm."""
+    a = np.asarray(m).ravel()
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+        if norm in (0.0, np.inf) and a.any() and np.isfinite(a).all():
+            b, e = ckernel._prescale(a)
+            norm = float(np.ldexp(np.linalg.norm(b), e))
+    return norm
+
+
+def live_columns_eye(g, rows):
+    """ckernel._live_columns with np.max, np.outer and a fresh np.eye."""
+    norm = np.sqrt(np.diagonal(g[0]).real)
+    big = norm > ckernel.RANK_TOL * np.max(norm, initial=0.0)
+    tol = ckernel.ORTH_TOL * np.sqrt(rows) * np.outer(norm, norm)
+    act = (np.hypot(np.abs(g[0]), np.abs(g[1]))
+           > 2.0 * np.maximum(tol, ckernel._TINY))
+    act &= np.logical_or.outer(big, big) & ~np.eye(len(norm), dtype=bool)
+    return big if act.any() else None

@@ -419,6 +419,13 @@ def test_verify_report_at_n16_matches_committed_bytes():
     _assert_verify_matches_committed(16, 6, 3)
 
 
+def test_verify_report_at_d4_matches_committed_bytes():
+    # n = 1..4: Jacobi calls on odd column counts and on one column, and
+    # Gauss-Jordan on the 2 x 2 image of a 1 x 1 operator, the edge sizes
+    # of the bulk draws and of the vectorized elimination
+    _assert_verify_matches_committed(4, 25, 11)
+
+
 def _pinned_polar_inputs():
     """(name, QMAT text) of the inputs whose `qpolar polar` bytes are pinned:
     the committed files, among them a half-rank draw at n = 32, and

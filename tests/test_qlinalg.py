@@ -13,7 +13,8 @@ from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch,
 from qpolar.qlinalg import _svd_bases, frobenius_norm, positivity
 from qpolar.slices import chi, pullback_vector
 from qpolar.quaternion import I, J, K
-from qpolar import ckernel, random_ops
+from qpolar import ckernel, qlinalg, random_ops
+from qpolar.rng import SplitMix64
 
 
 def test_inner_examples():
@@ -481,3 +482,20 @@ def test_planes_are_read_only(name):
     for plane in (value.a1, value.a2, value.p):
         with pytest.raises(ValueError):
             plane[(0,) * plane.ndim] = 1.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_class_tolerance_must_be_finite_and_positive(tol):
+    # every comparison with a nan tolerance is false, so the identity
+    # would read not self-adjoint; with inf a random draw reads unitary
+    from qpolar import cli
+    from qpolar.slices import equivalence_suite
+    a = random_ops.rand_qmatrix(SplitMix64(1), 3)
+    for check in (classify, positivity, equivalence_suite):
+        for m in (QMatrix.identity(2), a):
+            with pytest.raises(ValueError, match="finite and positive"):
+                check(m, tol)
+    # the command line applies the same rule
+    assert cli.check_tol is qlinalg.check_tol
+    with pytest.raises(ValueError, match="finite and positive"):
+        cli.check_tol(tol)
