@@ -533,8 +533,8 @@ def class_residuals(a, fac: Factorization, coimage, tol: float):
             # the orthogonal complement of its null space
             "partial_isometry": [frobenius(_qmul(g, g) - g),
                                  frobenius(g - _qadj(g))]
-            + [abs(frobenius(_qmul(a, coimage[:, :, k])) - 1.0)
-               for k in range(coimage.shape[2])],
+            + [abs(frobenius(col) - 1.0)
+               for col in np.moveaxis(_qmul(a, coimage), 2, 0)],
         }
     if np.isnan(sum(parts.values(), [])).any():
         raise NonFiniteInput("a class residual overflows a double")

@@ -228,7 +228,9 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
     out.append(("polar.null_rank_mismatches",
                 0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
     null_basis = _svd_bases(f.fac)[0]
-    annihilation = max((u0.matvec(v).norm() for v in null_basis), default=0.0)
+    # a matvec per column: one u0 @ null_basis product rounds differently
+    annihilation = max((u0.matvec(null_basis.column(k)).norm()
+                        for k in range(null_basis.shape[1])), default=0.0)
     out.append(("polar.null_annihilation_rel", annihilation / scale))
     # structure transfer on class-constructed draws
     h = random_ops.hermitian(rr, n)
@@ -275,12 +277,11 @@ def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
     else:
         survivors = 0
         for _ in range(50):
-            v_src = random_ops.rand_qvector(rr, n)
-            v_dst = random_ops.rand_qvector(rr, n)
-            v_src = v_src * (1.0 / v_src.norm())
-            v_dst = v_dst * (1.0 / v_dst.norm())
-            v = (QMatrix.from_columns([v_dst])
-                 @ QMatrix.from_columns([v_src]).adjoint())
+            v_src = random_ops.rand_qmatrix(rr, n, 1)
+            v_dst = random_ops.rand_qmatrix(rr, n, 1)
+            v_src = v_src * (1.0 / v_src.frobenius_norm())
+            v_dst = v_dst * (1.0 / v_dst.frobenius_norm())
+            v = v_dst @ v_src.adjoint()
             try:
                 perturb_polar(f, v)
                 survivors += 1
@@ -337,10 +338,13 @@ def _run_suite_trial(args) -> list:
 
 
 def run_suite(suite: str, cfg: SuiteConfig, jobs: int = 1) -> list:
-    """Run one named suite and aggregate per-check values across trials."""
+    """Run one named suite and aggregate per-check values across trials.
+    A pool starts all its workers at once, so it gets at most one per trial
+    and per CPU; the report is the same for any number of workers."""
     args = [(suite, cfg.dim, cfg.tol, cfg.seed, k) for k in range(cfg.trials)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, cfg.trials, os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_run_suite_trial, args, chunksize=8))
     else:
         samples = [_run_suite_trial(a) for a in args]
@@ -492,10 +496,10 @@ def example_report(which: str, n: int) -> Report:
         null_basis, _, corange_basis = _svd_bases(f.fac)
         checks.append(CheckResult(
             "null_space_span",
-            _span_residual(null_basis, [3, 4, 5], n), EXAMPLE_TOL))
+            _span_residual(null_basis, [3, 4, 5]), EXAMPLE_TOL))
         checks.append(CheckResult(
             "corange_span",
-            _span_residual(corange_basis, [1, 3, 5], n), EXAMPLE_TOL))
+            _span_residual(corange_basis, [1, 3, 5]), EXAMPLE_TOL))
         v = transform.null_swap_perturbation(n)
         u = perturb_polar(f, v)
         checks.append(CheckResult(
@@ -525,14 +529,12 @@ def example_report(which: str, n: int) -> Report:
     return Report(header, checks)
 
 
-def _span_residual(basis, coords, n: int) -> float:
-    """Frobenius distance between span(basis) and span of the given axes."""
+def _span_residual(basis: QMatrix, coords) -> float:
+    """Frobenius distance between the span of the columns of basis and
+    the span of the given axes."""
     want = QMatrix.diag([1.0 if k in coords else 0.0
-                         for k in range(1, n + 1)])
-    if not basis:
-        return want.frobenius_norm()
-    have = projector_onto(basis)
-    return (have - want).frobenius_norm()
+                         for k in range(1, basis.shape[0] + 1)])
+    return (projector_onto(basis) - want).frobenius_norm()
 
 
 def cmd_example(which: str, n: int, out_path: str | None = None) -> int:
@@ -597,10 +599,12 @@ def main(argv=None) -> int:
         try:
             cfg = SuiteConfig(dim=args.dim, trials=args.trials,
                               seed=args.seed, tol=tol)
+            if args.jobs < 1:
+                raise ValueError("--jobs must be at least 1")
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        report = cmd_verify(cfg, jobs=max(1, args.jobs))
+        report = cmd_verify(cfg, jobs=args.jobs)
         return _write_out(report.format(), args.out_path,
                           0 if report.passed else 1)
     return 2

@@ -209,12 +209,10 @@ def perturb_polar(f: PolarFactors, v: QMatrix) -> QMatrix:
     if off_initial > DEFAULT_CLASS_TOL * scale:
         raise BadPerturbation(
             f"initial space leaks outside N(T) by {off_initial:.3e}")
-    if range_basis:
-        p_range = projector_onto(range_basis)
-        into_range = (p_range @ v).frobenius_norm()
-        if into_range > DEFAULT_CLASS_TOL * scale:
-            raise BadPerturbation(
-                f"final space leaks into R(T) by {into_range:.3e}")
+    into_range = (projector_onto(range_basis) @ v).frobenius_norm()
+    if into_range > DEFAULT_CLASS_TOL * scale:
+        raise BadPerturbation(
+            f"final space leaks into R(T) by {into_range:.3e}")
     return f.u0 + v @ p_null
 
 
@@ -222,12 +220,9 @@ def canonical_perturbation(f: PolarFactors) -> QMatrix:
     """Deterministic nonzero V for a non-unique decomposition.
 
     Maps the k-th basis vector of N(T) to the k-th basis vector of
-    R(T)-perp, both read from f = polar_decompose(T). Returns the zero
-    matrix when the decomposition is unique.
+    R(T)-perp, both read from f = polar_decompose(T); for a square T both
+    bases have n - rank columns. Returns the zero matrix when the
+    decomposition is unique.
     """
     null_basis, _, corange_basis = _svd_bases(f.fac)
-    k = min(len(null_basis), len(corange_basis))
-    if k == 0:
-        return QMatrix.zeros(f.u0.shape[0])
-    return (QMatrix.from_columns(corange_basis[:k])
-            @ QMatrix.from_columns(null_basis[:k]).adjoint())
+    return corange_basis @ null_basis.adjoint()

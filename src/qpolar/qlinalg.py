@@ -154,10 +154,6 @@ class QMatrix(_Planes):
         a2 = np.diag([complex(q.y, q.z) for q in quats])
         return cls(a1, a2)
 
-    @classmethod
-    def from_columns(cls, vectors) -> "QMatrix":
-        return cls._adopt(np.stack([v.p for v in vectors], axis=2))
-
     @property
     def shape(self) -> tuple[int, int]:
         return self.p.shape[1:]
@@ -202,24 +198,19 @@ def frobenius_norm(a) -> float:
     return ckernel.frobenius(a.p)
 
 
-def gram_schmidt(vectors) -> list[QVector]:
-    """Orthonormal basis of the right H-span of vectors, in order: the
-    leading columns of ckernel.householder. A vector whose part orthogonal
-    to the ones before it is at most RANK_TOL times its own norm is
-    dropped, so rank-deficient input shrinks the output."""
-    vectors = list(vectors)
-    if not vectors:
-        return []
-    q, _, kept = ckernel.householder(QMatrix.from_columns(vectors).p)
-    return _columns(q, 0, kept)
+def gram_schmidt(b: QMatrix) -> QMatrix:
+    """Orthonormal basis of the right H-span of the columns of b, in order:
+    the leading columns of ckernel.householder. A column whose part
+    orthogonal to the ones before it is at most RANK_TOL times its own
+    norm is dropped, so rank-deficient input gives fewer columns."""
+    q, _, kept = ckernel.householder(b.p)
+    return QMatrix(*q[:, :, :kept])
 
 
-def projector_onto(vectors) -> QMatrix:
-    """Orthogonal projection onto the right H-span of orthonormal vectors."""
-    if not vectors:
-        raise ValueError("need the ambient dimension; use QMatrix.zeros")
-    f = QMatrix.from_columns(vectors)
-    return f @ f.adjoint()
+def projector_onto(b: QMatrix) -> QMatrix:
+    """Orthogonal projection onto the right H-span of the orthonormal
+    columns of b; zero if b has none."""
+    return b @ b.adjoint()
 
 
 def operator_norm(a: QMatrix) -> float:
@@ -240,12 +231,6 @@ class OperatorClass:
     partial_isometry: bool
     residuals: dict = field(default_factory=dict)
     rank: int = 0
-
-
-def _columns(w, start: int, stop: int) -> list[QVector]:
-    """Columns start..stop-1 of the quaternion matrix held as planes w,
-    copied."""
-    return [QVector(*w[:, :, k]) for k in range(start, stop)]
 
 
 def check_tol(tol: float, what: str = "tol") -> float:
@@ -296,7 +281,7 @@ def quaternionic_rank(a: QMatrix) -> int:
 
 
 def null_range_bases(a: QMatrix):
-    """Orthonormal bases of N(A) and R(A) from the singular vectors of A.
+    """Orthonormal bases of N(A) and R(A), QMatrix blocks of A's SVD.
 
     The null basis is the right singular vectors at (numerically) zero
     singular values, the range basis the left singular vectors at nonzero
@@ -308,11 +293,11 @@ def null_range_bases(a: QMatrix):
 
 
 def _svd_bases(fac: ckernel.Factorization):
-    """Orthonormal bases of N(A), R(A) and R(A)-perp, in that order.
+    """Orthonormal bases of N(A), R(A) and R(A)-perp, in that order, each
+    a QMatrix copied from a column block of fac, which factors A.
 
-    fac factors A. With r = fac.rank, they are the right singular vectors
-    after the first r, and the left ones up to r and after r.
+    With r = fac.rank, they are V[:, r:], U[:, :r] and U[:, r:].
     """
-    n, r = fac.s.size, fac.rank
-    return (_columns(fac.v, r, n), _columns(fac.u, 0, r),
-            _columns(fac.u, r, n))
+    r = fac.rank
+    return (QMatrix(*fac.v[:, :, r:]), QMatrix(*fac.u[:, :, :r]),
+            QMatrix(*fac.u[:, :, r:]))

@@ -72,8 +72,9 @@ def projection(r: SplitMix64, n: int, rank: int | None = None) -> QMatrix:
     rank = r.randint(n + 1) if rank is None else rank
     if rank == 0:
         return QMatrix.zeros(n)
-    basis = gram_schmidt([rand_qvector(r, n) for _ in range(rank)])
-    return projector_onto(basis)
+    # rank columns, each drawn as rand_qvector draws a vector
+    cols = r.uniforms(4 * n * rank, -1, 1).view(complex).reshape(rank, 2, n)
+    return projector_onto(gram_schmidt(QMatrix(*cols.transpose(1, 2, 0))))
 
 
 def rank_deficient(r: SplitMix64, n: int, rank: int) -> QMatrix:

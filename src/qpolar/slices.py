@@ -124,13 +124,12 @@ def equivalence_suite(a: QMatrix, tol: float = ckernel.DEFAULT_CLASS_TOL
     """
     _check_square(a, tol, "equivalence_suite")
     fac = a.fac
-    m, n, r = chi(a), a.shape[0], fac.rank
-    res_q, flags_q = ckernel.class_residuals(a.p, fac, fac.v[:, :, :r], tol)
-    # chi(A) has each singular value of A twice, and chi(V) holds embedded
-    # v_k and, up to sign, v_k j in columns k and n + k
-    coimage_c = chi(QMatrix(*fac.v))[:, np.r_[:r, n:n + r]]
+    m, coimage = chi(a), QMatrix(*fac.v[:, :, :fac.rank])
+    res_q, flags_q = ckernel.class_residuals(a.p, fac, coimage.p, tol)
+    # chi(A) has each singular value of A twice, and the chi image of the
+    # coimage block holds embedded v_k and, up to sign, v_k j
     res_c, flags_c = ckernel.class_residuals(
-        ckernel._as_planes(m), fac, ckernel._as_planes(coimage_c), tol)
+        ckernel._as_planes(m), fac, ckernel._as_planes(chi(coimage)), tol)
     rows = [EquivalenceRow(name, flags_q[name], flags_c[name], res_q[name],
                            res_c[name])
             for name in _CLASS_NAMES]

@@ -29,7 +29,17 @@ def entries(a: QMatrix) -> list:
 
 
 def vector_entries(x: QVector) -> list:
-    return [row[0] for row in entries(QMatrix.from_columns([x]))]
+    return [row[0] for row in entries(stack_columns([x]))]
+
+
+def stack_columns(vectors) -> QMatrix:
+    """The QMatrix whose columns are the given QVectors, at least one."""
+    return QMatrix._adopt(np.stack([v.p for v in vectors], axis=2))
+
+
+def columns(b: QMatrix) -> list:
+    """The columns of b, each a QVector."""
+    return [b.column(k) for k in range(b.shape[1])]
 
 
 def planes(grid) -> tuple:

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from helpers import stack_columns
 from qpolar import (QMatrix, QVector, inner, null_range_bases, operator_norm,
                     perturb_polar, polar_decompose, projector_onto,
                     null_swap_perturbation, truncated_example, weight_matrix,
@@ -23,7 +24,8 @@ def _report(num, label, ok):
 
 
 def _axes_projector(n, coords):
-    return projector_onto([QVector.basis(n, k - 1) for k in coords])
+    return projector_onto(stack_columns([QVector.basis(n, k - 1)
+                                         for k in coords]))
 
 
 def test_criterion_1_bounded_example():

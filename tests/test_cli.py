@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import pytest
 
 from helpers import (conditioned_qmatrix, gaussian_qmatrix,
                      record_kernel_inputs, record_svd_inputs)
-from qpolar import (BlockStructureViolation, QMatrix, chi, ckernel,
+from qpolar import (BlockStructureViolation, QMatrix, chi, ckernel, cli,
                     emit_qmat, parse_qmat, polar_decompose, weight_matrix)
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         default_tol, example_report, main, polar_report,
@@ -469,6 +470,53 @@ def test_cmd_verify_deterministic_and_parallel():
     serial_b = cmd_verify(cfg).format()
     parallel = cmd_verify(cfg, jobs=2).format()
     assert serial_a == serial_b == parallel
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The max_workers of every pool cli makes. Each pool maps in this
+    process, so no worker is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs, cpus, want", [
+    (100000, 64, 3),  # capped at the trial count
+    (100000, 2, 2),  # capped at the CPU count
+    (2, 64, 2),
+    (100000, None, None),  # no CPU count: serial, no pool
+    (1, 64, None),
+])
+def test_verify_jobs_capped(monkeypatch, pool_sizes, jobs, cpus, want):
+    cfg = SuiteConfig(dim=3, trials=3, seed=7, tol=1e-9)
+    serial = cmd_verify(cfg).format()
+    assert pool_sizes == []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert cmd_verify(cfg, jobs=jobs).format() == serial
+    assert pool_sizes == ([] if want is None else [want] * 5)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_jobs_below_one_exits_2(pool_sizes, capsys, jobs):
+    assert main(["verify", "--dim", "2", "--trials", "2", "--seed", "5",
+                 "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
+    assert pool_sizes == []
 
 
 def test_main_verify_and_exit_codes(tmp_path, capsys):

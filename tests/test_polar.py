@@ -5,8 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (conditioned_qmatrix, gaussian_qmatrix, matmul_oracle,
-                     record_kernel_inputs, record_svd_inputs, trial_rng)
+from helpers import (columns, conditioned_qmatrix, gaussian_qmatrix,
+                     matmul_oracle, record_kernel_inputs, record_svd_inputs,
+                     trial_rng)
 from qpolar import (BadPerturbation, NotPositive,
                     NotStrictlyPositive, QMatrix, QVector, Quaternion,
                     canonical_perturbation, chi, chi_pullback,
@@ -309,12 +310,12 @@ def test_polar_invariants_random():
         assert classify(u0).partial_isometry
         assert quaternionic_rank(u0) == quaternionic_rank(t)
         null_t, _ = null_range_bases(t)
-        assert len(null_t) == f.null_rank == n - rank
-        for v in null_t:
+        assert null_t.shape == (n, f.null_rank) and f.null_rank == n - rank
+        for v in columns(null_t):
             assert u0.matvec(v).norm() <= 1e-9 * scale
         # mutual annihilation the other way round
         null_u, _ = null_range_bases(u0)
-        for v in null_u:
+        for v in columns(null_u):
             assert t.matvec(v).norm() <= 1e-8 * scale
 
 
@@ -335,7 +336,7 @@ def _structure_residuals(t: QMatrix) -> dict:
     if oc.normal:
         out["normal"] = (u0 @ u0s - u0s @ u0).frobenius_norm()
         out["commutes_abs_t"] = (u0 @ f.abs_t - f.abs_t @ u0).frobenius_norm()
-        r = QMatrix.from_columns(null_range_bases(t)[1])
+        r = null_range_bases(t)[1]
         images = u0 @ r
         gram = images.adjoint() @ images - QMatrix.identity(r.shape[1])
         leak = images - r @ (r.adjoint() @ images)
@@ -436,18 +437,39 @@ def test_uniqueness_verdict_and_dichotomy():
     t = random_ops.rand_qmatrix(rr, 3) + QMatrix.identity(3) * 3.0
     f = polar_decompose(t)
     for _ in range(50):
-        src = random_ops.rand_qvector(rr, 3)
-        dst = random_ops.rand_qvector(rr, 3)
-        v = (QMatrix.from_columns([dst * (1.0 / dst.norm())])
-             @ QMatrix.from_columns([src * (1.0 / src.norm())]).adjoint())
+        src = random_ops.rand_qmatrix(rr, 3, 1)
+        dst = random_ops.rand_qmatrix(rr, 3, 1)
+        v = ((dst * (1.0 / dst.frobenius_norm()))
+             @ (src * (1.0 / src.frobenius_norm())).adjoint())
         with pytest.raises(BadPerturbation):
             perturb_polar(f, v)
 
 
 def test_canonical_perturbation_zero_when_unique():
+    # N(T) and R(T)-perp are blocks of no columns, whose product is the
+    # zero matrix
     rr = trial_rng(61)
-    t = random_ops.rand_qmatrix(rr, 3) + QMatrix.identity(3) * 3.0
-    assert canonical_perturbation(polar_decompose(t)).frobenius_norm() == 0.0
+    for n in (3, 1, 6):
+        t = random_ops.rand_qmatrix(rr, n) + QMatrix.identity(n) * 3.0
+        f = polar_decompose(t)
+        null_basis, _, corange_basis = _svd_bases(f.fac)
+        assert null_basis.shape == corange_basis.shape == (n, 0)
+        v = canonical_perturbation(f)
+        assert v.p.tobytes() == QMatrix.zeros(n).p.tobytes()
+
+
+def test_perturb_polar_accepts_a_valid_v_when_t_is_zero():
+    # T = 0: N(T) is everything and R(T) = {0}, whose basis has no columns,
+    # so any unitary V is admissible and U = V
+    rr = trial_rng(67)
+    for n in (1, 4):
+        t = QMatrix.zeros(n)
+        f = polar_decompose(t)
+        assert f.null_rank == n and null_range_bases(t)[1].shape == (n, 0)
+        v = random_ops.unitary(rr, n)
+        u = perturb_polar(f, v)
+        assert (u - v).frobenius_norm() < 1e-12
+        assert (u @ f.abs_t - t).frobenius_norm() == 0.0
 
 
 def test_canonical_perturbation_reads_the_factorization(monkeypatch):
@@ -467,15 +489,15 @@ def test_corange_basis_on_rank_deficient_draws():
         t = random_ops.rank_deficient(rr, n, rr.randint(n))
         f = polar_decompose(t)
         corange = _svd_bases(f.fac)[2]
-        assert len(corange) == f.null_rank
-        for j, c in enumerate(corange):
-            for k, d in enumerate(corange):
+        assert corange.shape == (n, f.null_rank)
+        for j, c in enumerate(columns(corange)):
+            for k, d in enumerate(columns(corange)):
                 want = Quaternion(1.0 if j == k else 0.0)
                 assert (inner(c, d) - want).norm() < 1e-12
         scale = max(1.0, t.frobenius_norm())
         for _ in range(5):
             y = t.matvec(random_ops.rand_qvector(rr, n))
-            for c in corange:
+            for c in columns(corange):
                 assert inner(c, y).norm() <= 1e-12 * scale
         u = perturb_polar(f, canonical_perturbation(f))
         assert (u @ f.abs_t - t).frobenius_norm() <= 1e-9 * scale

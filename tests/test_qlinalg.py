@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (inner_oracle, matmul_oracle, matvec_oracle, qvector,
-                     trial_rng)
+from helpers import (columns, inner_oracle, matmul_oracle, matvec_oracle,
+                     qvector, stack_columns, trial_rng)
 from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch,
                     classify, emit_qmat, gram_schmidt, inner,
                     null_range_bases, operator_norm, parse_qmat,
@@ -109,22 +109,22 @@ def test_adjoint_identity_random_pairs():
 def test_gram_schmidt_examples():
     e1 = QVector.basis(2, 0)
     e2 = QVector.basis(2, 1)
-    out = gram_schmidt([e1, e1 * K, e2])
-    assert len(out) == 2
+    out = gram_schmidt(stack_columns([e1, e1 * K, e2]))
+    assert out.shape == (2, 2)
     # spans e1, e2 up to right unit scalars
     p = projector_onto(out)
     want = QMatrix.identity(2)
     assert (p - want).frobenius_norm() < 1e-12
 
-    pair = gram_schmidt([qvector([Quaternion(1), Quaternion(1)]),
-                         qvector([Quaternion(1), Quaternion(0)])])
-    assert len(pair) == 2
-    for r, u in enumerate(pair):
-        for s, v in enumerate(pair):
+    pair = gram_schmidt(stack_columns([qvector([Quaternion(1), Quaternion(1)]),
+                                       qvector([Quaternion(1), Quaternion(0)])]))
+    assert pair.shape == (2, 2)
+    for r, u in enumerate(columns(pair)):
+        for s, v in enumerate(columns(pair)):
             want_q = Quaternion(1.0 if r == s else 0.0)
             assert (inner(u, v) - want_q).norm() < 1e-12
 
-    assert gram_schmidt([]) == []
+    assert gram_schmidt(QMatrix.zeros(2, 0)).shape == (2, 0)
 
 
 def test_gram_schmidt_rank_deficient_shrinks():
@@ -132,8 +132,8 @@ def test_gram_schmidt_rank_deficient_shrinks():
     vs = [random_ops.rand_qvector(rr, 3) for _ in range(2)]
     vs.append(vs[0] * random_ops.rand_quaternion(rr)
               + vs[1] * random_ops.rand_quaternion(rr))
-    out = gram_schmidt(vs)
-    assert len(out) == 2
+    out = gram_schmidt(stack_columns(vs))
+    assert out.shape == (3, 2)
 
 
 def gram_schmidt_objects(vectors, drop_tol=1e-10):
@@ -155,27 +155,29 @@ def gram_schmidt_objects(vectors, drop_tol=1e-10):
 
 def _gram_schmidt_cases():
     rr = trial_rng(19)
-    yield []
+    yield QMatrix.zeros(3, 0)
     for n in (1, 3, 8):
-        yield [random_ops.rand_qvector(rr, n) for _ in range(n)]
-        yield [random_ops.rand_qvector(rr, n) for _ in range(n + 2)]
+        yield stack_columns([random_ops.rand_qvector(rr, n) for _ in range(n)])
+        yield stack_columns([random_ops.rand_qvector(rr, n)
+                             for _ in range(n + 2)])
     # pulled-back singular vectors of block images come in dependent
     # pairs, as in the coimage and null/range bases
     for n, rank in ((2, 2), (5, 3), (8, 8), (8, 1)):
         v = ckernel.svd(chi(random_ops.rank_deficient(rr, n, rank)))[2]
-        yield [pullback_vector(v[:, k]) for k in range(2 * n)]
-        yield [pullback_vector(v[:, k]) for k in range(2 * rank, 2 * n)]
+        b = stack_columns([pullback_vector(v[:, k]) for k in range(2 * n)])
+        yield b
+        yield QMatrix(*b.p[:, :, 2 * rank:])
 
 
 def test_gram_schmidt_matches_object_loop_bytes():
     # the Householder basis spans what the object loop spans, and keeps as
     # many vectors; the basis vectors themselves differ by unit scalars
-    for vectors in _gram_schmidt_cases():
-        got = gram_schmidt(vectors)
-        want = gram_schmidt_objects(vectors)
-        assert len(got) == len(want)
+    for b in _gram_schmidt_cases():
+        got = gram_schmidt(b)
+        want = gram_schmidt_objects(columns(b))
+        assert got.shape == (b.shape[0], len(want))
         if want:
-            diff = projector_onto(got) - projector_onto(want)
+            diff = projector_onto(got) - projector_onto(stack_columns(want))
             assert diff.frobenius_norm() < 1e-12
 
 
@@ -187,14 +189,13 @@ def test_gram_schmidt_keeps_independent_vectors_at_any_scale():
     vs = [random_ops.rand_qvector(rr, 4) for _ in range(3)]
     vs.append(vs[0] * random_ops.rand_quaternion(rr) + vs[2])
     units = [QVector.basis(3, 0), QVector.basis(3, 1)]
-    want = gram_schmidt(vs)
-    assert len(want) == 3
+    b, unit_b = stack_columns(vs), stack_columns(units)
+    want = gram_schmidt(b)
+    assert want.shape == (4, 3)
     for k in (-600, -40, 0, 600):
-        assert len(gram_schmidt([v * 2.0 ** k for v in units])) == 2
-        got = gram_schmidt([v * 2.0 ** k for v in vs])
-        assert len(got) == 3
-        for g, w in zip(got, want):
-            assert np.array_equal(g.a1, w.a1) and np.array_equal(g.a2, w.a2)
+        assert gram_schmidt(unit_b * 2.0 ** k).shape == (3, 2)
+        got = gram_schmidt(b * 2.0 ** k)
+        assert got.p.tobytes() == want.p.tobytes()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -340,21 +341,31 @@ def test_positivity_matches_classify():
 
 def test_null_range_bases_zero_matrix():
     null_basis, range_basis = null_range_bases(QMatrix.zeros(3))
-    assert len(null_basis) == 3 and range_basis == []
+    assert null_basis.shape == (3, 3) and range_basis.shape == (3, 0)
     p = projector_onto(null_basis)
     assert (p - QMatrix.identity(3)).frobenius_norm() < 1e-12
+
+
+def test_zero_column_blocks():
+    # a basis of no columns still carries its ambient dimension; its
+    # projector is the zero matrix and Gram-Schmidt keeps it empty
+    for n in (1, 3, 8):
+        empty = QMatrix.zeros(n, 0)
+        assert projector_onto(empty).p.tobytes() == \
+            QMatrix.zeros(n).p.tobytes()
+        assert gram_schmidt(empty).shape == (n, 0)
 
 
 def test_null_range_bases_weight_matrix():
     a = weight_matrix(10)
     null_basis, range_basis = null_range_bases(a)
-    assert len(null_basis) == 3 and len(range_basis) == 7
+    assert null_basis.shape == (10, 3) and range_basis.shape == (10, 7)
     want = np.zeros((10, 10), dtype=complex)
     for k in (2, 3, 4):
         want[k, k] = 1.0
     assert (projector_onto(null_basis) - QMatrix(want)).frobenius_norm() \
         < 1e-10
-    for v in null_basis:
+    for v in columns(null_basis):
         assert a.matvec(v).norm() <= 1e-10 * operator_norm(a)
 
 
@@ -362,7 +373,7 @@ def test_null_range_bases_planted_rank():
     rr = trial_rng(22)
     a = random_ops.rank_deficient(rr, 4, 2)
     null_basis, range_basis = null_range_bases(a)
-    assert len(null_basis) == 2 and len(range_basis) == 2
+    assert null_basis.shape == range_basis.shape == (4, 2)
     assert quaternionic_rank(a) == 2
     assert classify(a).rank == 2
 
@@ -375,30 +386,31 @@ def test_rank_nullity_and_corange_orthogonality():
         a = (random_ops.rand_qmatrix(rr, n) if rank == n
              else random_ops.rank_deficient(rr, n, rank))
         null_basis, range_basis = null_range_bases(a)
-        assert len(null_basis) + len(range_basis) == n
+        assert null_basis.shape[1] + range_basis.shape[1] == n
         # R(A)-perp equals N(A*): mutual orthogonality of computed bases
         null_star = null_range_bases(a.adjoint())[0]
-        for u in null_star:
-            for v in range_basis:
+        for u in columns(null_star):
+            for v in columns(range_basis):
                 assert inner(u, v).norm() < 1e-10
 
 
 def test_matrix_in_basis():
     # F* A F, F the columns of an orthonormal basis, has entries <f_r|A f_s>
-    def matrix_in_basis(a, basis):
-        f = QMatrix.from_columns(basis)
+    def matrix_in_basis(a, f):
         return f.adjoint() @ a @ f
 
     rr = trial_rng(24)
     a = random_ops.rand_qmatrix(rr, 4)
-    std = [QVector.basis(4, k) for k in range(4)]
-    assert (matrix_in_basis(a, std) - a).frobenius_norm() < 1e-13
-    basis = gram_schmidt([random_ops.rand_qvector(rr, 4) for _ in range(4)])
+    assert (matrix_in_basis(a, QMatrix.identity(4)) - a).frobenius_norm() \
+        < 1e-13
+    basis = gram_schmidt(stack_columns([random_ops.rand_qvector(rr, 4)
+                                        for _ in range(4)]))
     b = matrix_in_basis(a, basis)
+    f = columns(basis)
     # entries are <f_r | A f_s>
     for r in range(4):
         for s in range(4):
-            want = inner(basis[r], a.matvec(basis[s]))
+            want = inner(f[r], a.matvec(f[s]))
             assert (b.entry(r, s) - want).norm() < 1e-12
     # conjugation by a unitary basis preserves the operator norm
     assert abs(operator_norm(b) - operator_norm(a)) < 1e-9
@@ -421,7 +433,6 @@ def test_values_share_no_memory(monkeypatch):
         (2.0 * a, (a,)), (a @ b, (a, b)), (a @ x, (a, x)),
         (a.adjoint(), (a,)), (a.copy(), (a,)), (a.column(1), (a,)),
         (x + x, (x,)), (x * 2.0, (x,)), (x * J, (x,)), (x.copy(), (x,)),
-        (QMatrix.from_columns([x, x]), (x,)),
     ]
     for k, (result, operands) in enumerate(results):
         assert not any(np.shares_memory(result.p, o.p) for o in operands), k
@@ -442,15 +453,15 @@ def test_values_share_no_memory(monkeypatch):
     monkeypatch.setattr(ckernel, "householder", householder)
     monkeypatch.setattr(ckernel, "Factorization", Recorded)
     t = random_ops.rank_deficient(rr, 5, 2)
-    columns = [t.column(k) for k in range(5)]
-    bases = [*null_range_bases(t), gram_schmidt(columns),
+    bases = [*null_range_bases(t), gram_schmidt(t),
              *_svd_bases(ckernel.Factorization(*t.p))]
     factors += [m for f in facs for m in (f.u, f.v)]
-    assert len(bases) == 6 and all(bases) and len(facs) == 2
+    assert len(bases) == 6 and all(b.shape[1] for b in bases)
+    assert len(facs) == 2
     for basis in bases:
-        for v in basis:
-            assert not any(np.shares_memory(v.p, m) for m in factors)
-            assert not any(np.shares_memory(v.p, c.p) for c in columns)
+        assert basis.p.flags.c_contiguous
+        assert not any(np.shares_memory(basis.p, m) for m in factors)
+        assert not np.shares_memory(basis.p, t.p)
 
 
 def _built_values():
@@ -468,11 +479,11 @@ def _built_values():
         "adjoint": a.adjoint(),
         "copy": a.copy(),
         "column": a.column(0),
-        "from_columns": QMatrix.from_columns([a.column(0), b.column(1)]),
+        "null_basis": null_range_bases(weight_matrix(7))[0],
         "parse_qmat": parse_qmat(emit_qmat(a)),
         "u0": f.u0,
         "abs_t": f.abs_t,
-        "gram_schmidt": gram_schmidt([a.column(0), a.column(1)])[0],
+        "gram_schmidt": gram_schmidt(a),
     }
 
 

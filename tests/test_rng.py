@@ -67,6 +67,19 @@ def test_rand_qvector_equals_entrywise(seed, n):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n", (1, 2, 7, 16))
+def test_rand_qmatrix_one_column_equals_rand_qvector(seed, n):
+    # the dichotomy suite draws its rank-one perturbations as one-column
+    # matrices, with the bits rand_qvector drew for them
+    r, oracle = SplitMix64(seed), SplitMix64(seed)
+    a = random_ops.rand_qmatrix(r, n, 1)
+    x = random_ops.rand_qvector(oracle, n)
+    assert a.shape == (n, 1)
+    assert a.p.tobytes() == x.p.tobytes()
+    assert r.next_u64() == oracle.next_u64()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("n", (1, 3, 4))
 def test_normal_equals_entrywise(seed, n):
     r, oracle = SplitMix64(seed), SplitMix64(seed)
