@@ -9,10 +9,9 @@ ranges, and every structural class; the battery checks both sides.
 """
 
 from .quaternion import Quaternion, q_mul
-from .qlinalg import (OperatorClass, QMatrix, QVector, ShapeMismatch,
-                      classify, frobenius_norm, gram_schmidt, inner,
-                      null_range_bases, operator_norm, projector_onto,
-                      quaternionic_rank)
+from .qlinalg import (OperatorClass, QMatrix, ShapeMismatch, classify,
+                      frobenius_norm, gram_schmidt, null_range_bases,
+                      operator_norm, projector_onto, quaternionic_rank)
 from .slices import (BlockStructureViolation, chi, chi_pullback, embed_vector,
                      equivalence_suite, pullback_vector)
 from .ckernel import (EigResult, NegativeEigenvalue, NoConvergence,
@@ -33,8 +32,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Quaternion", "q_mul",
-    "QVector", "QMatrix", "OperatorClass", "ShapeMismatch",
-    "inner", "gram_schmidt", "operator_norm", "classify",
+    "QMatrix", "OperatorClass", "ShapeMismatch",
+    "gram_schmidt", "operator_norm", "classify",
     "null_range_bases", "quaternionic_rank", "frobenius_norm",
     "projector_onto",
     "chi", "chi_pullback", "embed_vector", "pullback_vector",

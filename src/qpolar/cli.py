@@ -23,7 +23,7 @@ from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, perturb_polar,
                     polar_decompose, sqrt_positive_composite,
                     sqrt_positive_spectral, sqrt_strictly_positive)
-from .qlinalg import (QMatrix, QVector, check_tol, classify, operator_norm,
+from .qlinalg import (QMatrix, check_tol, classify, operator_norm,
                       projector_onto, quaternionic_rank, _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
@@ -228,8 +228,8 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
     out.append(("polar.null_rank_mismatches",
                 0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
     null_basis = _svd_bases(f.fac)[0]
-    # a matvec per column: one u0 @ null_basis product rounds differently
-    annihilation = max((u0.matvec(null_basis.column(k)).norm()
+    # a product per column: one u0 @ null_basis product rounds differently
+    annihilation = max(((u0 @ null_basis.column(k)).frobenius_norm()
                         for k in range(null_basis.shape[1])), default=0.0)
     out.append(("polar.null_annihilation_rel", annihilation / scale))
     # structure transfer on class-constructed draws
@@ -399,7 +399,7 @@ def polar_report(a: QMatrix, tol: float):
 
 def cmd_polar(in_path: str, tol: float, out_path: str | None = None) -> int:
     try:
-        with open(in_path, "r", encoding="utf-8") as fh:
+        with open(in_path, "rb") as fh:
             text = fh.read()
     except OSError as exc:
         print(f"error: cannot read {in_path}: {exc}", file=sys.stderr)
@@ -449,8 +449,9 @@ def _write_out(body: str, out_path: str | None, code: int) -> int:
 # closed-form example reproduction
 # ---------------------------------------------------------------------------
 
-def _basis(n: int, k: int) -> QVector:
-    return QVector.basis(n, k - 1)
+def _basis(n: int, k: int) -> QMatrix:
+    """The unit vector e_k of H^n, k from 1, as an n x 1 block."""
+    return QMatrix.identity(n).column(k - 1)
 
 
 # residual tolerance of the example reports
@@ -484,12 +485,12 @@ def example_report(which: str, n: int) -> Report:
                                   off.frobenius_norm(), EXAMPLE_TOL))
         u0 = f.u0
         act = max(
-            (u0.matvec(_basis(n, 1)) - _basis(n, 2)).norm(),
-            (u0.matvec(_basis(n, 2)) - _basis(n, 4)).norm(),
-            u0.matvec(_basis(n, 3)).norm(),
-            u0.matvec(_basis(n, 4)).norm(),
-            u0.matvec(_basis(n, 5)).norm(),
-            max((u0.matvec(_basis(n, k)) - _basis(n, k)).norm()
+            (u0 @ _basis(n, 1) - _basis(n, 2)).frobenius_norm(),
+            (u0 @ _basis(n, 2) - _basis(n, 4)).frobenius_norm(),
+            (u0 @ _basis(n, 3)).frobenius_norm(),
+            (u0 @ _basis(n, 4)).frobenius_norm(),
+            (u0 @ _basis(n, 5)).frobenius_norm(),
+            max((u0 @ _basis(n, k) - _basis(n, k)).frobenius_norm()
                 for k in range(6, n + 1)),
         )
         checks.append(CheckResult("isometry_action", act, EXAMPLE_TOL))
@@ -507,9 +508,11 @@ def example_report(which: str, n: int) -> Report:
             (u @ f.abs_t - a).frobenius_norm(), EXAMPLE_TOL))
         checks.append(CheckResult(
             "perturbed_e4_to_e3",
-            (u.matvec(_basis(n, 4)) - _basis(n, 3)).norm(), EXAMPLE_TOL))
+            (u @ _basis(n, 4) - _basis(n, 3)).frobenius_norm(),
+            EXAMPLE_TOL))
         checks.append(CheckResult(
-            "original_kills_e4", u0.matvec(_basis(n, 4)).norm(), EXAMPLE_TOL))
+            "original_kills_e4", (u0 @ _basis(n, 4)).frobenius_norm(),
+            EXAMPLE_TOL))
         checks.append(CheckResult(
             "verdict_nonunique", 0.0 if not f.unique else 1.0, 0.0))
     else:

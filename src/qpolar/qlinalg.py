@@ -1,10 +1,11 @@
-"""Right H-module vectors, quaternion matrices, and operator classification.
+"""Quaternion matrices and operator classification.
 
 Vectors live in H^n with scalars acting on the right, so matrices acting by
-left multiplication are right H-linear. Internally every object holds its
-planes p, one read-only complex array (2, ...) with entries p[0] + p[1] * j,
-which the kernel in ckernel works on as they are; regrouping between
-quaternion components and the complex pair is exact.
+left multiplication are right H-linear; a vector is an n x 1 QMatrix.
+Every QMatrix holds its planes p, one read-only complex array (2, rows,
+cols) with entries p[0] + p[1] * j, which the kernel in ckernel works on
+as they are; regrouping between quaternion components and the complex
+pair is exact.
 """
 
 from __future__ import annotations
@@ -24,18 +25,20 @@ class ShapeMismatch(ValueError):
     pass
 
 
-class _Planes:
-    """The planes p = (a1, a2) of a QVector or QMatrix, read-only, and the
-    arithmetic that acts on them plane by plane."""
+class QMatrix:
+    """Quaternion matrix A = a1 + a2 j, acting by left multiplication.
 
-    __slots__ = ("p",)
+    A vector of H^n is an n x 1 QMatrix: the right scalar action x q is
+    x @ QMatrix.diag([q]) and the inner product <x|y> is
+    (x.adjoint() @ y).entry(0, 0). The planes p = (a1, a2) are read-only.
+    """
 
     def __init__(self, a1, a2=None):
         a1 = np.asarray(a1, dtype=complex)
         shape2 = a1.shape if a2 is None else np.shape(a2)
-        if a1.shape != shape2 or a1.ndim != self.ndim:
-            raise ShapeMismatch(
-                f"component shapes {a1.shape} and {shape2} do not match")
+        if a1.shape != shape2 or a1.ndim != 2:
+            raise ShapeMismatch(f"component shapes {a1.shape} and {shape2} "
+                                "are not one 2-d shape")
         self.p = np.empty((2,) + a1.shape, dtype=complex)  # views no input
         self.p[0] = a1
         self.p[1] = 0.0 if a2 is None else a2
@@ -46,8 +49,8 @@ class _Planes:
 
     @classmethod
     def _adopt(cls, p):
-        """cls over the planes p, uncopied and made read-only: p must be a
-        new array, such as the ones ckernel._qmul and _qadj stack."""
+        """A QMatrix over the planes p, uncopied and made read-only: p must
+        be a new array, such as the ones ckernel._qmul and _qadj stack."""
         obj = cls.__new__(cls)
         obj.p = p
         p.flags.writeable = False
@@ -72,58 +75,6 @@ class _Planes:
 
     def copy(self):
         return self._adopt(self.p.copy())
-
-
-class QVector(_Planes):
-    """Vector in H^n, entries a1[k] + a2[k] * j, scalars on the right."""
-
-    __slots__ = ()
-    ndim = 1
-
-    @classmethod
-    def zeros(cls, n: int) -> "QVector":
-        return cls._adopt(np.zeros((2, n), dtype=complex))
-
-    @classmethod
-    def basis(cls, n: int, k: int) -> "QVector":
-        p = np.zeros((2, n), dtype=complex)
-        p[0, k] = 1.0
-        return cls._adopt(p)
-
-    def __len__(self):
-        return self.p.shape[1]
-
-    def __mul__(self, q):
-        """Right scalar action x * q for q a Quaternion or a real number."""
-        if isinstance(q, Quaternion):
-            alpha, beta = complex(q.w, q.x), complex(q.y, q.z)
-            return QVector(self.a1 * alpha - self.a2 * np.conj(beta),
-                           self.a1 * beta + self.a2 * np.conj(alpha))
-        return super().__mul__(q)
-
-    def norm(self) -> float:
-        return frobenius_norm(self)
-
-    def __repr__(self):
-        return f"QVector(len={len(self)})"
-
-
-def inner(x: QVector, y: QVector) -> Quaternion:
-    """Quaternionic inner product <x|y> = sum conj(x_k) y_k.
-
-    Right-linear in the second slot and conjugate-symmetric.
-    """
-    if len(x) != len(y):
-        raise ShapeMismatch(f"lengths {len(x)} and {len(y)} differ")
-    alpha = np.vdot(x.a1, y.a1) + np.vdot(y.a2, x.a2)
-    beta = np.vdot(x.a1, y.a2) - np.vdot(y.a1, x.a2)
-    return Quaternion(alpha.real, alpha.imag, beta.real, beta.imag)
-
-
-class QMatrix(_Planes):
-    """Quaternion matrix acting on QVector by left multiplication."""
-
-    ndim = 2
 
     @functools.cached_property
     def fac(self) -> ckernel.Factorization:
@@ -162,29 +113,22 @@ class QMatrix(_Planes):
         alpha, beta = self.a1[r, s], self.a2[r, s]
         return Quaternion(alpha.real, alpha.imag, beta.real, beta.imag)
 
-    def column(self, k: int) -> QVector:
-        return QVector._adopt(self.p[:, :, k].copy())
+    def column(self, k: int) -> "QMatrix":
+        """Column k, an n x 1 block."""
+        return QMatrix._adopt(self.p[:, :, k:k + 1].copy())
 
     def adjoint(self) -> "QMatrix":
         """Entrywise conjugate transpose, the unique A* with
         <x|Ay> = <A*x|y>."""
         return QMatrix._adopt(ckernel._qadj(self.p))
 
-    def matvec(self, x: QVector) -> QVector:
-        if self.shape[1] != len(x):
-            raise ShapeMismatch(
-                f"matrix {self.shape} cannot act on length {len(x)}")
-        return QVector._adopt(ckernel._qmul(self.p, x.p))
-
     def __matmul__(self, other):
-        if isinstance(other, QVector):
-            return self.matvec(other)
-        if isinstance(other, QMatrix):
-            if self.shape[1] != other.shape[0]:
-                raise ShapeMismatch(
-                    f"shapes {self.shape} and {other.shape} do not chain")
-            return QMatrix._adopt(ckernel._qmul(self.p, other.p))
-        return NotImplemented
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        if self.shape[1] != other.shape[0]:
+            raise ShapeMismatch(
+                f"shapes {self.shape} and {other.shape} do not chain")
+        return QMatrix._adopt(ckernel._qmul(self.p, other.p))
 
     def frobenius_norm(self) -> float:
         return frobenius_norm(self)
@@ -194,7 +138,8 @@ class QMatrix(_Planes):
 
 
 def frobenius_norm(a) -> float:
-    """Frobenius norm of a QMatrix, or the norm of a QVector."""
+    """Frobenius norm of a QMatrix; of an n x 1 block, the norm of the
+    vector of H^n it holds."""
     return ckernel.frobenius(a.p)
 
 

@@ -47,9 +47,9 @@ def _content_lines(text: str):
 
 
 def parse_qmat(text) -> QMatrix:
-    """Parse the text form of a quaternion matrix."""
+    """Parse the text form of a quaternion matrix, a str or UTF-8 bytes."""
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        text = _decode(text)
     lines = _content_lines(text)
     try:
         header_line, header = next(lines)
@@ -70,8 +70,9 @@ def parse_qmat(text) -> QMatrix:
         raise MalformedHeader(f"dimensions must be positive, got {rows} {cols}",
                               header_line)
     # row r holds the components w x y z of each entry in turn, so its
-    # complex view holds a1[r, c], a2[r, c] in turn
-    data = np.empty((rows, 4 * cols))
+    # complex view holds a1[r, c], a2[r, c] in turn; data grows as rows
+    # are read, so a header alone allocates nothing
+    data = np.empty((0, 0))
     for r in range(rows):
         try:
             line_no, line = next(lines)
@@ -82,6 +83,8 @@ def parse_qmat(text) -> QMatrix:
         if len(fields) != 4 * cols:
             raise WrongEntryCount(
                 f"expected {4 * cols} numbers, found {len(fields)}", line_no)
+        if r == len(data):
+            data.resize((min(2 * r + 1, rows), 4 * cols), refcheck=False)
         try:
             data[r] = [float(f) for f in fields]
         except ValueError:
@@ -94,6 +97,17 @@ def parse_qmat(text) -> QMatrix:
         raise WrongEntryCount(f"unexpected extra data {line!r}", line_no)
     planes = data.view(complex).reshape(rows, cols, 2)
     return QMatrix(planes[:, :, 0], planes[:, :, 1])
+
+
+def _decode(raw: bytes) -> str:
+    """raw as UTF-8; BadNumber on the line, as _content_lines counts lines,
+    of the first byte that is not."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = len((raw[:exc.start].decode("utf-8") + "x").splitlines())
+        bad = raw[exc.start:exc.start + 1]
+        raise BadNumber(f"invalid UTF-8 byte {bad!r}", line_no) from None
 
 
 def _raise_bad_number(line: str, line_no: int):

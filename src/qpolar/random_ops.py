@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from .polar import polar_decompose
-from .qlinalg import QMatrix, QVector, gram_schmidt, operator_norm, projector_onto
+from .qlinalg import QMatrix, gram_schmidt, operator_norm, projector_onto
 from .quaternion import Quaternion
 from .rng import SplitMix64
 
@@ -28,8 +28,9 @@ def _draw_planes(r: SplitMix64, shape: tuple) -> np.ndarray:
     return r.uniforms(count, -1, 1).view(complex).reshape((2,) + shape)
 
 
-def rand_qvector(r: SplitMix64, n: int) -> QVector:
-    return QVector._adopt(_draw_planes(r, (n,)))
+def rand_qvector(r: SplitMix64, n: int) -> QMatrix:
+    """A vector of H^n, the n x 1 draw of rand_qmatrix."""
+    return rand_qmatrix(r, n, 1)
 
 
 def rand_qmatrix(r: SplitMix64, n: int, cols: int | None = None) -> QMatrix:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel
-from .qlinalg import QMatrix, QVector, _check_square
+from .qlinalg import QMatrix, _check_square
 
 # default relative tolerance on the block-structure invariants; Gauss-Jordan
 # does not keep the block structure exactly, so pullbacks of its inverses
@@ -65,22 +65,23 @@ def chi_pullback(m, tol: float = BLOCK_TOL) -> QMatrix:
     return QMatrix(0.5 * (p + np.conj(s)), 0.5 * (q - np.conj(r)))
 
 
-def embed_vector(x: QVector) -> np.ndarray:
-    """Embed x = x1 + x2 j as the complex vector (x1, -conj(x2)).
+def embed_vector(x: QMatrix) -> np.ndarray:
+    """Embed the n x 1 block x = x1 + x2 j as the complex vector
+    (x1, -conj(x2)), the first column of chi(x).
 
     The embedding is isometric, C_i-linear, and intertwines the action:
     embed(A x) = chi_A @ embed(x). Null spaces and ranges correspond.
     """
-    return np.concatenate([x.a1, -np.conj(x.a2)])
+    return chi(x)[:, 0]
 
 
-def pullback_vector(u: np.ndarray) -> QVector:
-    """Inverse of embed_vector."""
+def pullback_vector(u: np.ndarray) -> QMatrix:
+    """Inverse of embed_vector: an n x 1 block."""
     u = np.asarray(u, dtype=complex)
     if u.ndim != 1 or u.shape[0] % 2:
         raise ValueError(f"expected an even-length vector, got {u.shape}")
     n = u.shape[0] // 2
-    return QVector(u[:n].copy(), -np.conj(u[n:]))
+    return QMatrix(u[:n, None], -np.conj(u[n:, None]))
 
 
 @dataclass

@@ -6,11 +6,14 @@ the library is a real check of the regrouped formulas. Two reference
 paths only tests use sit here too: a pseudoinverse on the library SVD
 and a coupled-Newton square root on Gauss-Jordan inverses. A recorder of
 kernel inputs lets tests pin how often an operator is factored.
+
+A vector of H^n is an n x 1 QMatrix; inner and right_mul spell out the
+library's inner product and right scalar action on such blocks.
 """
 
 import numpy as np
 
-from qpolar import QMatrix, QVector, Quaternion, ckernel, q_mul
+from qpolar import QMatrix, Quaternion, ckernel, q_mul
 from qpolar.ckernel import RANK_TOL, frobenius, gauss_inv, svd
 from qpolar.rng import SplitMix64, stream
 
@@ -28,20 +31,6 @@ def entries(a: QMatrix) -> list:
     return [[a.entry(r, c) for c in range(cols)] for r in range(rows)]
 
 
-def vector_entries(x: QVector) -> list:
-    return [row[0] for row in entries(stack_columns([x]))]
-
-
-def stack_columns(vectors) -> QMatrix:
-    """The QMatrix whose columns are the given QVectors, at least one."""
-    return QMatrix._adopt(np.stack([v.p for v in vectors], axis=2))
-
-
-def columns(b: QMatrix) -> list:
-    """The columns of b, each a QVector."""
-    return [b.column(k) for k in range(b.shape[1])]
-
-
 def planes(grid) -> tuple:
     """The planes (a1, a2) of a grid of quaternions: a1 = w + x i and
     a2 = y + z i entrywise."""
@@ -52,19 +41,14 @@ def planes(grid) -> tuple:
     return a1, a2
 
 
-def qvector(quats) -> QVector:
-    """The QVector with the given quaternion entries."""
-    a1, a2 = planes([list(quats)])
-    return QVector(a1[0], a2[0])
-
-
-def matvec_oracle(a: QMatrix, x: QVector) -> QVector:
+def matvec_oracle(a: QMatrix, x: QMatrix) -> QMatrix:
+    """A x for an n x 1 block x, entry by entry."""
     grid = entries(a)
-    vec = vector_entries(x)
+    vec = [row[0] for row in entries(x)]
     rows, cols = a.shape
-    out = [q_sum(q_mul(grid[r][c], vec[c]) for c in range(cols))
+    out = [[q_sum(q_mul(grid[r][c], vec[c]) for c in range(cols))]
            for r in range(rows)]
-    return qvector(out)
+    return QMatrix(*planes(out))
 
 
 def matmul_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -77,13 +61,20 @@ def matmul_oracle(a: QMatrix, b: QMatrix) -> QMatrix:
     return QMatrix(*planes(grid))
 
 
-def inner_oracle(x: QVector, y: QVector) -> Quaternion:
-    return q_sum(q_mul(xq.conjugate(), yq)
-                 for xq, yq in zip(vector_entries(x), vector_entries(y)))
+def inner_oracle(x: QMatrix, y: QMatrix) -> Quaternion:
+    """<x|y> = sum conj(x_k) y_k for n x 1 blocks x and y, entry by entry."""
+    return q_sum(q_mul(xq[0].conjugate(), yq[0])
+                 for xq, yq in zip(entries(x), entries(y)))
 
 
-def qmat_close(a: QMatrix, b: QMatrix, tol: float) -> bool:
-    return (a - b).frobenius_norm() <= tol
+def inner(x: QMatrix, y: QMatrix) -> Quaternion:
+    """<x|y> of n x 1 blocks, the 1 x 1 product x* y."""
+    return (x.adjoint() @ y).entry(0, 0)
+
+
+def right_mul(x: QMatrix, q) -> QMatrix:
+    """The right scalar action x q of the Quaternion q, x @ diag(q)."""
+    return x @ QMatrix.diag([q])
 
 
 def trial_rng(seed: int, k: int = 0) -> SplitMix64:
@@ -161,13 +152,14 @@ def conditioned_qmatrix(seed: int, n: int, cond: float) -> QMatrix:
 # The formulations the library's vectorized helpers replaced, kept as
 # oracles: each must agree with its replacement byte for byte.
 
-def rand_qvector_entrywise(r: SplitMix64, n: int) -> QVector:
-    """random_ops.rand_qvector, one complex(uniform, uniform) per entry."""
-    a1 = np.array([complex(r.uniform(-1, 1), r.uniform(-1, 1))
+def rand_qvector_entrywise(r: SplitMix64, n: int) -> QMatrix:
+    """random_ops.rand_qvector, one complex(uniform, uniform) per entry,
+    as an n x 1 block."""
+    a1 = np.array([[complex(r.uniform(-1, 1), r.uniform(-1, 1))]
                    for _ in range(n)])
-    a2 = np.array([complex(r.uniform(-1, 1), r.uniform(-1, 1))
+    a2 = np.array([[complex(r.uniform(-1, 1), r.uniform(-1, 1))]
                    for _ in range(n)])
-    return QVector(a1, a2)
+    return QMatrix(a1, a2)
 
 
 def rand_qmatrix_entrywise(r: SplitMix64, n: int, cols=None) -> QMatrix:

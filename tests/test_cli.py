@@ -96,7 +96,7 @@ def test_cmd_polar_identity(tmp_path):
     assert "null_rank 0" in body
 
 
-def test_cmd_polar_parse_error(tmp_path):
+def test_cmd_polar_parse_error(tmp_path, capsys):
     path = tmp_path / "garbage.qmat"
     path.write_text("QMAT 2 2\n1 2 3\n")
     assert cmd_polar(str(path), 1e-9, None) == 2
@@ -114,6 +114,15 @@ def test_cmd_polar_parse_error(tmp_path):
     path = tmp_path / "header.qmat"
     path.write_text("QMAT \uff12 2\n", encoding="utf-8")
     assert cmd_polar(str(path), 1e-9, None) == 2
+    # a header past what numpy can allocate and a byte that is not UTF-8
+    # each exit 2 with one error line; CI runs both files too
+    for name, message in (
+            ("oversized_header.qmat",
+             "line 2: expected 12000000000 numbers, found 4"),
+            ("non_utf8.qmat", "line 2: invalid UTF-8 byte b'\\xff'")):
+        capsys.readouterr()
+        assert main(["polar", "--in", str(DATA / "malformed" / name)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

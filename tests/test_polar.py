@@ -5,13 +5,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import (columns, conditioned_qmatrix, gaussian_qmatrix,
+from helpers import (conditioned_qmatrix, inner, gaussian_qmatrix,
                      matmul_oracle, record_kernel_inputs, record_svd_inputs,
                      trial_rng)
 from qpolar import (BadPerturbation, NotPositive,
-                    NotStrictlyPositive, QMatrix, QVector, Quaternion,
+                    NotStrictlyPositive, QMatrix, Quaternion,
                     canonical_perturbation, chi, chi_pullback,
-                    classify, equivalence_suite, inner, modulus,
+                    classify, equivalence_suite, modulus,
                     null_range_bases, null_swap_perturbation, operator_norm,
                     perturb_polar, polar_decompose, quaternionic_rank,
                     sqrt_positive_spectral, sqrt_positive_composite,
@@ -168,8 +168,8 @@ def test_modulus_examples():
     m = modulus(t)
     for _ in range(20):
         x = random_ops.rand_qvector(rr, 4)
-        assert abs(m.matvec(x).norm() - t.matvec(x).norm()) \
-            <= 1e-9 * max(1.0, t.matvec(x).norm())
+        tx = (t @ x).frobenius_norm()
+        assert abs((m @ x).frobenius_norm() - tx) <= 1e-9 * max(1.0, tx)
 
 
 def test_modulus_weight_matrix_against_diagonal_oracle():
@@ -265,14 +265,14 @@ def test_polar_decompose_weight_matrix():
     u0 = f.u0
 
     def e(k):
-        return QVector.basis(10, k - 1)
+        return QMatrix.identity(10).column(k - 1)
 
-    assert (u0.matvec(e(1)) - e(2)).norm() < 1e-10
-    assert (u0.matvec(e(2)) - e(4)).norm() < 1e-10
+    assert (u0 @ e(1) - e(2)).frobenius_norm() < 1e-10
+    assert (u0 @ e(2) - e(4)).frobenius_norm() < 1e-10
     for k in (3, 4, 5):
-        assert u0.matvec(e(k)).norm() < 1e-10
+        assert (u0 @ e(k)).frobenius_norm() < 1e-10
     for k in range(6, 11):
-        assert (u0.matvec(e(k)) - e(k)).norm() < 1e-10
+        assert (u0 @ e(k) - e(k)).frobenius_norm() < 1e-10
     assert f.null_rank == 3 and f.corange_rank == 3 and not f.unique
 
 
@@ -311,12 +311,12 @@ def test_polar_invariants_random():
         assert quaternionic_rank(u0) == quaternionic_rank(t)
         null_t, _ = null_range_bases(t)
         assert null_t.shape == (n, f.null_rank) and f.null_rank == n - rank
-        for v in columns(null_t):
-            assert u0.matvec(v).norm() <= 1e-9 * scale
+        for k in range(f.null_rank):
+            assert (u0 @ null_t.column(k)).frobenius_norm() <= 1e-9 * scale
         # mutual annihilation the other way round
         null_u, _ = null_range_bases(u0)
-        for v in columns(null_u):
-            assert t.matvec(v).norm() <= 1e-8 * scale
+        for k in range(null_u.shape[1]):
+            assert (t @ null_u.column(k)).frobenius_norm() <= 1e-8 * scale
 
 
 def _structure_residuals(t: QMatrix) -> dict:
@@ -376,11 +376,11 @@ def test_perturb_polar_zero_and_weight_example():
     assert (perturb_polar(f, QMatrix.zeros(10)) - f.u0).frobenius_norm() == 0.0
     v = null_swap_perturbation(10)
     u = perturb_polar(f, v)
-    e3 = QVector.basis(10, 2)
-    e4 = QVector.basis(10, 3)
+    e3 = QMatrix.identity(10).column(2)
+    e4 = QMatrix.identity(10).column(3)
     assert (u @ f.abs_t - a).frobenius_norm() < 1e-10
-    assert (u.matvec(e4) - e3).norm() < 1e-12
-    assert f.u0.matvec(e4).norm() < 1e-12
+    assert (u @ e4 - e3).frobenius_norm() < 1e-12
+    assert (f.u0 @ e4).frobenius_norm() < 1e-12
     assert (u - f.u0).frobenius_norm() > 0.5
 
 
@@ -490,15 +490,16 @@ def test_corange_basis_on_rank_deficient_draws():
         f = polar_decompose(t)
         corange = _svd_bases(f.fac)[2]
         assert corange.shape == (n, f.null_rank)
-        for j, c in enumerate(columns(corange)):
-            for k, d in enumerate(columns(corange)):
+        for j in range(f.null_rank):
+            for k in range(f.null_rank):
                 want = Quaternion(1.0 if j == k else 0.0)
-                assert (inner(c, d) - want).norm() < 1e-12
+                assert (inner(corange.column(j), corange.column(k))
+                        - want).norm() < 1e-12
         scale = max(1.0, t.frobenius_norm())
         for _ in range(5):
-            y = t.matvec(random_ops.rand_qvector(rr, n))
-            for c in columns(corange):
-                assert inner(c, y).norm() <= 1e-12 * scale
+            y = t @ random_ops.rand_qvector(rr, n)
+            for k in range(f.null_rank):
+                assert inner(corange.column(k), y).norm() <= 1e-12 * scale
         u = perturb_polar(f, canonical_perturbation(f))
         assert (u @ f.abs_t - t).frobenius_norm() <= 1e-9 * scale
         assert (u - f.u0).frobenius_norm() > 0.5

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from helpers import (columns, inner_oracle, matmul_oracle, matvec_oracle,
-                     qvector, stack_columns, trial_rng)
-from qpolar import (QMatrix, QVector, Quaternion, ShapeMismatch,
-                    classify, emit_qmat, gram_schmidt, inner,
+from helpers import (inner, inner_oracle, matmul_oracle, matvec_oracle,
+                     planes, right_mul, trial_rng)
+from qpolar import (QMatrix, Quaternion, ShapeMismatch,
+                    classify, emit_qmat, gram_schmidt,
                     null_range_bases, operator_norm, parse_qmat,
                     polar_decompose, projector_onto, quaternionic_rank,
                     weight_matrix)
@@ -16,14 +16,25 @@ from qpolar.quaternion import I, J, K
 from qpolar import ckernel, qlinalg, random_ops
 from qpolar.rng import SplitMix64
 
+# A vector of H^n is an n x 1 QMatrix: <x|y> is the 1 x 1 product x* y,
+# and x q is x @ diag(q).
+
+
+def _hstack(*blocks) -> QMatrix:
+    """The QMatrix whose columns are those of the given blocks, in order."""
+    return QMatrix(*np.concatenate([b.p for b in blocks], axis=2))
+
 
 def test_inner_examples():
-    e1 = QVector.basis(2, 0)
-    assert inner(e1, e1 * J) == J
-    x = qvector([I, J])
+    e1 = QMatrix.identity(2).column(0)
+    assert inner(e1, right_mul(e1, J)) == J
+    x = QMatrix(*planes([[I], [J]]))
     assert inner(x, x) == Quaternion(2)
     with pytest.raises(ShapeMismatch):
-        inner(QVector.zeros(2), QVector.zeros(3))
+        QMatrix.zeros(2, 1).adjoint() @ QMatrix.zeros(3, 1)
+    # a vector is a 2-d block; 1-d planes are refused
+    with pytest.raises(ShapeMismatch, match="not one 2-d shape"):
+        QMatrix(np.ones(2), np.zeros(2))
 
 
 def test_inner_conjugate_symmetry_bulk():
@@ -31,9 +42,10 @@ def test_inner_conjugate_symmetry_bulk():
     for _ in range(10_000):
         x = random_ops.rand_qvector(rr, 3)
         y = random_ops.rand_qvector(rr, 3)
-        lhs = inner(x, y)
-        rhs = inner(y, x).conjugate()
-        assert (lhs - rhs).norm() <= 1e-13 * max(1.0, lhs.norm())
+        lhs = x.adjoint() @ y
+        rhs = (y.adjoint() @ x).adjoint()
+        assert (lhs - rhs).frobenius_norm() \
+            <= 1e-13 * max(1.0, lhs.frobenius_norm())
 
 
 def test_inner_right_linearity():
@@ -42,10 +54,11 @@ def test_inner_right_linearity():
         u = random_ops.rand_qvector(rr, 4)
         v = random_ops.rand_qvector(rr, 4)
         w = random_ops.rand_qvector(rr, 4)
-        q = random_ops.rand_quaternion(rr)
-        lhs = inner(u, v + w * q)
-        rhs = inner(u, v) + inner(u, w) * q
-        assert (lhs - rhs).norm() <= 1e-13 * max(1.0, lhs.norm())
+        q = QMatrix.diag([random_ops.rand_quaternion(rr)])
+        lhs = u.adjoint() @ (v + w @ q)
+        rhs = u.adjoint() @ v + (u.adjoint() @ w) @ q
+        assert (lhs - rhs).frobenius_norm() \
+            <= 1e-13 * max(1.0, lhs.frobenius_norm())
 
 
 def test_inner_matches_direct_summation():
@@ -61,7 +74,8 @@ def test_cauchy_schwarz_bulk():
     for _ in range(10_000):
         x = random_ops.rand_qvector(rr, 3)
         y = random_ops.rand_qvector(rr, 3)
-        assert inner(x, y).norm() <= x.norm() * y.norm() * (1 + 1e-13)
+        assert (x.adjoint() @ y).frobenius_norm() \
+            <= x.frobenius_norm() * y.frobenius_norm() * (1 + 1e-13)
 
 
 def test_right_module_action():
@@ -70,10 +84,11 @@ def test_right_module_action():
         a = random_ops.rand_qmatrix(rr, 4)
         x = random_ops.rand_qvector(rr, 4)
         y = random_ops.rand_qvector(rr, 4)
-        q = random_ops.rand_quaternion(rr)
-        lhs = a.matvec(x * q + y)
-        rhs = a.matvec(x) * q + a.matvec(y)
-        assert (lhs - rhs).norm() <= 1e-12 * max(1.0, lhs.norm())
+        q = QMatrix.diag([random_ops.rand_quaternion(rr)])
+        lhs = a @ (x @ q + y)
+        rhs = (a @ x) @ q + a @ y
+        assert (lhs - rhs).frobenius_norm() \
+            <= 1e-12 * max(1.0, lhs.frobenius_norm())
 
 
 def test_matmul_matches_hamilton_oracle():
@@ -83,7 +98,19 @@ def test_matmul_matches_hamilton_oracle():
         b = random_ops.rand_qmatrix(rr, 3)
         assert (a @ b - matmul_oracle(a, b)).frobenius_norm() <= 1e-13
         x = random_ops.rand_qvector(rr, 3)
-        assert (a.matvec(x) - matvec_oracle(a, x)).norm() <= 1e-13
+        assert (a @ x - matvec_oracle(a, x)).frobenius_norm() <= 1e-13
+
+
+def test_vector_product_bytes_match_one_dimensional_product():
+    # a vector is an n x 1 block; its product with a matrix has the bits
+    # of the product with the 1-d planes, which the closed-form example
+    # reports and the polar battery's annihilation line were pinned on
+    rr = trial_rng(97)
+    for n in range(1, 49):
+        a = random_ops.rand_qmatrix(rr, n)
+        x = random_ops.rand_qvector(rr, n)
+        want = ckernel._qmul(a.p, x.p[:, :, 0])
+        assert (a @ x).p.tobytes() == want.tobytes(), n
 
 
 def test_adjoint_examples():
@@ -100,29 +127,29 @@ def test_adjoint_identity_random_pairs():
     for _ in range(100):
         x = random_ops.rand_qvector(rr, 4)
         y = random_ops.rand_qvector(rr, 4)
-        diff = inner(x, a.matvec(y)) - inner(astar.matvec(x), y)
+        diff = inner(x, a @ y) - inner(astar @ x, y)
         worst = max(worst, diff.norm())
     assert worst < 1e-12
     assert (astar.adjoint() - a).frobenius_norm() == 0.0
 
 
 def test_gram_schmidt_examples():
-    e1 = QVector.basis(2, 0)
-    e2 = QVector.basis(2, 1)
-    out = gram_schmidt(stack_columns([e1, e1 * K, e2]))
+    e1, e2 = QMatrix.identity(2).column(0), QMatrix.identity(2).column(1)
+    out = gram_schmidt(_hstack(e1, right_mul(e1, K), e2))
     assert out.shape == (2, 2)
     # spans e1, e2 up to right unit scalars
     p = projector_onto(out)
     want = QMatrix.identity(2)
     assert (p - want).frobenius_norm() < 1e-12
 
-    pair = gram_schmidt(stack_columns([qvector([Quaternion(1), Quaternion(1)]),
-                                       qvector([Quaternion(1), Quaternion(0)])]))
+    one, zero = Quaternion(1), Quaternion(0)
+    pair = gram_schmidt(QMatrix(*planes([[one, one], [one, zero]])))
     assert pair.shape == (2, 2)
-    for r, u in enumerate(columns(pair)):
-        for s, v in enumerate(columns(pair)):
+    for r in range(2):
+        for s in range(2):
             want_q = Quaternion(1.0 if r == s else 0.0)
-            assert (inner(u, v) - want_q).norm() < 1e-12
+            assert (inner(pair.column(r), pair.column(s))
+                    - want_q).norm() < 1e-12
 
     assert gram_schmidt(QMatrix.zeros(2, 0)).shape == (2, 0)
 
@@ -130,24 +157,24 @@ def test_gram_schmidt_examples():
 def test_gram_schmidt_rank_deficient_shrinks():
     rr = trial_rng(18)
     vs = [random_ops.rand_qvector(rr, 3) for _ in range(2)]
-    vs.append(vs[0] * random_ops.rand_quaternion(rr)
-              + vs[1] * random_ops.rand_quaternion(rr))
-    out = gram_schmidt(stack_columns(vs))
+    vs.append(right_mul(vs[0], random_ops.rand_quaternion(rr))
+              + right_mul(vs[1], random_ops.rand_quaternion(rr)))
+    out = gram_schmidt(_hstack(*vs))
     assert out.shape == (3, 2)
 
 
-def gram_schmidt_objects(vectors, drop_tol=1e-10):
-    """Reference: two-pass Gram-Schmidt over QVector and Quaternion
-    objects, dropping a vector whose residual is at most drop_tol times
-    its norm."""
+def gram_schmidt_objects(b: QMatrix, drop_tol=1e-10):
+    """Reference: two-pass Gram-Schmidt over the columns of b, one n x 1
+    block and one Quaternion coefficient at a time, dropping a column
+    whose residual is at most drop_tol times its norm."""
     basis = []
-    for v in vectors:
-        w = v.copy()
-        orig = w.norm()
+    for k in range(b.shape[1]):
+        w = b.column(k)
+        orig = w.frobenius_norm()
         for _ in range(2):
             for u in basis:
-                w = w - u * inner(u, w)
-        nw = w.norm()
+                w = w - right_mul(u, inner(u, w))
+        nw = w.frobenius_norm()
         if nw > drop_tol * orig:
             basis.append(w * (1.0 / nw))
     return basis
@@ -157,14 +184,14 @@ def _gram_schmidt_cases():
     rr = trial_rng(19)
     yield QMatrix.zeros(3, 0)
     for n in (1, 3, 8):
-        yield stack_columns([random_ops.rand_qvector(rr, n) for _ in range(n)])
-        yield stack_columns([random_ops.rand_qvector(rr, n)
-                             for _ in range(n + 2)])
+        yield _hstack(*[random_ops.rand_qvector(rr, n) for _ in range(n)])
+        yield _hstack(*[random_ops.rand_qvector(rr, n)
+                        for _ in range(n + 2)])
     # pulled-back singular vectors of block images come in dependent
     # pairs, as in the coimage and null/range bases
     for n, rank in ((2, 2), (5, 3), (8, 8), (8, 1)):
         v = ckernel.svd(chi(random_ops.rank_deficient(rr, n, rank)))[2]
-        b = stack_columns([pullback_vector(v[:, k]) for k in range(2 * n)])
+        b = _hstack(*[pullback_vector(v[:, k]) for k in range(2 * n)])
         yield b
         yield QMatrix(*b.p[:, :, 2 * rank:])
 
@@ -174,10 +201,10 @@ def test_gram_schmidt_matches_object_loop_bytes():
     # many vectors; the basis vectors themselves differ by unit scalars
     for b in _gram_schmidt_cases():
         got = gram_schmidt(b)
-        want = gram_schmidt_objects(columns(b))
+        want = gram_schmidt_objects(b)
         assert got.shape == (b.shape[0], len(want))
         if want:
-            diff = projector_onto(got) - projector_onto(stack_columns(want))
+            diff = projector_onto(got) - projector_onto(_hstack(*want))
             assert diff.frobenius_norm() < 1e-12
 
 
@@ -187,9 +214,8 @@ def test_gram_schmidt_keeps_independent_vectors_at_any_scale():
     # 2**k v is that of v, bit for bit; dependent vectors are still dropped
     rr = trial_rng(20)
     vs = [random_ops.rand_qvector(rr, 4) for _ in range(3)]
-    vs.append(vs[0] * random_ops.rand_quaternion(rr) + vs[2])
-    units = [QVector.basis(3, 0), QVector.basis(3, 1)]
-    b, unit_b = stack_columns(vs), stack_columns(units)
+    vs.append(right_mul(vs[0], random_ops.rand_quaternion(rr)) + vs[2])
+    b, unit_b = _hstack(*vs), QMatrix(*QMatrix.identity(3).p[:, :, :2])
     want = gram_schmidt(b)
     assert want.shape == (4, 3)
     for k in (-600, -40, 0, 600):
@@ -208,8 +234,8 @@ def test_frobenius_norm_extreme_scales(exponent):
     assert frobenius_norm(scaled) == pytest.approx(
         frobenius_norm(a) * 2.0 ** exponent, rel=1e-14, abs=0.0)
     x = random_ops.rand_qvector(rr, 4)
-    assert (x * 2.0 ** exponent).norm() == pytest.approx(
-        x.norm() * 2.0 ** exponent, rel=1e-14, abs=0.0)
+    assert (x * 2.0 ** exponent).frobenius_norm() == pytest.approx(
+        x.frobenius_norm() * 2.0 ** exponent, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -365,8 +391,9 @@ def test_null_range_bases_weight_matrix():
         want[k, k] = 1.0
     assert (projector_onto(null_basis) - QMatrix(want)).frobenius_norm() \
         < 1e-10
-    for v in columns(null_basis):
-        assert a.matvec(v).norm() <= 1e-10 * operator_norm(a)
+    for k in range(3):
+        assert (a @ null_basis.column(k)).frobenius_norm() \
+            <= 1e-10 * operator_norm(a)
 
 
 def test_null_range_bases_planted_rank():
@@ -389,9 +416,8 @@ def test_rank_nullity_and_corange_orthogonality():
         assert null_basis.shape[1] + range_basis.shape[1] == n
         # R(A)-perp equals N(A*): mutual orthogonality of computed bases
         null_star = null_range_bases(a.adjoint())[0]
-        for u in columns(null_star):
-            for v in columns(range_basis):
-                assert inner(u, v).norm() < 1e-10
+        cross = null_star.adjoint() @ range_basis
+        assert np.all(np.hypot(abs(cross.a1), abs(cross.a2)) < 1e-10)
 
 
 def test_matrix_in_basis():
@@ -403,27 +429,28 @@ def test_matrix_in_basis():
     a = random_ops.rand_qmatrix(rr, 4)
     assert (matrix_in_basis(a, QMatrix.identity(4)) - a).frobenius_norm() \
         < 1e-13
-    basis = gram_schmidt(stack_columns([random_ops.rand_qvector(rr, 4)
-                                        for _ in range(4)]))
+    basis = gram_schmidt(_hstack(*[random_ops.rand_qvector(rr, 4)
+                                   for _ in range(4)]))
     b = matrix_in_basis(a, basis)
-    f = columns(basis)
     # entries are <f_r | A f_s>
     for r in range(4):
         for s in range(4):
-            want = inner(f[r], a.matvec(f[s]))
+            want = inner(basis.column(r), a @ basis.column(s))
             assert (b.entry(r, s) - want).norm() < 1e-12
     # conjugation by a unitary basis preserves the operator norm
     assert abs(operator_norm(b) - operator_norm(a)) < 1e-9
 
 
 def test_values_share_no_memory(monkeypatch):
-    # values are immutable after construction: a QMatrix or QVector holds
-    # its planes p, and none may view the arrays it was built from, an
-    # operand's planes, or the factors its bases were read from
+    # values are immutable after construction: a QMatrix, n x 1 vectors
+    # included, holds its planes p, and none may view the arrays it was
+    # built from, an operand's planes, or the factors its bases were read
+    # from
     a1, a2 = np.eye(3, dtype=complex), np.ones((3, 3), dtype=complex)
     for built, parts in ((QMatrix(a1, a2), (a1, a2)), (QMatrix(a1), (a1,)),
-                         (QVector(a1[0], a2[0]), (a1, a2)),
-                         (QVector(a1[0]), (a1,))):
+                         (QMatrix(a1[:, :1], a2[:, :1]), (a1, a2)),
+                         (QMatrix(a1[:, :1]), (a1,)),
+                         (pullback_vector(a1[0, :2]), (a1,))):
         assert not any(np.shares_memory(built.p, x) for x in parts)
     rr = trial_rng(95)
     a, b = random_ops.rand_qmatrix(rr, 3), random_ops.rand_qmatrix(rr, 3)
@@ -432,7 +459,8 @@ def test_values_share_no_memory(monkeypatch):
         (a + b, (a, b)), (a - b, (a, b)), (-a, (a,)), (a * 2.0, (a,)),
         (2.0 * a, (a,)), (a @ b, (a, b)), (a @ x, (a, x)),
         (a.adjoint(), (a,)), (a.copy(), (a,)), (a.column(1), (a,)),
-        (x + x, (x,)), (x * 2.0, (x,)), (x * J, (x,)), (x.copy(), (x,)),
+        (x + x, (x,)), (x * 2.0, (x,)), (right_mul(x, J), (x,)),
+        (x.copy(), (x,)),
     ]
     for k, (result, operands) in enumerate(results):
         assert not any(np.shares_memory(result.p, o.p) for o in operands), k
@@ -473,7 +501,7 @@ def _built_values():
         "zeros": QMatrix.zeros(2),
         "identity": QMatrix.identity(2),
         "diag": QMatrix.diag([1.0, J]),
-        "basis": QVector.basis(3, 1),
+        "basis": QMatrix.identity(3).column(1),
         "sum": a + b,
         "product": a @ b,
         "adjoint": a.adjoint(),

@@ -31,6 +31,22 @@ def test_wrong_entry_count_line_number():
     with pytest.raises(WrongEntryCount) as exc:
         parse_qmat("QMAT 1 1\n0 0 1 0\n1 2 3 4")  # extra data
     assert exc.value.line == 3
+    # only the rows read are held, so a header asks for no memory: these
+    # are past what numpy could allocate at all
+    with pytest.raises(WrongEntryCount) as exc:
+        parse_qmat("QMAT 3000000000 3000000000\n1 2 3 4\n")
+    assert str(exc.value) == "line 2: expected 12000000000 numbers, found 4"
+    with pytest.raises(WrongEntryCount) as exc:
+        parse_qmat(f"QMAT {10 ** 18} 1\n1 2 3 4\n")
+    assert str(exc.value) == f"line 1: expected {10 ** 18} rows, found 1"
+    with pytest.raises(WrongEntryCount) as exc:
+        parse_qmat(f"QMAT 1 {10 ** 24}\n1 2 3 4\n")
+    assert str(exc.value) == (
+        f"line 2: expected {4 * 10 ** 24} numbers, found 4")
+    # a bad row is still reported before a short row after it
+    with pytest.raises(BadNumber) as exc:
+        parse_qmat("QMAT 2 1\n1 inf 3 4\n1 2 3")
+    assert exc.value.line == 2
 
 
 def test_malformed_header():
@@ -63,6 +79,19 @@ def test_bad_number_first_in_field_order():
     with pytest.raises(BadNumber) as exc:
         parse_qmat("QMAT 2 1\n1 inf 3 4\nx 0 0 0")
     assert str(exc.value) == "line 2: 'inf' is not a finite number"
+
+
+def test_invalid_utf8_names_its_line():
+    with pytest.raises(BadNumber) as exc:
+        parse_qmat(b"QMAT 1 1\n1 0 0 \xff0\n")
+    assert str(exc.value) == "line 2: invalid UTF-8 byte b'\\xff'"
+    # lines are counted as the parser counts them, comments and blank
+    # lines included; a comment must be UTF-8 too
+    for raw, line in ((b"# caf\xe9\nQMAT 1 1\n1 0 0 0\n", 1),
+                      (b"QMAT 1 1\r\n\r\n1 0 0 0 \xc3", 3)):
+        with pytest.raises(BadNumber) as exc:
+            parse_qmat(raw)
+        assert exc.value.line == line
 
 
 def test_every_float_literal_parses():

@@ -61,7 +61,7 @@ def test_rand_qvector_equals_entrywise(seed, n):
     r, oracle = SplitMix64(seed), SplitMix64(seed)
     x = random_ops.rand_qvector(r, n)
     y = rand_qvector_entrywise(oracle, n)
-    assert len(x) == len(y) == n
+    assert x.shape == y.shape == (n, 1)
     assert x.p.tobytes() == y.p.tobytes()
     assert r.next_u64() == oracle.next_u64()
 

@@ -1,25 +1,25 @@
 import numpy as np
 import pytest
 
-from helpers import matvec_oracle, qvector, record_svd_inputs, trial_rng
-from qpolar import (BlockStructureViolation, QMatrix, QVector, Quaternion,
+from helpers import (inner, matvec_oracle, planes, record_svd_inputs,
+                     right_mul, trial_rng)
+from qpolar import (BlockStructureViolation, QMatrix, Quaternion,
                     chi, chi_pullback, classify, embed_vector,
-                    equivalence_suite, inner, operator_norm, pullback_vector,
+                    equivalence_suite, operator_norm, pullback_vector,
                     quaternionic_rank, weight_matrix)
 from qpolar import ckernel, random_ops
 from qpolar.quaternion import I, J, K
 from qpolar.rng import SplitMix64
 
 
-# The slice device of the paper, in the arithmetic of QVector and QMatrix:
-# J = i * I acts as x -> i x, the plus slice holds the vectors with entries
-# in C_i (a2 = 0), the minus slice its image under x -> x * j (a1 = 0), and
-# A = A1 + A2 * j splits into the planes (a1, a2).
+# The slice device of the paper, in the arithmetic of QMatrix, a vector
+# being an n x 1 block: J = i * I acts as x -> i x, the plus slice holds
+# the vectors with entries in C_i (a2 = 0), the minus slice its image
+# under x -> x * j (a1 = 0), and A = A1 + A2 * j splits into the planes
+# (a1, a2).
 
-def _plus_minus(x: QVector):
-    n = len(x)
-    return (QVector(x.a1, np.zeros(n, dtype=complex)),
-            QVector(np.zeros(n, dtype=complex), x.a2))
+def _plus_minus(x: QMatrix):
+    return QMatrix(x.a1), QMatrix(np.zeros_like(x.a2), x.a2)
 
 
 def test_standard_j_invariants():
@@ -29,18 +29,21 @@ def test_standard_j_invariants():
     rr = trial_rng(31)
     x = random_ops.rand_qvector(rr, 4)
     q = random_ops.rand_quaternion(rr)
-    assert (m.matvec(x * q) - m.matvec(x) * q).norm() < 1e-13
-    assert (m.matvec(x) - QVector(1j * x.a1, 1j * x.a2)).norm() == 0.0
+    assert (m @ right_mul(x, q)
+            - right_mul(m @ x, q)).frobenius_norm() < 1e-13
+    assert (m @ x - QMatrix(1j * x.a1, 1j * x.a2)).frobenius_norm() == 0.0
 
 
 def test_slice_project_examples():
-    x = qvector([Quaternion(1), Quaternion(-2)])
+    x = QMatrix(*planes([[Quaternion(1)], [Quaternion(-2)]]))
     plus, minus = _plus_minus(x)
-    assert (plus - x).norm() == 0.0 and minus.norm() == 0.0
+    assert (plus - x).frobenius_norm() == 0.0
+    assert minus.frobenius_norm() == 0.0
 
-    y = QVector.basis(3, 0) * J
+    y = right_mul(QMatrix.identity(3).column(0), J)
     plus, minus = _plus_minus(y)
-    assert plus.norm() == 0.0 and (minus - y).norm() == 0.0
+    assert plus.frobenius_norm() == 0.0
+    assert (minus - y).frobenius_norm() == 0.0
 
 
 def test_slice_project_structure():
@@ -49,9 +52,10 @@ def test_slice_project_structure():
     for _ in range(50):
         x = random_ops.rand_qvector(rr, 5)
         plus, minus = _plus_minus(x)
-        assert (plus + minus - x).norm() == 0.0  # bit-exact regrouping
-        assert (j.matvec(plus) - plus * I).norm() == 0.0
-        assert (j.matvec(minus) + minus * I).norm() == 0.0
+        # bit-exact regrouping
+        assert (plus + minus - x).frobenius_norm() == 0.0
+        assert (j @ plus - right_mul(plus, I)).frobenius_norm() == 0.0
+        assert (j @ minus + right_mul(minus, I)).frobenius_norm() == 0.0
         # opposite-slice inner products anticommute with conjugation
         cross = inner(plus, minus) + inner(minus, plus)
         assert cross.norm() <= 1e-13
@@ -59,24 +63,25 @@ def test_slice_project_structure():
 
 def test_anti_iso_phi():
     # phi(x) = x * j carries the plus slice onto the minus slice
-    e1 = QVector.basis(2, 0)
-    assert np.all((e1 * J).a1 == 0) and np.all((e1 * J).a2 == e1.a1)
+    e1 = QMatrix.identity(2).column(0)
+    e1j = right_mul(e1, J)
+    assert np.all(e1j.a1 == 0) and np.all(e1j.a2 == e1.a1)
     # phi(x * i) = phi(x) * (-i), and e1 * i * j = e1 * k
-    lhs = (e1 * I) * J
-    assert (lhs - e1 * K).norm() == 0.0
-    assert (lhs - ((e1 * J) * (-I))).norm() == 0.0
-    assert (QVector.zeros(3) * J).norm() == 0.0
+    lhs = right_mul(right_mul(e1, I), J)
+    assert (lhs - right_mul(e1, K)).frobenius_norm() == 0.0
+    assert (lhs - right_mul(e1j, -I)).frobenius_norm() == 0.0
+    assert right_mul(QMatrix.zeros(3, 1), J).frobenius_norm() == 0.0
 
 
 def test_anti_iso_phi_antilinear():
     rr = trial_rng(33)
     for _ in range(50):
-        x = QVector(np.array([complex(rr.uniform(-1, 1), rr.uniform(-1, 1))
+        x = QMatrix(np.array([[complex(rr.uniform(-1, 1), rr.uniform(-1, 1))]
                               for _ in range(4)]))
         lam = Quaternion(rr.uniform(-1, 1), rr.uniform(-1, 1))
-        lhs = (x * lam) * J
-        rhs = (x * J) * lam.conjugate()
-        assert (lhs - rhs).norm() < 1e-13
+        lhs = right_mul(right_mul(x, lam), J)
+        rhs = right_mul(right_mul(x, J), lam.conjugate())
+        assert (lhs - rhs).frobenius_norm() < 1e-13
 
 
 def test_split_operator_examples():
@@ -97,7 +102,7 @@ def test_split_operator_action_identity():
         y1 = a.a1 @ x.a1 - a.a2 @ np.conj(x.a2)
         y2 = a.a1 @ x.a2 + a.a2 @ np.conj(x.a1)
         direct = matvec_oracle(a, x)
-        assert (QVector(y1, y2) - direct).norm() < 1e-12
+        assert (QMatrix(y1, y2) - direct).frobenius_norm() < 1e-12
         assert (QMatrix(a.a1, a.a2) - a).frobenius_norm() == 0.0
 
 
@@ -167,13 +172,22 @@ def test_chi_injective_via_roundtrip():
 
 
 def test_embed_vector_examples():
-    e1 = QVector.basis(2, 0)
+    e1 = QMatrix.identity(2).column(0)
     assert np.allclose(embed_vector(e1), [1, 0, 0, 0])
-    assert np.allclose(embed_vector(e1 * J), [0, 0, -1, 0])
+    assert np.allclose(embed_vector(right_mul(e1, J)), [0, 0, -1, 0])
     rr = trial_rng(39)
     x = random_ops.rand_qvector(rr, 3)
-    assert abs(np.linalg.norm(embed_vector(x)) - x.norm()) < 1e-13
-    assert (pullback_vector(embed_vector(x)) - x).norm() == 0.0
+    assert abs(np.linalg.norm(embed_vector(x)) - x.frobenius_norm()) < 1e-13
+    # the embedding of an n x 1 block is the first column of its chi
+    # image, (x1, -conj(x2)) bit for bit, and the pullback gives back the
+    # planes exactly
+    for n in range(1, 49):
+        x = random_ops.rand_qvector(rr, n)
+        u = embed_vector(x)
+        assert u.tobytes() == chi(x)[:, 0].tobytes()
+        want = np.concatenate([x.a1[:, 0], -np.conj(x.a2[:, 0])])
+        assert u.tobytes() == want.tobytes()
+        assert pullback_vector(u).p.tobytes() == x.p.tobytes()
 
 
 def test_embed_intertwines_action():
@@ -181,14 +195,14 @@ def test_embed_intertwines_action():
     for _ in range(25):
         a = random_ops.rand_qmatrix(rr, 4)
         x = random_ops.rand_qvector(rr, 4)
-        lhs = embed_vector(a.matvec(x))
+        lhs = embed_vector(a @ x)
         rhs = chi(a) @ embed_vector(x)
         assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 def test_embed_null_vector_of_weight_matrix():
     a = weight_matrix(10)
-    e4 = QVector.basis(10, 3)
+    e4 = QMatrix.identity(10).column(3)
     assert np.linalg.norm(chi(a) @ embed_vector(e4)) < 1e-12
 
 
