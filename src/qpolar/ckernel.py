@@ -1,13 +1,14 @@
-"""Self-contained numerical engine on complex matrices and quaternion planes.
+"""Self-contained numerical engine on quaternion planes, in and out.
 
-Everything quaternionic here is computed by one one-sided Jacobi
-iteration (_jacobi) on the complex planes (A1, A2) of A = A1 + A2 j (a
-complex matrix is (M, 0)) and one quaternion Householder QR (householder).
-The SVD, which gives the polar factors (Factorization.polar), is a pivoted
-QR, then _jacobi on R*; the Hermitian eigensolver (on H + ||H||_F I) and
-the PSD root are _jacobi alone; every orthonormal basis is householder's.
-Gauss-Jordan is the one complex routine. All routines are deterministic:
-fixed pivot and sweep order, no data-dependent threading, stable ties.
+Every factorization takes and returns the complex planes (A1, A2) of
+A = A1 + A2 j (a complex matrix is (M, 0)), computed by one one-sided
+Jacobi iteration (_jacobi) and one quaternion Householder QR
+(householder). The SVD, which gives the polar factors
+(Factorization.polar), is a pivoted QR, then _jacobi on R*; the Hermitian
+eigensolver (on H + ||H||_F I) and the PSD root are _jacobi alone; every
+orthonormal basis is householder's. Gauss-Jordan is the one complex
+routine. All routines are deterministic: fixed pivot and sweep order, no
+data-dependent threading, stable ties.
 """
 
 from __future__ import annotations
@@ -24,8 +25,11 @@ MAX_SWEEPS = 30
 # pair exceeds twice that; the rounding of such an inner product is about
 # eps sqrt(rows)
 ORTH_TOL = 2 * np.finfo(float).eps
-# singular values below RANK_TOL * sigma_max * dim are treated as zero
-RANK_TOL = 1e-10
+# singular values below RANK_TOL * sigma_max * dim are zero, and _jacobi and
+# householder skip columns below RANK_TOL times the largest: after a QR,
+# one-sided Jacobi resolves each to about eps sqrt(rows) sigma_max (Demmel
+# and Veselic, 1992; Drmac and Veselic, 2008)
+RANK_TOL = 64 * np.finfo(float).eps
 # negative eigenvalues within CLAMP_TOL * max(1, ||H||) are clamped to zero;
 # absolute below 1, as the composite root's I - (I+P)^-1 rounds to ~n eps
 CLAMP_TOL = 1e-10
@@ -60,25 +64,23 @@ class NoConvergence(RuntimeError):
 @dataclass
 class EigResult:
     """Eigenvalues (real, descending) and the unitary matrix of eigenvectors,
-    as planes (2, n, n) for a quaternion matrix."""
+    as planes (2, n, n)."""
 
     values: np.ndarray
     vectors: np.ndarray
 
     def sqrt(self):
         """V diag(sqrt(values)) V*, exactly self-adjoint, in the form of
-        vectors. Values in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to
+        planes. Values in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to
         zero; anything more negative raises NegativeEigenvalue."""
         lo, hi = ((self.values[-1], abs(self.values[0])) if self.values.size
                   else (0.0, 0.0))
         if lo < -CLAMP_TOL * max(1.0, hi):
             raise NegativeEigenvalue(
                 f"minimum eigenvalue {lo:.3e} below clamping window")
-        complex_ = self.vectors.ndim == 2
-        v = _as_planes(self.vectors) if complex_ else self.vectors
+        v = self.vectors
         r = _qmul(v * np.sqrt(np.clip(self.values, 0.0, None)), _qadj(v))
-        r = 0.5 * (r + _qadj(r))
-        return r[0] if complex_ else r
+        return 0.5 * (r + _qadj(r))
 
 
 def frobenius(m) -> float:
@@ -127,13 +129,14 @@ def _as_square(m) -> np.ndarray:
 
 
 def _as_planes(m, m2=None) -> np.ndarray:
-    """Planes (2, rows, cols) of the complex matrix m, or of m + m2 j."""
+    """Planes (2, rows, cols) of m + m2 j, m2 = None for a zero j-plane."""
     m = np.asarray(m, dtype=complex)
-    if m2 is not None and np.shape(m2) != m.shape:
-        raise ValueError(f"planes of shapes {m.shape} and {np.shape(m2)}")
-    p = np.empty((2,) + m.shape, dtype=complex)
+    p = np.zeros((2,) + m.shape, dtype=complex)
     p[0] = m
-    p[1] = 0.0 if m2 is None else m2
+    if m2 is not None:
+        if np.shape(m2) != m.shape:
+            raise ValueError(f"planes of shapes {m.shape} and {np.shape(m2)}")
+        p[1] = m2
     return p
 
 
@@ -162,17 +165,16 @@ def _rotation_rounds(n: int) -> np.ndarray:
 def hermitian_eig(m, m2=None) -> EigResult:
     """Eigenvalues and eigenvectors of a Hermitian H by the Jacobi SVD kernel.
 
-    H is the complex matrix m, or the quaternion matrix m + m2 j given by
-    its planes. _jacobi factors B = H + ||H||_F I, which is positive
-    semidefinite, so its right singular vectors are eigenvectors of H; the
-    eigenvalues are their Rayleigh quotients, in descending order (stable
-    sort), each quaternion eigenvalue once. The solve runs on _prescale(H),
-    so hermitian_eig(2**k H) is hermitian_eig(H) with values times 2**k,
-    bit for bit.
+    H is the quaternion matrix m + m2 j given by its planes, m2 = None for
+    a zero j-plane (a complex H). _jacobi factors B = H + ||H||_F I, which
+    is positive semidefinite, so its right singular vectors are
+    eigenvectors of H; the eigenvalues are their Rayleigh quotients, in
+    descending order (stable sort), each quaternion eigenvalue once. The
+    solve runs on _prescale(H), so hermitian_eig(2**k H) is
+    hermitian_eig(H) with values times 2**k, bit for bit.
 
-    Returns vectors as a complex unitary for a complex m, planes (2, n, n)
-    for a quaternion H. Raises NonFiniteInput if H has a NaN or infinite
-    entry or an eigenvalue overflows, NotHermitian if
+    Returns vectors as planes (2, n, n). Raises NonFiniteInput if H has a
+    NaN or infinite entry or an eigenvalue overflows, NotHermitian if
     ||H - H*||_F > HERMITIAN_TOL * ||H||_F, and NoConvergence.
     """
     a, e = _prescale(_as_planes(m, m2))
@@ -190,8 +192,7 @@ def hermitian_eig(m, m2=None) -> EigResult:
         values = np.ldexp(values[order], e)
     if not np.isfinite(values).all():
         raise NonFiniteInput("an eigenvalue overflows a double")
-    v = v[:, :, order]
-    return EigResult(values, v[0] if m2 is None else v)
+    return EigResult(values, v[:, :, order])
 
 
 def _qmul(x, y):
@@ -215,20 +216,19 @@ def svd(m, m2=None):
     """Singular value decomposition A = u diag(s) v*: a pivoted QR, then
     one-sided Jacobi (Drmac and Veselic, 2008).
 
-    A is the complex matrix m, or the quaternion matrix m + m2 j given by
-    its planes; a complex m is the planes (m, 0), whose j-plane nothing
-    touches. It runs on _prescale(A), so svd(2**k A) is svd(A) with s
-    times 2**k, bit for bit; a wide A is factored through its adjoint. If
-    the Gram matrix finds no pair of columns to rotate, u is A's columns
-    normalized and v the identity, with no Jacobi call; else
-    householder(A, pivot=True) = (Q, R, k), _jacobi(R*) = (W, V_x),
-    u = [Q[:, :k] V_x, Q[:, k:]], v = W / s and s is 0 past k.
-    Past the rank cut (dim the size of the complex image) householder
-    completes v (u without a QR).
+    A is the quaternion matrix m + m2 j given by its planes, m2 = None for
+    a zero j-plane, which nothing then writes. It runs on _prescale(A), so
+    svd(2**k A) is svd(A) with s times 2**k, bit for bit; a wide A is
+    factored through its adjoint. If the Gram matrix finds no pair of
+    columns to rotate, u is A's columns normalized and v the identity,
+    with no Jacobi call; else householder(A, pivot=True) = (Q, R, k),
+    _jacobi(R*) = (W, V_x), u = [Q[:, :k] V_x, Q[:, k:]], v = W / s and s
+    is 0 past k. Past the rank cut, dim 2 s.size for every A as for its
+    complex image, householder completes v (u without a QR).
 
-    Returns (u, s, v), u and v unitary and s descending: complex arrays
-    for a complex m, planes (2, k, k) for a quaternion A, with each of its
-    singular values once. Raises NonFiniteInput and NoConvergence.
+    Returns (u, s, v), u and v unitary planes and s descending, each
+    singular value of A once (twice in its complex image). Raises
+    NonFiniteInput and NoConvergence.
     """
     a, e = _prescale(_as_planes(m, m2))
     if a.ndim != 3:
@@ -250,14 +250,13 @@ def svd(m, m2=None):
         s = np.ldexp(np.append(norm, np.zeros(a.shape[2] - norm.size)), e)
     if s.size and not np.isfinite(s[0]):
         raise NonFiniteInput("a singular value overflows a double")
-    r = rank_from_singular_values(s, (1 if m2 is None else 2) * s.size)
+    r = rank_from_singular_values(s, 2 * s.size)
     b = w[:, :, :r] / norm[:r]
     if r < b.shape[1]:
         b = np.concatenate([b, householder(b)[0][:, :, r:]], axis=2)
     u, v = ((np.concatenate([_qmul(q[:, :, :k], v), q[:, :, k:]], axis=2), b)
             if qr else (b, v))
-    u, v = (v, u) if wide else (u, v)
-    return (u[0], s, v[0]) if m2 is None else (u, s, v)
+    return (v, s, u) if wide else (u, s, v)
 
 
 def _live_columns(g, rows):
@@ -407,8 +406,8 @@ def rank_from_singular_values(s, dim: int) -> int:
 
 
 def psd_sqrt(m, m2=None):
-    """Positive semidefinite square root of a Hermitian H, given as for
-    hermitian_eig, in the same form: hermitian_eig(m, m2).sqrt()."""
+    """Positive semidefinite square root, as planes, of a Hermitian H given
+    as for hermitian_eig: hermitian_eig(m, m2).sqrt()."""
     return hermitian_eig(m, m2).sqrt()
 
 
@@ -440,40 +439,34 @@ def gauss_inv(m):
 
 
 class Factorization:
-    """Factors of a complex matrix m, or of the quaternion matrix m + m2 j.
+    """Factors of the quaternion matrix with planes p, as QMatrix.p holds
+    them; a complex matrix M is the planes (M, 0).
 
-    Each is computed on first use and kept: (u, s, v) = svd(m, m2), planes
-    for a quaternion matrix, and eig, the hermitian_eig of its Hermitian
-    part, solved on the planes, which lam_min and a square root read.
-    polar() reads the SVD alone, and so does the certificate that its p
-    is positive (polar.PolarFactors.abs_positivity): eig is not solved.
+    Each is computed on first use and kept: (u, s, v) = svd(*p), and eig,
+    the hermitian_eig of its Hermitian part, which lam_min and a square
+    root read. polar() reads the SVD alone, and so does the certificate
+    that its p is positive (polar.PolarFactors.abs_positivity): eig is not
+    solved. rank is the cut of the complex image, which has each s twice.
     """
 
-    def __init__(self, m, m2=None):
-        self.planes, self.quaternion = (m, m2), m2 is not None
+    def __init__(self, p):
+        self.p = p
 
-    @functools.cached_property
-    def _svd(self):
-        return svd(*self.planes)
+    _svd = functools.cached_property(lambda self: svd(*self.p))
 
     u = property(lambda self: self._svd[0])
     s = property(lambda self: self._svd[1])
     v = property(lambda self: self._svd[2])
     sigma_max = property(lambda self: self.s[0] if self.s.size else 0.0)
-    # the rank cut of the complex image, which has each s twice if quaternion
     rank = property(lambda self: rank_from_singular_values(
-        self.s, (2 if self.quaternion else 1) * self.s.size))
+        self.s, 2 * self.s.size))
 
     @functools.cached_property
     def eig(self) -> EigResult:
-        x = _as_planes(*self.planes)
-        h = 0.5 * (x + _qadj(x))
-        return hermitian_eig(h[0], h[1] if self.quaternion else None)
+        return hermitian_eig(*(0.5 * (self.p + _qadj(self.p))))
 
-    @property
-    def lam_min(self) -> float:
-        values = self.eig.values
-        return values[-1] if values.size else 0.0
+    lam_min = property(lambda self: (self.eig.values[-1]
+                                     if self.eig.values.size else 0.0))
 
     def polar(self):
         """Polar factors u0 = u_r v_r*, r = rank, and p = v diag(s) v* of a
@@ -548,15 +541,14 @@ def class_residuals(a, fac: Factorization, coimage, tol: float):
 
 
 def classify_cmatrix(m, tol: float = DEFAULT_CLASS_TOL) -> dict:
-    """Structural class residuals of a complex square matrix.
+    """Structural class residuals of a complex square matrix m, factored
+    as the planes (m, 0), so its rank is cut as every other's.
 
     Returns a dict of residual magnitudes keyed by class name, plus the
     derived boolean flags under `tol * max(1, sigma_max)`. Used to compare
     a quaternionic operator with its complex block image.
     """
-    a = _as_square(m)
-    fac = Factorization(a)
-    res, flags = class_residuals(_as_planes(a), fac,
-                                 _as_planes(fac.v[:, :fac.rank]), tol)
+    fac = Factorization(_as_planes(_as_square(m)))
+    res, flags = class_residuals(fac.p, fac, fac.v[:, :, :fac.rank], tol)
     return {"residuals": res, "flags": flags, "rank": fac.rank,
             "sigma_max": fac.sigma_max}

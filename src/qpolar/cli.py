@@ -10,11 +10,9 @@ and parallel execution produce byte-identical reports.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +28,11 @@ from .slices import chi, chi_pullback, equivalence_suite
 
 DEFAULT_TOL = 1e-9
 ENV_TOL = "QPOLAR_TOL"
+# the largest verify --dim and example --n: 256 complex n x n arrays fit the
+# MEMORY_BUDGET of a process, where tracemalloc (n = 8..96) saw a verify
+# trial peak at about 150 and an example or polar report at 27 to 38
+MEMORY_BUDGET = 2 ** 30
+MAX_DIM = math.isqrt(MEMORY_BUDGET // (256 * 16))
 
 
 def default_tol() -> float:
@@ -51,8 +54,8 @@ class SuiteConfig:
     tol: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be at least 1")
+        if not 1 <= self.dim <= MAX_DIM:
+            raise ValueError(f"dim must be from 1 to {MAX_DIM}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not (0 <= self.seed < 2 ** 64):
@@ -156,11 +159,11 @@ def _chi_trial(dim: int, tol: float, rr, trial: int) -> list:
          (chi_pullback(ca) - a).frobenius_norm()),
     ]
     out.append(("chi.norm_equality",
-                abs(operator_norm(a) - ckernel.Factorization(ca).sigma_max)))
+                abs(operator_norm(a) - QMatrix(ca).fac.sigma_max)))
     # planted-rank draw: chi(rd) has twice the null dimension of rd
     rank = rr.randint(n + 1)
     rd = random_ops.rank_deficient(rr, n, rank)
-    null_c = 2 * n - ckernel.Factorization(chi(rd)).rank
+    null_c = 2 * n - QMatrix(chi(rd)).fac.rank
     null_h = n - quaternionic_rank(rd)
     out.append(("chi.null_dim_mismatches",
                 0.0 if null_c == 2 * null_h else 1.0))
@@ -344,6 +347,7 @@ def run_suite(suite: str, cfg: SuiteConfig, jobs: int = 1) -> list:
     args = [(suite, cfg.dim, cfg.tol, cfg.seed, k) for k in range(cfg.trials)]
     workers = min(jobs, cfg.trials, os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             samples = list(pool.map(_run_suite_trial, args, chunksize=8))
     else:
@@ -468,9 +472,7 @@ def example_report(which: str, n: int) -> Report:
     """
     if which not in ("bounded", "unbounded"):
         raise ValueError(f"unknown example {which!r}")
-    if n < 7:
-        raise transform.DimensionTooSmall("need dimension at least 7")
-    a = transform.weight_matrix(n)
+    a = transform.weight_matrix(n)  # DimensionTooSmall below n = 7
     checks = []
     if which == "bounded":
         f = polar_decompose(a)
@@ -541,6 +543,9 @@ def _span_residual(basis: QMatrix, coords) -> float:
 
 
 def cmd_example(which: str, n: int, out_path: str | None = None) -> int:
+    if n > MAX_DIM:
+        print(f"error: --n must be at most {MAX_DIM}", file=sys.stderr)
+        return 2
     try:
         report = example_report(which, n)
     except transform.DimensionTooSmall as exc:
@@ -553,7 +558,8 @@ def cmd_example(which: str, n: int, out_path: str | None = None) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    import argparse
     parser = argparse.ArgumentParser(
         prog="qpolar",
         description="Polar decomposition of quaternionic matrices")
@@ -580,7 +586,7 @@ def _build_parser() -> argparse.ArgumentParser:
                                help="reproduce the weight-operator example")
     p_example.add_argument("which", choices=("bounded", "unbounded"))
     p_example.add_argument("--n", type=int, required=True,
-                           help="truncation dimension, at least 7")
+                           help=f"truncation dimension, 7 to {MAX_DIM}")
     p_example.add_argument("--out", dest="out_path", default=None)
 
     return parser

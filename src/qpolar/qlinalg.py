@@ -80,7 +80,7 @@ class QMatrix:
     def fac(self) -> ckernel.Factorization:
         """The one factorization of this matrix, which everything derived
         from it reads; the read-only planes keep it from going stale."""
-        return ckernel.Factorization(*self.p)
+        return ckernel.Factorization(self.p)
 
     @classmethod
     def zeros(cls, rows: int, cols: int | None = None) -> "QMatrix":

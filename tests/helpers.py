@@ -85,6 +85,7 @@ def pinv(m, tol: float = RANK_TOL):
     """Moore-Penrose pseudoinverse with rank cut tol * sigma_max * dim."""
     a = np.array(m, dtype=complex)
     u, s, v = svd(a)
+    u, v = u[0], v[0]
     dim = max(a.shape)
     cut = (s[0] * tol * dim) if s.size else 0.0
     inv_s = np.where(s > cut, 1.0 / np.where(s > cut, s, 1.0), 0.0)

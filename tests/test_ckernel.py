@@ -25,7 +25,7 @@ def rand_hermitian(n):
 def test_eig_diagonal_input():
     out = hermitian_eig(np.diag([3.0, 1.0]).astype(complex))
     assert np.allclose(out.values, [3.0, 1.0])
-    assert np.allclose(out.vectors, np.eye(2))
+    assert np.allclose(out.vectors, ckernel._as_planes(np.eye(2)))
 
 
 def test_eig_pauli_type():
@@ -37,10 +37,10 @@ def test_eig_random_residuals():
     for _ in range(20):
         m = rand_hermitian(8)
         out = hermitian_eig(m)
+        v = out.vectors[0]
         scale = frobenius(m)
-        assert frobenius(m @ out.vectors - out.vectors * out.values) \
-            < 1e-11 * max(1.0, scale)
-        assert frobenius(out.vectors.conj().T @ out.vectors - np.eye(8)) < 1e-12
+        assert frobenius(m @ v - v * out.values) < 1e-11 * max(1.0, scale)
+        assert frobenius(v.conj().T @ v - np.eye(8)) < 1e-12
         assert np.all(np.diff(out.values) <= 1e-12)
         # eigenvalues agree with an independent solver
         ref = np.sort(np.linalg.eigvalsh(m))[::-1]
@@ -55,7 +55,7 @@ def test_eig_underflowing_norm():
     ref = np.linalg.eigvalsh(m)[::-1]
     assert np.max(np.abs(out.values / 2.0 ** -700 - ref)) \
         <= 1e-12 * np.max(np.abs(ref))
-    d = out.vectors.conj().T @ m @ out.vectors
+    d = out.vectors[0].conj().T @ m @ out.vectors[0]
     assert frobenius(d - np.diag(np.diag(d))) <= 1e-12 * frobenius(m)
     assert frobenius(tiny) == pytest.approx(2.0 ** -700 * frobenius(m),
                                             rel=1e-15)
@@ -123,6 +123,7 @@ def test_svd_values_match_reference():
     for rows, cols in ((6, 6), (5, 3), (3, 5)):
         m = rand_complex(rows, cols)
         u, s, v = svd(m)
+        u, v = u[0], v[0]
         ref = np.linalg.svd(m, compute_uv=False)
         assert np.max(np.abs(s - ref)) < 1e-11 * max(1.0, ref[0])
         k = min(rows, cols)
@@ -140,16 +141,17 @@ def test_svd_resolves_exact_zeros():
 
 
 def test_psd_sqrt_examples():
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0]).astype(complex)),
+    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0]).astype(complex))[0],
                        np.diag([2.0, 3.0]))
-    assert np.allclose(psd_sqrt(np.eye(3, dtype=complex)), np.eye(3))
+    assert np.allclose(psd_sqrt(np.eye(3, dtype=complex)),
+                       ckernel._as_planes(np.eye(3)))
 
 
 def test_psd_sqrt_squares_back():
     for _ in range(10):
         b = rand_complex(6)
         m = b.conj().T @ b
-        r = psd_sqrt(m)
+        r = psd_sqrt(m)[0]
         assert frobenius(r @ r - m) < 1e-9 * max(1.0, frobenius(m))
         assert frobenius(r - r.conj().T) < 1e-12
         assert frobenius(r @ m - m @ r) < 1e-9 * max(1.0, frobenius(m))
@@ -190,7 +192,7 @@ def test_psd_sqrt_against_denman_beavers_and_scipy():
         b = rand_complex(5)
         # keep the draw comfortably invertible for the iterative route
         m = b.conj().T @ b + 0.05 * np.eye(5)
-        r = psd_sqrt(m)
+        r = psd_sqrt(m)[0]
         db = denman_beavers_sqrt(m)
         assert frobenius(r - db) < 1e-8 * max(1.0, frobenius(m))
         ref = scipy.linalg.sqrtm(m)
@@ -220,8 +222,7 @@ def _polar_factors(m):
 
     Factors m as the quaternion matrix m + 0 j, whose factors have a zero
     j-plane, and returns their complex planes."""
-    fac = ckernel.Factorization(m, 0 * m)
-    u0, p = fac.polar()
+    u0, p = QMatrix(m).fac.polar()
     assert not u0[1].any() and not p[1].any()
     return u0[0], p[0]
 
@@ -252,20 +253,21 @@ def test_complex_polar_singular_and_identities():
 
 
 def test_factorization_p_definite():
-    # every singular value above the rank cut 1e-10 * 2n * s[0]: the rank is
-    # full and the p of polar() has a positive lowest eigenvalue; one below
-    # the cut drops the rank, the verdict that once read p definite
+    # every singular value above the rank cut 64 eps * 2n * s[0] (8.5e-14
+    # s[0] at n = 3): the rank is full and the p of polar() has a positive
+    # lowest eigenvalue; one below the cut drops the rank, the verdict that
+    # once read p definite
     g = np.random.default_rng(7)
     for n in (1, 4, 16):
         m = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
-        fac = ckernel.Factorization(m, 0 * m)
+        fac = QMatrix(m).fac
         assert fac.rank == n
-        assert hermitian_eig(fac.polar()[1][0]).values[-1] > 0.0
+        assert hermitian_eig(*fac.polar()[1]).values[-1] > 0.0
     m = g.standard_normal((6, 3)) @ g.standard_normal((3, 6))
-    assert ckernel.Factorization(m, 0 * m).rank == 3
-    for smallest, definite in ((1e-9, True), (1e-12, False)):
+    assert QMatrix(m).fac.rank == 3
+    for smallest, definite in ((1e-9, True), (1e-12, True), (1e-14, False)):
         m = np.diag([1.0, 1e-3, smallest])
-        assert (ckernel.Factorization(m, 0 * m).rank == 3) == definite
+        assert (QMatrix(m).fac.rank == 3) == definite
 
 
 def test_complex_polar_hermitian_gives_hermitian_isometry():
@@ -388,20 +390,25 @@ def test_rotation_rounds_cover_every_pair_once():
 
 
 def test_complex_svd_against_numpy_j_plane_exactly_zero():
+    # a complex m is the planes (m, 0): no step, QR, rotation or
+    # completion, writes the j-plane of the SVD, the eigenvectors or the
+    # PSD root, whether m2 is None or zero
     g = np.random.default_rng(22)
     for rows, cols in ((1, 1), (6, 6), (16, 16), (32, 32), (7, 3), (3, 7)):
         m = g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))
         for mat in (m, m[:, :1] @ m[:1, :]):
-            u, s, v = svd(mat)
+            for planes in ((mat,), (mat, np.zeros_like(mat))):
+                u, s, v = svd(*planes)
+                assert not u[1].any() and not v[1].any()
+            u, v = u[0], v[0]
             ref = np.linalg.svd(mat, compute_uv=False)
             assert np.max(np.abs(s - ref)) <= 1e-13 * max(ref[0], 1.0)
             k = min(rows, cols)
             assert np.max(np.abs((u[:, :k] * s) @ v[:, :k].conj().T - mat)) \
                 <= 1e-13 * max(ref[0], 1.0)
-            # on the planes (m, 0) no step, QR, rotation or completion,
-            # writes the j-plane
-            u, _, v = svd(mat, np.zeros_like(mat))
-            assert not u[1].any() and not v[1].any()
+            h = mat @ mat.conj().T
+            assert not hermitian_eig(h).vectors[1].any()
+            assert not psd_sqrt(h)[1].any()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -560,7 +567,7 @@ def test_complete_unitary_tall(rows, cols):
 def test_complete_unitary_zero_matrix_and_empty_cols():
     eye = np.stack([np.eye(6), np.zeros((6, 6))])
     assert np.array_equal(svd(np.zeros((6, 6)), np.zeros((6, 6)))[0], eye)
-    assert np.array_equal(svd(np.zeros((6, 6), dtype=complex))[0], np.eye(6))
+    assert np.array_equal(svd(np.zeros((6, 6), dtype=complex))[0], eye)
     for cols in (0, 3):
         q, _, kept = ckernel.householder(np.zeros((2, 5, cols), dtype=complex))
         assert np.array_equal(q, eye[:, :5, :5]) and kept == 0

@@ -1,5 +1,8 @@
+import concurrent.futures
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -26,8 +29,10 @@ def weight_file(tmp_path):
 
 def test_suite_config_validation():
     SuiteConfig(dim=1, trials=1, seed=0, tol=1e-9)
-    with pytest.raises(ValueError):
-        SuiteConfig(dim=0, trials=1, seed=0, tol=1e-9)
+    SuiteConfig(dim=cli.MAX_DIM, trials=1, seed=0, tol=1e-9)
+    for dim in (0, cli.MAX_DIM + 1):
+        with pytest.raises(ValueError):
+            SuiteConfig(dim=dim, trials=1, seed=0, tol=1e-9)
     with pytest.raises(ValueError):
         SuiteConfig(dim=1, trials=0, seed=0, tol=1e-9)
     with pytest.raises(ValueError):
@@ -227,11 +232,11 @@ def _numpy_null_rank(t: QMatrix) -> int:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_condition_number_grid():
-    # W1 diag(logspace(0, -k, n)) W2 at n = 2..16 and cond 1e3..1e9, two
+    # W1 diag(logspace(0, -k, n)) W2 at n = 2..16 and cond 1e3..1e12, two
     # draws each: every cell factors with every check passing, and with
     # the null rank numpy's singular values give at the same cut
     for n in (2, 4, 8, 16):
-        for k in range(3, 10):
+        for k in range(3, 13):
             for seed in (0, 1):
                 t = conditioned_qmatrix(seed, n, 10.0 ** k)
                 report, f = polar_report(t, 1e-9)
@@ -239,12 +244,29 @@ def test_condition_number_grid():
                 assert f.null_rank == _numpy_null_rank(t), (n, k, seed)
 
 
+def test_rank_cut_below_report_gate():
+    # the rank cut 64 eps 2n s[0] lies below the report's 1e-9 gate, so an
+    # operator of cond up to 1e12 is full rank at n = 16 and 32, and each
+    # singular value is within 2n eps s[0] of the planted one
+    eps = np.finfo(float).eps
+    for n in (16, 32):
+        for k in (10, 11, 12):
+            for seed in (0, 1):
+                t = conditioned_qmatrix(seed, n, 10.0 ** k)
+                report, f = polar_report(t, 1e-9)
+                assert report.passed and f.null_rank == 0, (n, k, seed)
+                s = f.fac.s
+                assert np.max(np.abs(s - np.logspace(0, -k, n))) \
+                    <= 2 * n * eps * s[0], (n, k, seed)
+
+
 def test_cmd_polar_committed_inputs():
     # the cond-1e9 n = 16 operator and the subnormal 2 x 2 matrix also run
-    # in CI with RuntimeWarning as an error
+    # in CI with RuntimeWarning as an error; the first is full rank, as
+    # numpy finds it too
     cond = parse_qmat((DATA / "cond1e9_n16.qmat").read_text())
     report, f = polar_report(cond, 1e-9)
-    assert report.passed and f.null_rank == _numpy_null_rank(cond) == 1
+    assert report.passed and f.null_rank == _numpy_null_rank(cond) == 0
     tiny = parse_qmat((DATA / "subnormal_2x2.qmat").read_text())
     assert np.all(tiny.a1 == tiny.a1[0, 0]) and not tiny.a2.any()
     assert 0.0 < abs(tiny.a1[0, 0]) < np.finfo(float).tiny
@@ -483,8 +505,9 @@ def test_cmd_verify_deterministic_and_parallel():
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """The max_workers of every pool cli makes. Each pool maps in this
-    process, so no worker is started."""
+    """The max_workers of every pool cli makes, which it imports from
+    concurrent.futures when it makes one. Each pool maps in this process,
+    so no worker is started."""
     sizes = []
 
     class SerialPool:
@@ -500,7 +523,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes
 
 
@@ -526,6 +549,38 @@ def test_verify_jobs_below_one_exits_2(pool_sizes, capsys, jobs):
                  "--jobs", jobs]) == 2
     assert capsys.readouterr().err == "error: --jobs must be at least 1\n"
     assert pool_sizes == []
+
+
+@pytest.mark.parametrize("size", [10 ** 10, cli.MAX_DIM + 1])
+def test_oversized_dimension_exits_2(monkeypatch, capsys, size):
+    # refused with one error line before anything of that size is
+    # allocated: the report builders are never reached. MAX_DIM is the
+    # largest n at which 256 complex n x n arrays fit the memory budget
+    assert 256 * 16 * cli.MAX_DIM ** 2 <= cli.MEMORY_BUDGET \
+        < 256 * 16 * (cli.MAX_DIM + 1) ** 2
+
+    def refuse(*args):
+        raise AssertionError("a report was started")
+
+    monkeypatch.setattr(cli, "example_report", refuse)
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    assert main(["example", "bounded", "--n", str(size)]) == 2
+    assert main(["verify", "--dim", str(size), "--trials", "1",
+                 "--seed", "0"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --n must be at most {cli.MAX_DIM}",
+        f"error: dim must be from 1 to {cli.MAX_DIM}"]
+
+
+def test_import_loads_no_parser_or_pool():
+    # argparse and the process pool are imported where they are used, by
+    # main and by verify --jobs N > 1, so importing the module loads neither
+    code = ("import sys, qpolar.cli; print([m for m in ('argparse', "
+            "'concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout == "[]\n"
 
 
 def test_main_verify_and_exit_codes(tmp_path, capsys):

@@ -234,7 +234,7 @@ def test_abs_positivity_needs_v_near_unitary():
     f = polar_decompose(gaussian_qmatrix(np.random.default_rng(59), 4))
     u, s, v = f.fac.u, f.fac.s, f.fac.v
     for scale, bounded in ((1.01, True), (1.2, False)):
-        fac = ckernel.Factorization(*f.fac.planes)
+        fac = ckernel.Factorization(f.fac.p)
         fac._svd = (u, s, scale * v)
         residual, positive = dataclasses.replace(f, fac=fac).abs_positivity()
         assert not positive

@@ -218,6 +218,17 @@ def test_null_dimension_doubles():
         assert null_c == 2 * (n - quaternionic_rank(a))
 
 
+def test_chi_image_rank_is_twice_the_rank():
+    # what chi.null_dim_mismatches reads: the chi image factored as the
+    # quaternion matrix chi(A) + 0 j, cut at 2 * 2n as every factorization
+    # is, has twice A's rank at every planted rank
+    for n in range(1, 17):
+        for rank in range(n + 1):
+            a = random_ops.rank_deficient(SplitMix64(100 * n + rank), n, rank)
+            assert QMatrix(chi(a)).fac.rank == 2 * quaternionic_rank(a) \
+                == 2 * rank, (n, rank)
+
+
 def test_equivalence_suite_examples():
     assert equivalence_suite(QMatrix.identity(3)).all_agree
     rep = equivalence_suite(QMatrix.diag([J]))
