@@ -3,9 +3,10 @@
 Operators are quaternion matrices acting on right H-module vectors, held
 as complex planes A = A1 + A2 j. One kernel carries the numerics: a
 quaternion Householder QR and a one-sided Jacobi iteration on the planes,
-which give the SVD and the Hermitian eigensolves. The complex block embedding
-chi_A = [[A1, A2], [-conj(A2), conj(A1)]] preserves norms, null spaces,
-ranges, and every structural class; the battery checks both sides.
+which give the SVD, the one factorization of every operator. The complex
+block embedding chi_A = [[A1, A2], [-conj(A2), conj(A1)]] preserves norms,
+null spaces, ranges, and every structural class; the battery checks both
+sides.
 """
 
 from .quaternion import Quaternion, q_mul
@@ -14,9 +15,8 @@ from .qlinalg import (OperatorClass, QMatrix, ShapeMismatch, classify,
                       operator_norm, projector_onto, quaternionic_rank)
 from .slices import (BlockStructureViolation, chi, chi_pullback, embed_vector,
                      equivalence_suite, pullback_vector)
-from .ckernel import (EigResult, NegativeEigenvalue, NoConvergence,
-                      NotHermitian, SingularMatrix, gauss_inv, hermitian_eig,
-                      psd_sqrt, svd)
+from .ckernel import (NegativeEigenvalue, NoConvergence, NotHermitian,
+                      SingularMatrix, gauss_inv, hermitian_eig, psd_sqrt, svd)
 from .polar import (BadPerturbation, NotPositive, NotStrictlyPositive,
                     PolarFactors, canonical_perturbation, modulus,
                     perturb_polar, polar_decompose, sqrt_positive_spectral,
@@ -38,7 +38,7 @@ __all__ = [
     "projector_onto",
     "chi", "chi_pullback", "embed_vector", "pullback_vector",
     "equivalence_suite", "BlockStructureViolation",
-    "EigResult", "hermitian_eig", "psd_sqrt", "svd", "gauss_inv",
+    "hermitian_eig", "psd_sqrt", "svd", "gauss_inv",
     "NotHermitian", "NegativeEigenvalue",
     "SingularMatrix", "NoConvergence",
     "PolarFactors", "sqrt_positive_spectral", "sqrt_positive_composite",

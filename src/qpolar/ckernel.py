@@ -3,19 +3,19 @@
 Every factorization takes and returns the complex planes (A1, A2) of
 A = A1 + A2 j (a complex matrix is (M, 0)), computed by one one-sided
 Jacobi iteration (_jacobi) and one quaternion Householder QR
-(householder). The SVD, which gives the polar factors
-(Factorization.polar), is a pivoted QR, then _jacobi on R*; the Hermitian
-eigensolver (on H + ||H||_F I) and the PSD root are _jacobi alone; every
-orthonormal basis is householder's. Gauss-Jordan is the one complex
-routine. All routines are deterministic: fixed pivot and sweep order, no
-data-dependent threading, stable ties.
+(householder). The SVD, a pivoted QR, then _jacobi on R*, is an
+operator's one factorization (Factorization): the polar factors, the
+positivity test A = |A| and the root V diag(sqrt(s)) V* read it, and
+hermitian_eig is the SVD of H + ||H||_F I. Every orthonormal basis is
+householder's. Gauss-Jordan is the one complex routine. All routines are
+deterministic: fixed pivot and sweep order, no data-dependent threading,
+stable ties.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,11 +30,11 @@ ORTH_TOL = 2 * np.finfo(float).eps
 # one-sided Jacobi resolves each to about eps sqrt(rows) sigma_max (Demmel
 # and Veselic, 1992; Drmac and Veselic, 2008)
 RANK_TOL = 64 * np.finfo(float).eps
-# negative eigenvalues within CLAMP_TOL * max(1, ||H||) are clamped to zero;
-# absolute below 1, as the composite root's I - (I+P)^-1 rounds to ~n eps
+# psd_sqrt roots H within CLAMP_TOL * max(1, ||H||) of the PSD cone, the
+# distance ||H - |H|||_F / 2: absolute below 1, where inverses round to n eps
 CLAMP_TOL = 1e-10
-# hermitian_eig refuses H with ||H - H*||_F above HERMITIAN_TOL * ||H||_F, so
-# scaling H by a power of two never changes the verdict
+# _hermitian_part refuses H with ||H - H*||_F above HERMITIAN_TOL * ||H||_F,
+# so scaling H by a power of two never changes the verdict
 HERMITIAN_TOL = 1e-12
 # gauss_inv refuses a pivot of _prescale(m) at or below PIVOT_TOL
 PIVOT_TOL = 1e-13
@@ -59,28 +59,6 @@ class NonFiniteInput(ValueError):
 
 class NoConvergence(RuntimeError):
     """_jacobi still had a pair to rotate after MAX_SWEEPS sweeps."""
-
-
-@dataclass
-class EigResult:
-    """Eigenvalues (real, descending) and the unitary matrix of eigenvectors,
-    as planes (2, n, n)."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-    def sqrt(self):
-        """V diag(sqrt(values)) V*, exactly self-adjoint, in the form of
-        planes. Values in [-CLAMP_TOL * max(1, ||H||), 0) are clamped to
-        zero; anything more negative raises NegativeEigenvalue."""
-        lo, hi = ((self.values[-1], abs(self.values[0])) if self.values.size
-                  else (0.0, 0.0))
-        if lo < -CLAMP_TOL * max(1.0, hi):
-            raise NegativeEigenvalue(
-                f"minimum eigenvalue {lo:.3e} below clamping window")
-        v = self.vectors
-        r = _qmul(v * np.sqrt(np.clip(self.values, 0.0, None)), _qadj(v))
-        return 0.5 * (r + _qadj(r))
 
 
 def frobenius(m) -> float:
@@ -162,37 +140,40 @@ def _rotation_rounds(n: int) -> np.ndarray:
     return np.array(rounds, dtype=int).reshape(len(rounds), n // 2, 2)
 
 
-def hermitian_eig(m, m2=None) -> EigResult:
-    """Eigenvalues and eigenvectors of a Hermitian H by the Jacobi SVD kernel.
-
-    H is the quaternion matrix m + m2 j given by its planes, m2 = None for
-    a zero j-plane (a complex H). _jacobi factors B = H + ||H||_F I, which
-    is positive semidefinite, so its right singular vectors are
-    eigenvectors of H; the eigenvalues are their Rayleigh quotients, in
-    descending order (stable sort), each quaternion eigenvalue once. The
-    solve runs on _prescale(H), so hermitian_eig(2**k H) is
-    hermitian_eig(H) with values times 2**k, bit for bit.
-
-    Returns vectors as planes (2, n, n). Raises NonFiniteInput if H has a
-    NaN or infinite entry or an eigenvalue overflows, NotHermitian if
-    ||H - H*||_F > HERMITIAN_TOL * ||H||_F, and NoConvergence.
-    """
-    a, e = _prescale(_as_planes(m, m2))
+def _hermitian_part(m, m2=None):
+    """Planes 0.5 (H + H*) of the square H = m + m2 j given by its planes,
+    m2 = None for a zero j-plane. Raises NotHermitian if
+    ||H - H*||_F > HERMITIAN_TOL * ||H||_F."""
+    a = _as_planes(m, m2)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
     if frobenius(a - _qadj(a)) > HERMITIAN_TOL * frobenius(a):
         raise NotHermitian("matrix is not Hermitian within tolerance")
-    h = 0.5 * (a + _qadj(a))
+    return 0.5 * (a + _qadj(a))
+
+
+def hermitian_eig(m, m2=None):
+    """(values, vectors): eigenvalues and eigenvectors, as planes, of the
+    Hermitian H given as for _hermitian_part.
+
+    The right singular vectors of B = h + ||h||_F I, h = _prescale(H),
+    which is positive semidefinite, are eigenvectors of H; the eigenvalues
+    are their Rayleigh quotients, descending (stable sort), each
+    quaternion eigenvalue once, and scale with H bit for bit. Raises
+    NonFiniteInput (also if an eigenvalue overflows), NotHermitian and
+    NoConvergence.
+    """
+    h, e = _prescale(_hermitian_part(m, m2))
     b = h.copy()
     b[0] += frobenius(h) * np.eye(h.shape[1])
-    _, v = _jacobi(b)
+    v = svd(*b)[2]
     values = np.sum((v.conj() * _qmul(h, v)).real, axis=(0, 1))
     order = np.argsort(-values, kind="stable")
     with np.errstate(over="ignore"):
         values = np.ldexp(values[order], e)
     if not np.isfinite(values).all():
         raise NonFiniteInput("an eigenvalue overflows a double")
-    return EigResult(values, v[:, :, order])
+    return values, v[:, :, order]
 
 
 def _qmul(x, y):
@@ -406,9 +387,14 @@ def rank_from_singular_values(s, dim: int) -> int:
 
 
 def psd_sqrt(m, m2=None):
-    """Positive semidefinite square root, as planes, of a Hermitian H given
-    as for hermitian_eig: hermitian_eig(m, m2).sqrt()."""
-    return hermitian_eig(m, m2).sqrt()
+    """Positive semidefinite square root, as planes, of the Hermitian H
+    given as for _hermitian_part: the root of its factorization. Raises
+    NotHermitian, and NegativeEigenvalue beyond CLAMP_TOL."""
+    fac = Factorization(_hermitian_part(m, m2))
+    residual, positive = positivity(0.0, fac, CLAMP_TOL)
+    if not positive:
+        raise NegativeEigenvalue(f"negative part {residual:.3e} too large")
+    return fac.root
 
 
 def gauss_inv(m):
@@ -439,14 +425,14 @@ def gauss_inv(m):
 
 
 class Factorization:
-    """Factors of the quaternion matrix with planes p, as QMatrix.p holds
+    """Factors of the quaternion matrix A with planes p, as QMatrix.p holds
     them; a complex matrix M is the planes (M, 0).
 
-    Each is computed on first use and kept: (u, s, v) = svd(*p), and eig,
-    the hermitian_eig of its Hermitian part, which lam_min and a square
-    root read. polar() reads the SVD alone, and so does the certificate
-    that its p is positive (polar.PolarFactors.abs_positivity): eig is not
-    solved. rank is the cut of the complex image, which has each s twice.
+    (u, s, v) = svd(*p), computed on first use and kept, is the one
+    factorization everything derived from A reads: polar(), the modulus
+    |A| = v diag(s) v* (kept), which decides positivity, and the root
+    v diag(sqrt(s)) v*. rank is the cut of the complex image, which has
+    each s twice.
     """
 
     def __init__(self, p):
@@ -461,38 +447,47 @@ class Factorization:
     rank = property(lambda self: rank_from_singular_values(
         self.s, 2 * self.s.size))
 
-    @functools.cached_property
-    def eig(self) -> EigResult:
-        return hermitian_eig(*(0.5 * (self.p + _qadj(self.p))))
+    def _congruence(self, d):
+        """v diag(d) v* as planes, made exactly self-adjoint."""
+        v = self.v
+        r = _qmul(v * d, _qadj(v))
+        return 0.5 * (r + _qadj(r))
 
-    lam_min = property(lambda self: (self.eig.values[-1]
-                                     if self.eig.values.size else 0.0))
+    modulus = functools.cached_property(lambda self: self._congruence(self.s))
+    # |A|^(1/2), the positive square root of A if A is positive
+    root = property(lambda self: self._congruence(np.sqrt(self.s)))
+
+    @functools.cached_property
+    def hermitian_part(self):
+        """The Factorization of 0.5 (A + A*); this one if A = A* exactly."""
+        h = 0.5 * (self.p + _qadj(self.p))
+        return self if np.array_equal(h, self.p) else Factorization(h)
 
     def polar(self):
-        """Polar factors u0 = u_r v_r*, r = rank, and p = v diag(s) v* of a
-        quaternion matrix, as planes, p exactly self-adjoint."""
+        """Polar factors u0 = u_r v_r*, r = rank, and p = modulus of a
+        quaternion matrix, as planes."""
         u, v, r = self.u, self.v, self.rank
-        u0 = _qmul(u[:, :, :r], _qadj(v[:, :, :r]))
-        p = _qmul(v * self.s, _qadj(v))
-        return u0, 0.5 * (p + _qadj(p))
+        return _qmul(u[:, :, :r], _qadj(v[:, :, :r])), self.modulus
 
 
 def positivity(sa: float, fac: Factorization, tol: float):
     """(residual, flag) of positivity for an operator with self-adjoint residual sa.
 
-    fac factors the operator. The residual is sa, or max(sa, -lam_min)
-    when sa is within tol * max(1, sigma_max); the flag is the residual
-    within that threshold. sigma_max (and so the SVD) is read only when a
-    value exceeds tol, because a value within tol is within
-    tol * max(1, sigma_max) too.
+    fac factors the operator A. A self-adjoint A is positive semidefinite
+    exactly when A = |A|, and ||A - |A|||_F / 2, the norm of its negative
+    part, is its distance to that cone (Higham, Linear Algebra Appl. 103,
+    1988). The residual is sa, or max(sa, ||A - |A|||_F / 2) when sa is
+    within tol * max(1, sigma_max); the flag is the residual within that
+    threshold. Reading A's own SVD, not its Hermitian part H's, is safe
+    there: ||A - H||_F = sa / 2 and || |A| - |H| ||_F <= sqrt(2) ||A - H||_F
+    (Araki and Yamagami, Comm. Math. Phys. 81, 1981), so the distance read
+    moves by less than sa from H's.
     """
-    def within(x):
-        return x <= tol or x <= tol * max(1.0, fac.sigma_max)
-
-    if not within(sa):
+    thresh = tol * max(1.0, fac.sigma_max)
+    if sa > thresh:
         return sa, False
-    res = max(sa, max(0.0, -fac.lam_min))
-    return res, within(res)
+    res = max(sa, 0.5 * frobenius(fac.p - fac.modulus))
+    return res, res <= thresh
 
 
 # the default tolerance of every class verdict, quaternion and complex

@@ -11,11 +11,11 @@ certificate that |T| is positive (PolarFactors.abs_positivity).
 Besides the spectral square root there are two constructive routes for
 positive operators: inversion of a strictly positive operator (take the
 bounded square root of the inverse and invert back), and the composite
-S^(1/2) C with S = I - (I+P)^(-1) and C = sqrt(I+P). All three agree
+S^(1/2) C with S = (I+P)^(-1) P and C = sqrt(I+P). All three agree
 with each other, which is the uniqueness statement made executable.
-Every root is EigResult.sqrt of an eigensolve on the planes (the
-spectral route reuses its positivity test's, p.fac.eig); every inverse is
-Gauss-Jordan on the complex image, pulled back before a root is taken.
+Every root is Factorization.root of an SVD on the planes (the spectral
+route's is its positivity test's); every inverse is Gauss-Jordan on the
+complex image, pulled back before a root is taken.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import ckernel
 from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, ShapeMismatch, classify,
-                      frobenius_norm, positivity, projector_onto, _svd_bases)
+                      frobenius_norm, projector_onto, _svd_bases)
 from .slices import PULLBACK_SQRT_TOL, chi, chi_pullback
 
 
@@ -70,15 +70,15 @@ class PolarFactors:
         positive semidefinite for any V, by congruence with diag(s). With
         R = P V - V diag(s) and eta = ||I - V* V|| < 1, (P - V diag(s) V*) V
         = R + V diag(s) (I - V* V), so Weyl's theorem (Parlett, The
-        Symmetric Eigenvalue Problem, residual bounds) gives lam_min(chi(P))
-        >= -delta, delta = (||R||_F + s0 sqrt(1 + eta) eta) / sqrt(1 - eta),
-        all norms on the planes, which bound the 2-norm of chi. The residual
-        max(sa, delta), sa the self-adjoint one, bounds positivity(abs_t)'s;
-        the flag is it within DEFAULT_CLASS_TOL * max(1, s0). At
-        eta >= 1/2 the residual is inf and the flag false. Forming R and
-        eta rounds them by up to about 2 n^2 u s0 (Higham, Accuracy and
-        Stability of Numerical Algorithms, 3.5), 5e-13 s0 at n = 48, which
-        delta does not add.
+        Symmetric Eigenvalue Problem, residual bounds) bounds every
+        eigenvalue of chi(P) below by -delta, delta = (||R||_F + s0
+        sqrt(1 + eta) eta) / sqrt(1 - eta), all norms on the planes, which
+        bound the 2-norm of chi. The residual is max(sa, delta), sa the
+        self-adjoint one; the flag is it within DEFAULT_CLASS_TOL *
+        max(1, s0). At eta >= 1/2 the residual is inf and the flag false.
+        Forming R and eta rounds them by up to about 2 n^2 u s0 (Higham,
+        Accuracy and Stability of Numerical Algorithms, 3.5), 5e-13 s0 at
+        n = 48, which delta does not add.
         """
         p, v, s0 = self.abs_t.p, self.fac.v, self.fac.sigma_max
         sa = frobenius_norm(self.abs_t - self.abs_t.adjoint())
@@ -97,13 +97,16 @@ class PolarFactors:
 SQRT_TOL = 1e-8
 
 
-def _require_positive(p: QMatrix):
-    """Raise NotPositive unless classify(p, SQRT_TOL) would find p positive,
-    which computes p.fac.eig (of p's Hermitian part) when it is."""
-    residual, positive = positivity(p, SQRT_TOL)
+def _require_positive(p: QMatrix) -> ckernel.Factorization:
+    """p.fac.hermitian_part, which a root of p reads; NotPositive unless
+    ckernel.positivity finds p positive on it within SQRT_TOL."""
+    fac = p.fac.hermitian_part
+    residual, positive = ckernel.positivity(
+        frobenius_norm(p - p.adjoint()), fac, SQRT_TOL)
     if not positive:
         raise NotPositive(
             f"positivity residual {residual:.3e} above tolerance")
+    return fac
 
 
 def _root(h: QMatrix) -> QMatrix:
@@ -123,24 +126,24 @@ def _inverse(h: QMatrix) -> QMatrix:
 
 
 def sqrt_positive_spectral(p: QMatrix) -> QMatrix:
-    """Positive square root of p's Hermitian part, from the one
-    eigendecomposition of its planes that the positivity test solved."""
-    _require_positive(p)
-    return QMatrix._adopt(p.fac.eig.sqrt())
+    """Positive square root of p's Hermitian part, from its one SVD."""
+    return QMatrix._adopt(_require_positive(p).root)
 
 
 def sqrt_positive_composite(p: QMatrix) -> QMatrix:
-    """Positive square root as S^(1/2) C with S = I - (I+P)^(-1), C = sqrt(I+P).
+    """Positive square root as S^(1/2) C with S = (I+P)^(-1) P, C = sqrt(I+P).
 
     I + P is strictly positive (bounded below by 1), so C comes from the
     strictly-positive route: invert, take the bounded square root, invert
-    back. Agrees with the spectral route, which is the uniqueness of the
-    positive square root in executable form.
+    back. S is a product, which keeps the relative accuracy of a small P
+    (I - (I+P)^(-1) rounds to n eps). Agrees with the spectral route, which
+    is the uniqueness of the positive square root in executable form.
     """
     _require_positive(p)
     eye = QMatrix.identity(p.shape[0])
     k_inv = _inverse(eye + p)
-    s_half = _root(eye - k_inv)
+    s = k_inv @ p
+    s_half = _root(0.5 * (s + s.adjoint()))
     # strictly-positive route for C = sqrt(I + P)
     c = _inverse(_root(k_inv))
     out = s_half @ c
@@ -151,15 +154,16 @@ def sqrt_strictly_positive(p: QMatrix, lambda_min: float) -> QMatrix:
     """Square root of a strictly positive operator via its inverse.
 
     Requires an explicit lower bound lambda_min > 0 on the spectrum of p;
-    raises NotStrictlyPositive when the computed minimum eigenvalue falls
-    short.
+    raises NotStrictlyPositive when the bound s[-1] - ||H - |H|||_F (Weyl)
+    on the lowest eigenvalue of p's Hermitian part H falls short.
     """
     if lambda_min <= 0.0:
         raise ValueError("lambda_min must be positive")
-    _require_positive(p)
-    if p.fac.lam_min < lambda_min:
+    fac = _require_positive(p)
+    low = min(fac.s, default=0.0) - ckernel.frobenius(fac.p - fac.modulus)
+    if low < lambda_min:
         raise NotStrictlyPositive(
-            f"minimum eigenvalue {p.fac.lam_min:.3e} below {lambda_min:.3e}")
+            f"minimum eigenvalue bound {low:.3e} below {lambda_min:.3e}")
     return _inverse(_root(_inverse(p)))
 
 

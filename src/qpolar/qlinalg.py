@@ -196,11 +196,10 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
     """Classify a square operator by residuals below tol * max(1, ||A||).
 
     ||A|| here is sigma_max of the complex block image. Positivity is
-    self-adjointness plus a nonnegative spectrum of the block image, as
-    in positivity(a, tol); the partial isometry check combines "A* A is
-    an orthogonal projection" with a norm spot-check on an orthonormal
-    basis of the orthogonal complement of the null space. Every class
-    but positivity reads the SVD of the block image, a.fac.
+    self-adjointness plus A = |A|, as in positivity(a, tol); the partial
+    isometry check combines "A* A is an orthogonal projection" with a
+    norm spot-check on an orthonormal basis of the orthogonal complement
+    of the null space. Every class reads the one SVD, a.fac.
     """
     _check_square(a, tol, "classify")
     fac = a.fac
@@ -212,9 +211,9 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
 def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
     """(residual, positive): classify(a, tol)'s positivity residual and flag.
 
-    A positive A costs one eigensolve, of the planes of its Hermitian part
-    (a.fac.lam_min, then already computed); the SVD is taken only when a
-    residual exceeds tol.
+    It reads the one SVD, a.fac, which classify reads too: the residual
+    is ||A - |A|||_F / 2 with |A| = a.fac.modulus, once A is self-adjoint
+    within tolerance.
     """
     _check_square(a, tol, "positivity")
     return ckernel.positivity(frobenius_norm(a - a.adjoint()), a.fac, tol)

@@ -199,12 +199,22 @@ def test_cmd_polar_without_eigensolver(tmp_path, monkeypatch):
 
 
 def test_eigensolves_run_on_planes(monkeypatch):
-    # every eigensolve of the battery's quaternion operators gets the
-    # n x n planes, never the 2n x 2n complex image
-    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    # every root the battery takes of its quaternion operators, the SVD
+    # that replaced their eigensolve, gets the n x n planes, never the
+    # 2n x 2n complex image
+    inputs = record_kernel_inputs(monkeypatch, "psd_sqrt")
     assert cmd_verify(SuiteConfig(dim=4, trials=3, seed=42, tol=1e-9)).passed
     assert inputs
-    assert all(x.ndim == 3 and x.shape[0] == 2 for x in inputs)
+    assert all(x.ndim == 3 and x.shape[0] == 2 and x.shape[1] <= 4
+               for x in inputs)
+
+
+def test_battery_pass_solves_no_eigenproblem(monkeypatch):
+    # positivity and every positive root read the SVD: a whole battery
+    # pass never calls the Hermitian eigensolver
+    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    assert cmd_verify(SuiteConfig(dim=4, trials=5, seed=42, tol=1e-9)).passed
+    assert inputs == []
 
 
 def test_cmd_polar_ill_conditioned_factors(tmp_path, capsys):

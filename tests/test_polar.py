@@ -96,9 +96,8 @@ def test_sqrt_routes_agree():
 
 @pytest.mark.parametrize("k", [-20, -40])
 def test_sqrt_composite_roots_small_singular_input(k):
-    # S = I - (I+P)^-1 is formed from entries near 1, so its eigenvalues
-    # on N(P) carry absolute rounding of about n eps, far above 1e-10 of
-    # ||S|| when ||P|| is small: the clamp must still admit them
+    # S is singular with N(S) = N(P), and its norm is about ||P||: the
+    # clamp admits the rounding of its null part at any small scale
     g = random_ops.rank_deficient(SplitMix64(1), 5, 3)
     p = (g.adjoint() @ g) * 2.0 ** k
     spectral = sqrt_positive_spectral(p)
@@ -106,18 +105,32 @@ def test_sqrt_composite_roots_small_singular_input(k):
     assert (composite - spectral).frobenius_norm() < 1e-7
 
 
+@pytest.mark.parametrize("k", [0, -20, -40])
+def test_sqrt_composite_relative_accuracy_on_small_input(k):
+    # S = (I+P)^-1 P is a product, so it keeps the relative accuracy of P;
+    # I - (I+P)^-1 rounded it to about n eps absolutely, and the composite
+    # root lost half its digits at 2**-40 (9.5e-9 on a root of 4.3e-6)
+    g = random_ops.rank_deficient(SplitMix64(1), 5, 3)
+    p = (g.adjoint() @ g) * 2.0 ** k
+    spectral = sqrt_positive_spectral(p)
+    composite = sqrt_positive_composite(p)
+    assert ((composite - spectral).frobenius_norm()
+            <= 1e-12 * spectral.frobenius_norm())
+
+
 def test_sqrt_routes_agree_on_nearly_hermitian_input(monkeypatch):
     # a self-adjoint residual of 1e-10 passes the 1e-8 positivity test, far
-    # above what hermitian_eig accepts as Hermitian: the spectral root is
-    # the root of p's Hermitian part, from the one eigensolve of positivity
+    # above what psd_sqrt accepts as Hermitian: the spectral root is the
+    # root of p's Hermitian part, from the one SVD of positivity
     w = random_ops.anti_self_adjoint(SplitMix64(6), 4)
     p = random_ops.psd(SplitMix64(5), 4) + w * (1e-10 / w.frobenius_norm())
     # classify a copy: p itself has not been factored yet, so the spectral
-    # route takes exactly one eigensolve
+    # route takes exactly one SVD
     assert classify(p.copy(), 1e-8).positive
-    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    inputs = record_svd_inputs(monkeypatch)
     spectral = sqrt_positive_spectral(p)
     assert len(inputs) == 1
+    assert np.array_equal(inputs[0], 0.5 * (p.p + ckernel._qadj(p.p)))
     composite = sqrt_positive_composite(p)
     assert (composite - spectral).frobenius_norm() < 1e-7
     assert (spectral @ spectral - 0.5 * (p + p.adjoint())).frobenius_norm() \
@@ -125,25 +138,37 @@ def test_sqrt_routes_agree_on_nearly_hermitian_input(monkeypatch):
 
 
 def test_sqrt_routes_take_no_svd_on_psd_input(monkeypatch):
-    # positivity of a PSD input reads one eigensolve, never an SVD
+    # positivity of a PSD input reads one SVD, of its Hermitian part, and
+    # no route takes a second one of it, nor any eigensolve
     p = random_ops.psd(trial_rng(53), 5)
     pd = p + QMatrix.identity(5)
     inputs = record_svd_inputs(monkeypatch)
+    eig_inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
     sqrt_positive_spectral(p)
+    assert len(inputs) == 1
     sqrt_positive_composite(p)
     sqrt_strictly_positive(pd, 1.0)
-    assert inputs == []
+    for x in (p.p, pd.p):
+        hermitian_part = 0.5 * (x + ckernel._qadj(x))
+        assert sum(np.array_equal(y, hermitian_part) for y in inputs) == 1
+    assert eig_inputs == []
 
 
 def test_sqrt_strictly_positive_one_eigensolve_of_hermitian_part(monkeypatch):
+    # the lower bound s[-1] - ||H - |H|||_F is read from the one SVD of
+    # the Hermitian part, pd itself, and is certified: it admits a bound
+    # just below the lowest eigenvalue numpy finds, and refuses one above
     pd = random_ops.psd(trial_rng(54), 5) + QMatrix.identity(5)
     x = np.stack([pd.a1, pd.a2])
     hermitian_part = 0.5 * (x + ckernel._qadj(x))
-    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    inputs = record_svd_inputs(monkeypatch)
     sqrt_strictly_positive(pd, 1.0)
     assert sum(np.array_equal(x, hermitian_part) for x in inputs) == 1
-    with pytest.raises(NotStrictlyPositive):
-        sqrt_strictly_positive(pd, 1e3)
+    lam_min = np.linalg.eigvalsh(chi(pd))[0]
+    sqrt_strictly_positive(pd, lam_min * (1.0 - 1e-12))
+    for bound in (lam_min * (1.0 + 1e-9), 1e3):
+        with pytest.raises(NotStrictlyPositive):
+            sqrt_strictly_positive(pd, bound)
 
 
 def test_sqrt_commutant_property():
@@ -198,7 +223,7 @@ def _certificate_cases():
 
 def test_abs_positivity_certificate_matches_eigensolve(monkeypatch):
     # at every rank the certificate delta, read from the SVD of T, bounds
-    # the lowest eigenvalue of |T| that an eigensolve finds, and stays
+    # the lowest eigenvalue of |T| that numpy's eigensolve finds, and stays
     # within 1e-12 of ||T||
     eig_inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
     for name, t in _certificate_cases():
@@ -206,25 +231,29 @@ def test_abs_positivity_certificate_matches_eigensolve(monkeypatch):
         delta, positive = f.abs_positivity()
         assert eig_inputs == [], name
         assert positive and delta <= 1e-12 * f.fac.sigma_max, name
-        assert delta >= -f.abs_t.fac.lam_min, name
-        del eig_inputs[:]
+        assert delta >= -np.linalg.eigvalsh(chi(f.abs_t))[0], name
 
 
 def test_abs_positivity_rank_deficient_takes_the_eigensolve(monkeypatch):
-    # below full rank the certificate takes no eigensolve; the eigensolve of
-    # positivity(abs_t), taken here to check it, gives the same verdict and
-    # a residual no larger than the certificate's
+    # below full rank the certificate takes no factorization; the SVD of
+    # positivity(abs_t), taken here to check it, gives the same verdict
+    # and a residual no larger than the certificate's, and both bound the
+    # negative part numpy's eigensolve finds, to its rounding
     rr = trial_rng(58)
     for n, rank in ((4, 2), (8, 4), (8, 7)):
         f = polar_decompose(random_ops.rank_deficient(rr, n, rank))
-        eig_inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+        inputs = record_svd_inputs(monkeypatch)
         certified = f.abs_positivity()
-        assert eig_inputs == []
+        assert inputs == []
         solved = positivity(f.abs_t)
-        assert len(eig_inputs) == 1
+        assert len(inputs) == 1 and np.array_equal(inputs[0], f.abs_t.p)
         monkeypatch.undo()
         assert certified[1] and solved[1]
         assert solved[0] <= certified[0]
+        lam = np.linalg.eigvalsh(chi(f.abs_t))
+        assert -lam[0] <= certified[0]
+        negative_part = np.linalg.norm(np.minimum(lam, 0.0)) / np.sqrt(2.0)
+        assert negative_part <= solved[0] + 1e-15 * f.fac.sigma_max
 
 
 def test_abs_positivity_needs_v_near_unitary():
@@ -537,17 +566,20 @@ def test_one_factorization_per_operator(monkeypatch):
 
 
 def test_z_inverse_and_polar_share_one_factorization(monkeypatch):
+    # z is factored once; the one other SVD is of the operator z_inverse
+    # takes the root of
     z = z_transform(random_ops.bounded_norm(trial_rng(72), 4, 10.0))
     inputs = record_svd_inputs(monkeypatch)
     z_inverse(z)
     polar_decompose(z)
-    assert len(inputs) == 1 and np.array_equal(inputs[0], z.p)
+    assert len(inputs) == 2
+    assert sum(np.array_equal(x, z.p) for x in inputs) == 1
 
 
 def test_sqrt_routes_solve_the_hermitian_part_once(monkeypatch):
     p = random_ops.psd(trial_rng(73), 5)
     hermitian_part = 0.5 * (p.p + ckernel._qadj(p.p))
-    inputs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    inputs = record_svd_inputs(monkeypatch)
     sqrt_positive_spectral(p)
     sqrt_positive_composite(p)
     assert sum(np.array_equal(x, hermitian_part) for x in inputs) == 1

@@ -365,6 +365,26 @@ def test_positivity_matches_classify():
         positivity(h, tol=0.0)
 
 
+def test_classify_takes_one_factorization(monkeypatch):
+    # classify of a PSD and of an indefinite Hermitian h reads one SVD and
+    # solves no eigenproblem; its positivity residual ||h - |h|||_F / 2 is
+    # the norm of the negative part of h, which chi(h) has twice
+    from helpers import record_kernel_inputs, record_svd_inputs
+    svds = record_svd_inputs(monkeypatch)
+    eigs = record_kernel_inputs(monkeypatch, "hermitian_eig")
+    for seed in range(6):
+        for n in (1, 2, 3, 5, 8):
+            rr = SplitMix64(100 * seed + n)
+            for h in (random_ops.psd(rr, n), random_ops.hermitian(rr, n)):
+                del svds[:]
+                residual = classify(h).residuals["positive"]
+                assert len(svds) == 1 and eigs == []
+                lam = np.linalg.eigvalsh(chi(h))
+                negative = np.linalg.norm(np.minimum(lam, 0.0)) / math.sqrt(2)
+                assert (abs(residual - negative)
+                        <= 1e-12 * h.frobenius_norm()), (seed, n)
+
+
 def test_null_range_bases_zero_matrix():
     null_basis, range_basis = null_range_bases(QMatrix.zeros(3))
     assert null_basis.shape == (3, 3) and range_basis.shape == (3, 0)
