@@ -1,15 +1,15 @@
 """Self-contained numerical engine on quaternion planes, in and out.
 
-Every factorization takes and returns the complex planes (A1, A2) of
-A = A1 + A2 j (a complex matrix is (M, 0)), computed by one one-sided
-Jacobi iteration (_jacobi) and one quaternion Householder QR
-(householder). The SVD, a pivoted QR, then _jacobi on R*, is an
-operator's one factorization (Factorization): the polar factors, the
-positivity test A = |A| and the root V diag(sqrt(s)) V* read it, and
-hermitian_eig is the SVD of H + ||H||_F I. Every orthonormal basis is
-householder's. Gauss-Jordan is the one complex routine. All routines are
-deterministic: fixed pivot and sweep order, no data-dependent threading,
-stable ties.
+Every factorization takes and returns the planes (2, rows, cols) of
+A = A1 + A2 j as QMatrix.p holds them (a complex M is QMatrix(M).p, a
+zero j-plane), computed by one one-sided Jacobi iteration (_jacobi) and
+one quaternion Householder QR (householder). The SVD, a pivoted QR,
+then _jacobi on R*, is an operator's one factorization (Factorization):
+the polar factors, the positivity test A = |A| and the root of the
+positive part read it, and hermitian_eig is the SVD of H + ||H||_F I.
+Every orthonormal basis is householder's. Gauss-Jordan is the one
+complex routine. All routines are deterministic: fixed pivot and sweep
+order, no data-dependent threading, stable ties.
 """
 
 from __future__ import annotations
@@ -106,15 +106,19 @@ def _as_square(m) -> np.ndarray:
     return a
 
 
-def _as_planes(m, m2=None) -> np.ndarray:
-    """Planes (2, rows, cols) of m + m2 j, m2 = None for a zero j-plane."""
+def _as_planes(m) -> np.ndarray:
+    """Planes (2, rows, cols) of the complex matrix m: a zero j-plane."""
     m = np.asarray(m, dtype=complex)
     p = np.zeros((2,) + m.shape, dtype=complex)
     p[0] = m
-    if m2 is not None:
-        if np.shape(m2) != m.shape:
-            raise ValueError(f"planes of shapes {m.shape} and {np.shape(m2)}")
-        p[1] = m2
+    return p
+
+
+def _planes(p) -> np.ndarray:
+    """p as a complex array, if it holds planes (2, rows, cols)."""
+    p = np.asarray(p, dtype=complex)
+    if p.ndim != 3 or p.shape[0] != 2:
+        raise ValueError(f"expected planes (2, rows, cols), got {p.shape}")
     return p
 
 
@@ -140,21 +144,20 @@ def _rotation_rounds(n: int) -> np.ndarray:
     return np.array(rounds, dtype=int).reshape(len(rounds), n // 2, 2)
 
 
-def _hermitian_part(m, m2=None):
-    """Planes 0.5 (H + H*) of the square H = m + m2 j given by its planes,
-    m2 = None for a zero j-plane. Raises NotHermitian if
-    ||H - H*||_F > HERMITIAN_TOL * ||H||_F."""
-    a = _as_planes(m, m2)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+def _hermitian_part(p):
+    """Planes 0.5 (H + H*) of the square H with planes p. Raises
+    NotHermitian if ||H - H*||_F > HERMITIAN_TOL * ||H||_F."""
+    a = _planes(p)
+    if a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape[1:]}")
     if frobenius(a - _qadj(a)) > HERMITIAN_TOL * frobenius(a):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     return 0.5 * (a + _qadj(a))
 
 
-def hermitian_eig(m, m2=None):
+def hermitian_eig(p):
     """(values, vectors): eigenvalues and eigenvectors, as planes, of the
-    Hermitian H given as for _hermitian_part.
+    Hermitian H with planes p.
 
     The right singular vectors of B = h + ||h||_F I, h = _prescale(H),
     which is positive semidefinite, are eigenvectors of H; the eigenvalues
@@ -163,10 +166,10 @@ def hermitian_eig(m, m2=None):
     NonFiniteInput (also if an eigenvalue overflows), NotHermitian and
     NoConvergence.
     """
-    h, e = _prescale(_hermitian_part(m, m2))
+    h, e = _prescale(_hermitian_part(p))
     b = h.copy()
     b[0] += frobenius(h) * np.eye(h.shape[1])
-    v = svd(*b)[2]
+    v = svd(b)[2]
     values = np.sum((v.conj() * _qmul(h, v)).real, axis=(0, 1))
     order = np.argsort(-values, kind="stable")
     with np.errstate(over="ignore"):
@@ -193,27 +196,25 @@ def _qadj(x):
     return p
 
 
-def svd(m, m2=None):
+def svd(p):
     """Singular value decomposition A = u diag(s) v*: a pivoted QR, then
     one-sided Jacobi (Drmac and Veselic, 2008).
 
-    A is the quaternion matrix m + m2 j given by its planes, m2 = None for
-    a zero j-plane, which nothing then writes. It runs on _prescale(A), so
-    svd(2**k A) is svd(A) with s times 2**k, bit for bit; a wide A is
-    factored through its adjoint. If the Gram matrix finds no pair of
-    columns to rotate, u is A's columns normalized and v the identity,
-    with no Jacobi call; else householder(A, pivot=True) = (Q, R, k),
-    _jacobi(R*) = (W, V_x), u = [Q[:, :k] V_x, Q[:, k:]], v = W / s and s
-    is 0 past k. Past the rank cut, dim 2 s.size for every A as for its
-    complex image, householder completes v (u without a QR).
+    A is the quaternion matrix with planes p, whose zero j-plane nothing
+    writes. It runs on _prescale(A), so svd(2**k A) is svd(A) with s times
+    2**k, bit for bit; a wide A is factored through its adjoint. If the
+    Gram matrix finds no pair of columns to rotate, u is A's columns
+    normalized and v the identity, with no Jacobi call; else
+    householder(A, pivot=True) = (Q, R, k), _jacobi(R*) = (W, V_x),
+    u = [Q[:, :k] V_x, Q[:, k:]], v = W / s and s is 0 past k. Past the
+    rank cut, dim 2 s.size for every A as for its complex image,
+    householder completes v (u without a QR).
 
     Returns (u, s, v), u and v unitary planes and s descending, each
     singular value of A once (twice in its complex image). Raises
     NonFiniteInput and NoConvergence.
     """
-    a, e = _prescale(_as_planes(m, m2))
-    if a.ndim != 3:
-        raise ValueError("expected a 2-d array")
+    a, e = _prescale(_planes(p))
     wide = a.shape[2] > a.shape[1]
     a = _qadj(a) if wide else a
     qr = _live_columns(_qmul(_qadj(a), a), a.shape[1]) is not None
@@ -386,11 +387,11 @@ def rank_from_singular_values(s, dim: int) -> int:
     return int(np.count_nonzero(s > RANK_TOL * s[0] * dim)) if s.size else 0
 
 
-def psd_sqrt(m, m2=None):
+def psd_sqrt(p):
     """Positive semidefinite square root, as planes, of the Hermitian H
-    given as for _hermitian_part: the root of its factorization. Raises
-    NotHermitian, and NegativeEigenvalue beyond CLAMP_TOL."""
-    fac = Factorization(_hermitian_part(m, m2))
+    with planes p: the root of its positive part, Factorization.root.
+    Raises NotHermitian, and NegativeEigenvalue beyond CLAMP_TOL."""
+    fac = Factorization(_hermitian_part(p))
     residual, positive = positivity(0.0, fac, CLAMP_TOL)
     if not positive:
         raise NegativeEigenvalue(f"negative part {residual:.3e} too large")
@@ -428,17 +429,16 @@ class Factorization:
     """Factors of the quaternion matrix A with planes p, as QMatrix.p holds
     them; a complex matrix M is the planes (M, 0).
 
-    (u, s, v) = svd(*p), computed on first use and kept, is the one
+    (u, s, v) = svd(p), computed on first use and kept, is the one
     factorization everything derived from A reads: polar(), the modulus
-    |A| = v diag(s) v* (kept), which decides positivity, and the root
-    v diag(sqrt(s)) v*. rank is the cut of the complex image, which has
-    each s twice.
+    |A| = v diag(s) v* (kept), which decides positivity, and the root.
+    rank is the cut of the complex image, which has each s twice.
     """
 
     def __init__(self, p):
         self.p = p
 
-    _svd = functools.cached_property(lambda self: svd(*self.p))
+    _svd = functools.cached_property(lambda self: svd(self.p))
 
     u = property(lambda self: self._svd[0])
     s = property(lambda self: self._svd[1])
@@ -454,8 +454,13 @@ class Factorization:
         return 0.5 * (r + _qadj(r))
 
     modulus = functools.cached_property(lambda self: self._congruence(self.s))
-    # |A|^(1/2), the positive square root of A if A is positive
-    root = property(lambda self: self._congruence(np.sqrt(self.s)))
+
+    @property
+    def root(self):
+        """v diag(sqrt(s_k) [Re(u_k* v_k) > 0]) v*: as u_k = v_k sign(lambda_k)
+        for a self-adjoint A, the root of its positive part, not of |A|."""
+        up = np.sum((self.u.conj() * self.v).real, axis=(0, 1)) > 0.0
+        return self._congruence(np.where(up, np.sqrt(self.s), 0.0))
 
     @functools.cached_property
     def hermitian_part(self):
@@ -470,7 +475,7 @@ class Factorization:
         return _qmul(u[:, :, :r], _qadj(v[:, :, :r])), self.modulus
 
 
-def positivity(sa: float, fac: Factorization, tol: float):
+def positivity(sa: float, fac: Factorization, tol: float, lift=np.asarray):
     """(residual, flag) of positivity for an operator with self-adjoint residual sa.
 
     fac factors the operator A. A self-adjoint A is positive semidefinite
@@ -481,12 +486,14 @@ def positivity(sa: float, fac: Factorization, tol: float):
     threshold. Reading A's own SVD, not its Hermitian part H's, is safe
     there: ||A - H||_F = sa / 2 and || |A| - |H| ||_F <= sqrt(2) ||A - H||_F
     (Araki and Yamagami, Comm. Math. Phys. 81, 1981), so the distance read
-    moves by less than sa from H's.
+    moves by less than sa from H's. lift maps planes to those of the image
+    of A where the distance is read (A's own by default), with no
+    factorization of it: chi(A - |A|) is chi(A) - chi(|A|) entry for entry.
     """
     thresh = tol * max(1.0, fac.sigma_max)
     if sa > thresh:
         return sa, False
-    res = max(sa, 0.5 * frobenius(fac.p - fac.modulus))
+    res = max(sa, 0.5 * frobenius(lift(fac.p - fac.modulus)))
     return res, res <= thresh
 
 
@@ -494,14 +501,14 @@ def positivity(sa: float, fac: Factorization, tol: float):
 DEFAULT_CLASS_TOL = 1e-9
 
 
-def class_residuals(a, fac: Factorization, coimage, tol: float):
+def class_residuals(a, fac: Factorization, coimage, tol, lift=np.asarray):
     """Structural class residuals of the square operator with planes a.
 
-    A complex matrix m is the planes (m, 0). fac factors the operator, and
-    the columns of the planes coimage are an orthonormal basis of N(a)-perp
-    read from it. Returns (residuals, flags), each flag meaning a residual
-    within tol * max(1, sigma_max). A residual beyond the largest double
-    is inf; one that overflows to NaN (inf - inf when a* a and a a*
+    fac factors the operator, or the one that lift, as in positivity, maps
+    to a, and the columns of the planes coimage are an orthonormal basis of
+    N(a)-perp read from it. Returns (residuals, flags), each flag meaning a
+    residual within tol * max(1, sigma_max). A residual beyond the largest
+    double is inf; one that overflows to NaN (inf - inf when a* a and a a*
     overflow) raises NonFiniteInput.
     """
     smax = fac.sigma_max  # the SVD rejects NaN and inf
@@ -527,7 +534,7 @@ def class_residuals(a, fac: Factorization, coimage, tol: float):
     if np.isnan(sum(parts.values(), [])).any():
         raise NonFiniteInput("a class residual overflows a double")
     res = {name: max(vals) for name, vals in parts.items()}
-    res["positive"], _ = positivity(res["self_adjoint"], fac, tol)
+    res["positive"], _ = positivity(res["self_adjoint"], fac, tol, lift)
     thresh = tol * max(1.0, smax)
     flags = {name: bool(val <= thresh) for name, val in res.items()}
     if flags["unitary"]:

@@ -111,7 +111,7 @@ def _require_positive(p: QMatrix) -> ckernel.Factorization:
 
 def _root(h: QMatrix) -> QMatrix:
     """ckernel.psd_sqrt of the self-adjoint h, on its planes."""
-    return QMatrix._adopt(ckernel.psd_sqrt(*h.p))
+    return QMatrix._adopt(ckernel.psd_sqrt(h.p))
 
 
 def _inverse(h: QMatrix) -> QMatrix:
@@ -126,7 +126,7 @@ def _inverse(h: QMatrix) -> QMatrix:
 
 
 def sqrt_positive_spectral(p: QMatrix) -> QMatrix:
-    """Positive square root of p's Hermitian part, from its one SVD."""
+    """Root of the positive part of p's Hermitian part, from its one SVD."""
     return QMatrix._adopt(_require_positive(p).root)
 
 

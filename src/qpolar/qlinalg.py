@@ -196,7 +196,8 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
     """Classify a square operator by residuals below tol * max(1, ||A||).
 
     ||A|| here is sigma_max of the complex block image. Positivity is
-    self-adjointness plus A = |A|, as in positivity(a, tol); the partial
+    self-adjointness plus A = |A|, read as ||A - |A|||_F / 2 with
+    |A| = a.fac.modulus (ckernel.positivity); the partial
     isometry check combines "A* A is an orthogonal projection" with a
     norm spot-check on an orthonormal basis of the orthogonal complement
     of the null space. Every class reads the one SVD, a.fac.
@@ -206,17 +207,6 @@ def classify(a: QMatrix, tol: float = DEFAULT_CLASS_TOL) -> OperatorClass:
     res, flags = ckernel.class_residuals(a.p, fac, fac.v[:, :, :fac.rank],
                                          tol)
     return OperatorClass(**flags, residuals=res, rank=fac.rank)
-
-
-def positivity(a: QMatrix, tol: float = DEFAULT_CLASS_TOL):
-    """(residual, positive): classify(a, tol)'s positivity residual and flag.
-
-    It reads the one SVD, a.fac, which classify reads too: the residual
-    is ||A - |A|||_F / 2 with |A| = a.fac.modulus, once A is self-adjoint
-    within tolerance.
-    """
-    _check_square(a, tol, "positivity")
-    return ckernel.positivity(frobenius_norm(a - a.adjoint()), a.fac, tol)
 
 
 def quaternionic_rank(a: QMatrix) -> int:

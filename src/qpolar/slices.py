@@ -117,11 +117,11 @@ def equivalence_suite(a: QMatrix, tol: float = ckernel.DEFAULT_CLASS_TOL
                       ) -> EquivalenceReport:
     """Compare structural classes of A and of its complex block image.
 
-    Covers the seven operator classes plus compatibility of the adjoint
-    with the embedding (chi of A* equals the conjugate transpose of
-    chi of A). Both sides read A's one factorization, A.fac, but each computes
-    its residuals in its own algebra: the complex side on the planes
-    (chi(A), 0). Disagreement is reported, not raised.
+    Covers the seven operator classes plus compatibility of the adjoint with
+    the embedding (chi of A* equals the conjugate transpose of chi of A).
+    Both sides read A's one factorization, A.fac, each computing residuals in
+    its own algebra: the complex side on the planes (chi(A), 0), positivity
+    on chi(A) - chi(|A|), |A| = A.fac.modulus. Disagreement is reported.
     """
     _check_square(a, tol, "equivalence_suite")
     fac = a.fac
@@ -130,7 +130,8 @@ def equivalence_suite(a: QMatrix, tol: float = ckernel.DEFAULT_CLASS_TOL
     # chi(A) has each singular value of A twice, and the chi image of the
     # coimage block holds embedded v_k and, up to sign, v_k j
     res_c, flags_c = ckernel.class_residuals(
-        ckernel._as_planes(m), fac, ckernel._as_planes(chi(coimage)), tol)
+        ckernel._as_planes(m), fac, ckernel._as_planes(chi(coimage)), tol,
+        lambda p: ckernel._as_planes(chi(QMatrix._adopt(p))))
     rows = [EquivalenceRow(name, flags_q[name], flags_c[name], res_q[name],
                            res_c[name])
             for name in _CLASS_NAMES]

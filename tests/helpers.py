@@ -84,7 +84,7 @@ def trial_rng(seed: int, k: int = 0) -> SplitMix64:
 def pinv(m, tol: float = RANK_TOL):
     """Moore-Penrose pseudoinverse with rank cut tol * sigma_max * dim."""
     a = np.array(m, dtype=complex)
-    u, s, v = svd(a)
+    u, s, v = svd(QMatrix(a).p)
     u, v = u[0], v[0]
     dim = max(a.shape)
     cut = (s[0] * tol * dim) if s.size else 0.0
@@ -114,17 +114,14 @@ def denman_beavers_sqrt(m, tol: float = 1e-13, max_iter: int = 100):
 
 
 def record_kernel_inputs(monkeypatch, name: str) -> list:
-    """Patch ckernel.<name> to keep a copy of every input; returns the copies.
-
-    A complex matrix m is kept as it is, the planes (m, m2) of a quaternion
-    matrix stacked as one (2, rows, cols) array.
-    """
+    """Patch ckernel.<name>, a factorization of one planes array, to keep a
+    copy of every input; returns the copies."""
     inputs = []
     real = getattr(ckernel, name)
 
-    def recording(m, m2=None):
-        inputs.append(np.array(m if m2 is None else [m, m2], dtype=complex))
-        return real(m, m2)
+    def recording(p):
+        inputs.append(np.array(p, dtype=complex))
+        return real(p)
 
     monkeypatch.setattr(ckernel, name, recording)
     return inputs

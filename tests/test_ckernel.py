@@ -23,20 +23,20 @@ def rand_hermitian(n):
 
 
 def test_eig_diagonal_input():
-    values, vectors = hermitian_eig(np.diag([3.0, 1.0]).astype(complex))
+    values, vectors = hermitian_eig(QMatrix(np.diag([3.0, 1.0])).p)
     assert np.allclose(values, [3.0, 1.0])
-    assert np.allclose(vectors, ckernel._as_planes(np.eye(2)))
+    assert np.allclose(vectors, QMatrix.identity(2).p)
 
 
 def test_eig_pauli_type():
-    values, vectors = hermitian_eig(np.array([[0, 1], [1, 0]], dtype=complex))
+    values, vectors = hermitian_eig(QMatrix(np.array([[0, 1], [1, 0]])).p)
     assert np.allclose(values, [1.0, -1.0], atol=1e-14)
 
 
 def test_eig_random_residuals():
     for _ in range(20):
         m = rand_hermitian(8)
-        values, vectors = hermitian_eig(m)
+        values, vectors = hermitian_eig(QMatrix(m).p)
         v = vectors[0]
         scale = frobenius(m)
         assert frobenius(m @ v - v * values) < 1e-11 * max(1.0, scale)
@@ -51,7 +51,7 @@ def test_eig_underflowing_norm():
     # every square of an entry near 1e-211 underflows to zero
     m = rand_hermitian(6)
     tiny = 2.0 ** -700 * m
-    values, vectors = hermitian_eig(tiny)
+    values, vectors = hermitian_eig(QMatrix(tiny).p)
     ref = np.linalg.eigvalsh(m)[::-1]
     assert np.max(np.abs(values / 2.0 ** -700 - ref)) \
         <= 1e-12 * np.max(np.abs(ref))
@@ -68,13 +68,13 @@ def test_eig_scale_equivariant_bit_exact(e):
     b = quaternion_planes(np.random.default_rng(27), 6, 6)
     h = 0.5 * (b + ckernel._qadj(b))
     p = ckernel._qmul(b, ckernel._qadj(b))
-    for args, psd in (((m,), (m @ m,)), ((h[0], h[1]), (p[0], p[1]))):
-        values, vectors = hermitian_eig(*args)
-        scaled = hermitian_eig(*(2.0 ** e * x for x in args))
+    for x, psd in ((QMatrix(m).p, QMatrix(m @ m).p), (h, p)):
+        values, vectors = hermitian_eig(x)
+        scaled = hermitian_eig(2.0 ** e * x)
         assert np.array_equal(scaled[1], vectors)
         assert np.array_equal(scaled[0], 2.0 ** e * values)
-        root = psd_sqrt(*(2.0 ** e * x for x in psd))
-        assert np.array_equal(root, 2.0 ** (e // 2) * psd_sqrt(*psd))
+        root = psd_sqrt(2.0 ** e * psd)
+        assert np.array_equal(root, 2.0 ** (e // 2) * psd_sqrt(psd))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -82,7 +82,7 @@ def test_eig_subnormal_input():
     # a complex entry divided by a subnormal magnitude overflows unless the
     # matrix is scaled first
     m = np.full((4, 4), 3e-310 + 0j)
-    values, vectors = hermitian_eig(m)
+    values, vectors = hermitian_eig(QMatrix(m).p)
     assert values[0] == pytest.approx(1.2e-309, rel=1e-3)
     assert np.all(np.abs(values[1:]) <= 1e-320)
 
@@ -93,7 +93,7 @@ def test_eig_quaternion_against_numpy():
     for n in (1, 2, 5, 8, 16, 32):
         b = quaternion_planes(g, n, n)
         h = 0.5 * (b + ckernel._qadj(b))
-        values, vectors = hermitian_eig(h[0], h[1])
+        values, vectors = hermitian_eig(h)
         assert values.shape == (n,) and vectors.shape == (2, n, n)
         ref = np.linalg.eigvalsh(chi(QMatrix(*h)))[::-1]
         assert np.max(np.abs(values - ref[0::2])) \
@@ -108,13 +108,13 @@ def test_eig_quaternion_against_numpy():
 
 def test_eig_rejects_non_hermitian():
     with pytest.raises(NotHermitian):
-        hermitian_eig(np.array([[0, 1], [0, 0]], dtype=complex))
+        hermitian_eig(QMatrix(np.array([[0, 1], [0, 0]])).p)
 
 
 def test_eig_deterministic():
     m = rand_hermitian(6)
-    a = hermitian_eig(m)
-    b = hermitian_eig(m.copy())
+    a = hermitian_eig(QMatrix(m).p)
+    b = hermitian_eig(QMatrix(m.copy()).p)
     assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1], b[1])
 
@@ -122,7 +122,7 @@ def test_eig_deterministic():
 def test_svd_values_match_reference():
     for rows, cols in ((6, 6), (5, 3), (3, 5)):
         m = rand_complex(rows, cols)
-        u, s, v = svd(m)
+        u, s, v = svd(QMatrix(m).p)
         u, v = u[0], v[0]
         ref = np.linalg.svd(m, compute_uv=False)
         assert np.max(np.abs(s - ref)) < 1e-11 * max(1.0, ref[0])
@@ -135,23 +135,23 @@ def test_svd_values_match_reference():
 
 def test_svd_resolves_exact_zeros():
     m = rand_complex(6, 2) @ rand_complex(2, 6)
-    _, s, _ = svd(m)
+    _, s, _ = svd(QMatrix(m).p)
     assert np.all(s[2:] < 1e-12 * s[0])
     assert s[1] > 1e-3 * s[0]
 
 
 def test_psd_sqrt_examples():
-    assert np.allclose(psd_sqrt(np.diag([4.0, 9.0]).astype(complex))[0],
+    assert np.allclose(psd_sqrt(QMatrix(np.diag([4.0, 9.0])).p)[0],
                        np.diag([2.0, 3.0]))
-    assert np.allclose(psd_sqrt(np.eye(3, dtype=complex)),
-                       ckernel._as_planes(np.eye(3)))
+    assert np.allclose(psd_sqrt(QMatrix.identity(3).p),
+                       QMatrix.identity(3).p)
 
 
 def test_psd_sqrt_squares_back():
     for _ in range(10):
         b = rand_complex(6)
         m = b.conj().T @ b
-        r = psd_sqrt(m)[0]
+        r = psd_sqrt(QMatrix(m).p)[0]
         assert frobenius(r @ r - m) < 1e-9 * max(1.0, frobenius(m))
         assert frobenius(r - r.conj().T) < 1e-12
         assert frobenius(r @ m - m @ r) < 1e-9 * max(1.0, frobenius(m))
@@ -159,21 +159,23 @@ def test_psd_sqrt_squares_back():
 
 def test_psd_sqrt_rejects():
     with pytest.raises(NotHermitian):
-        psd_sqrt(np.array([[0, 1], [0, 0]], dtype=complex))
+        psd_sqrt(QMatrix(np.array([[0, 1], [0, 0]])).p)
     with pytest.raises(NegativeEigenvalue):
-        psd_sqrt(np.diag([1.0, -1.0]).astype(complex))
-    # the window: a negative part of norm 1e-11 is rooted, one of 1e-9 not
-    root = psd_sqrt(np.diag([1.0, -1e-11]).astype(complex))
-    assert np.allclose(root[0], np.diag([1.0, np.sqrt(1e-11)]), atol=1e-15)
+        psd_sqrt(QMatrix.diag([1.0, -1.0]).p)
+    # the window: a negative part of norm 1e-11 is admitted, and the root
+    # is that of the positive part, diag(1, 0); one of 1e-9 is refused
+    root = psd_sqrt(QMatrix.diag([1.0, -1e-11]).p)
+    assert np.allclose(root[0], np.diag([1.0, 0.0]), atol=1e-15)
+    assert root[0][1, 1] == 0.0
     with pytest.raises(NegativeEigenvalue):
-        psd_sqrt(np.diag([1.0, -1e-9]).astype(complex))
+        psd_sqrt(QMatrix.diag([1.0, -1e-9]).p)
     # an indefinite quaternion H given as planes
-    from qpolar import QMatrix, classify
+    from qpolar import classify
     b = quaternion_planes(np.random.default_rng(29), 5, 5)
     h = 0.5 * (b + ckernel._qadj(b))
     assert np.linalg.eigvalsh(chi(QMatrix(*h)))[0] < -0.1
     with pytest.raises(NegativeEigenvalue):
-        psd_sqrt(h[0], h[1])
+        psd_sqrt(h)
     assert not classify(QMatrix(h[0], h[1])).positive
 
 
@@ -187,9 +189,9 @@ def test_hermitian_window_scales_with_h(k):
     w = random_ops.anti_self_adjoint(SplitMix64(5), 5).p
     a = (h + w * (1e-3 * frobenius(h) / frobenius(w))) * 2.0 ** k
     with pytest.raises(NotHermitian):
-        hermitian_eig(a[0], a[1])
+        hermitian_eig(a)
     with pytest.raises(NotHermitian):
-        psd_sqrt(a[0], a[1])
+        psd_sqrt(a)
 
 
 def test_psd_sqrt_against_denman_beavers_and_scipy():
@@ -197,7 +199,7 @@ def test_psd_sqrt_against_denman_beavers_and_scipy():
         b = rand_complex(5)
         # keep the draw comfortably invertible for the iterative route
         m = b.conj().T @ b + 0.05 * np.eye(5)
-        r = psd_sqrt(m)[0]
+        r = psd_sqrt(QMatrix(m).p)[0]
         db = denman_beavers_sqrt(m)
         assert frobenius(r - db) < 1e-8 * max(1.0, frobenius(m))
         ref = scipy.linalg.sqrtm(m)
@@ -267,7 +269,7 @@ def test_factorization_p_definite():
         m = g.standard_normal((n, n)) + 1j * g.standard_normal((n, n))
         fac = QMatrix(m).fac
         assert fac.rank == n
-        assert hermitian_eig(*fac.polar()[1])[0][-1] > 0.0
+        assert hermitian_eig(fac.polar()[1])[0][-1] > 0.0
     m = g.standard_normal((6, 3)) @ g.standard_normal((3, 6))
     assert QMatrix(m).fac.rank == 3
     for smallest, definite in ((1e-9, True), (1e-12, True), (1e-14, False)):
@@ -304,8 +306,8 @@ def test_gauss_inv_scale_equivariant():
 
 def test_svd_deterministic():
     m = rand_complex(7)
-    u1, s1, v1 = svd(m)
-    u2, s2, v2 = svd(m.copy())
+    u1, s1, v1 = svd(QMatrix(m).p)
+    u2, s2, v2 = svd(QMatrix(m.copy()).p)
     assert np.array_equal(u1, u2)
     assert np.array_equal(s1, s2)
     assert np.array_equal(v1, v2)
@@ -325,21 +327,21 @@ def test_non_finite_input_rejected(bad):
     m = np.eye(4, dtype=complex)
     m[1, 2] = m[2, 1] = bad
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
-        hermitian_eig(m)
+        hermitian_eig(QMatrix(m).p)
     with np.errstate(invalid="ignore"), pytest.raises(NonFiniteInput):
-        svd(m)
+        svd(QMatrix(m).p)
 
 
 def test_svd_overflow_rejected():
     # near 1e300 the exact pre-scaling factors m; only a singular value
     # beyond the largest double is refused
-    m = rand_complex(4)
+    m = QMatrix(rand_complex(4)).p
     u, s, v = svd(m)
     big_u, big_s, big_v = svd(2.0 ** 996 * m)
     assert np.array_equal(big_s, 2.0 ** 996 * s)
     assert np.array_equal(big_u, u) and np.array_equal(big_v, v)
     with pytest.raises(NonFiniteInput, match="singular value overflows"):
-        svd(np.full((4, 4), 1e308 + 0j))
+        svd(QMatrix(np.full((4, 4), 1e308 + 0j)).p)
 
 
 def quaternion_planes(g, rows, cols, rank=None):
@@ -353,7 +355,7 @@ def quaternion_planes(g, rows, cols, rank=None):
 
 
 def check_quaternion_svd(a, rank=None):
-    u, s, v = svd(a[0], a[1])
+    u, s, v = svd(a)
     rows, cols = a.shape[1:]
     k = min(rows, cols)
     assert u.shape == (2, rows, rows) and v.shape == (2, cols, cols)
@@ -397,23 +399,45 @@ def test_rotation_rounds_cover_every_pair_once():
 def test_complex_svd_against_numpy_j_plane_exactly_zero():
     # a complex m is the planes (m, 0): no step, QR, rotation or
     # completion, writes the j-plane of the SVD, the eigenvectors or the
-    # PSD root, whether m2 is None or zero
+    # PSD root
     g = np.random.default_rng(22)
     for rows, cols in ((1, 1), (6, 6), (16, 16), (32, 32), (7, 3), (3, 7)):
         m = g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))
         for mat in (m, m[:, :1] @ m[:1, :]):
-            for planes in ((mat,), (mat, np.zeros_like(mat))):
-                u, s, v = svd(*planes)
-                assert not u[1].any() and not v[1].any()
+            u, s, v = svd(QMatrix(mat).p)
+            assert not u[1].any() and not v[1].any()
             u, v = u[0], v[0]
             ref = np.linalg.svd(mat, compute_uv=False)
             assert np.max(np.abs(s - ref)) <= 1e-13 * max(ref[0], 1.0)
             k = min(rows, cols)
             assert np.max(np.abs((u[:, :k] * s) @ v[:, :k].conj().T - mat)) \
                 <= 1e-13 * max(ref[0], 1.0)
-            h = mat @ mat.conj().T
+            h = QMatrix(mat @ mat.conj().T).p
             assert not hermitian_eig(h)[1][1].any()
             assert not psd_sqrt(h)[1].any()
+
+
+def test_complex_factorization_is_svd_of_planes():
+    # the one factorization of a complex m is svd of its planes (m, 0),
+    # bit for bit, and no step writes their zero j-plane
+    g = np.random.default_rng(31)
+    for n in range(1, 9):
+        a = QMatrix(g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
+        u, s, v = svd(a.p)
+        fac = a.fac
+        assert np.array_equal(fac.u, u) and np.array_equal(fac.s, s)
+        assert np.array_equal(fac.v, v)
+        assert not u[1].any() and not v[1].any(), n
+
+
+@pytest.mark.parametrize("factor", [svd, hermitian_eig, psd_sqrt])
+def test_factorizations_take_planes_only(factor):
+    # a 2-d array is not planes: the error names the shape it expected
+    for m in (np.eye(3, dtype=complex), np.eye(3), np.zeros((2, 2))):
+        with pytest.raises(ValueError, match=r"planes \(2, rows, cols\)"):
+            factor(m)
+    with pytest.raises(ValueError, match=r"got \(3, 2, 2\)"):
+        factor(np.zeros((3, 2, 2), dtype=complex))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -423,8 +447,8 @@ def test_svd_subnormal_columns():
     m = np.array([[1, 3e-310, 1], [2, 1e-310, 0.5], [0.3, 2e-311, 1]],
                  dtype=complex)
     ref = np.linalg.svd(m, compute_uv=False)
-    for planes in ((m,), (m, 1e-310 * np.ones_like(m))):
-        u, s, v = svd(*planes)
+    for planes in (QMatrix(m).p, QMatrix(m, 1e-310 * np.ones_like(m)).p):
+        u, s, v = svd(planes)
         assert np.max(np.abs(s[:2] - ref[:2])) <= 1e-14 * ref[0]
         assert s[2] <= 1e-300
 
@@ -433,10 +457,9 @@ def test_svd_subnormal_columns():
 def test_svd_scale_equivariant_bit_exact(e):
     g = np.random.default_rng(23)
     a = quaternion_planes(g, 7, 7)
-    m = a[0]
-    for args in ((a[0], a[1]), (m,)):
-        u, s, v = svd(*args)
-        su, ss, sv = svd(*(2.0 ** e * x for x in args))
+    for p in (a, QMatrix(a[0]).p):
+        u, s, v = svd(p)
+        su, ss, sv = svd(2.0 ** e * p)
         assert np.array_equal(su, u) and np.array_equal(sv, v)
         assert np.array_equal(ss, 2.0 ** e * s)
 
@@ -445,25 +468,25 @@ def test_svd_no_convergence(monkeypatch):
     a = quaternion_planes(np.random.default_rng(24), 16, 16)
     monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
     with pytest.raises(NoConvergence, match="did not converge"):
-        svd(a[0], a[1])
+        svd(a)
 
 
 def test_eig_no_convergence(monkeypatch):
     b = quaternion_planes(np.random.default_rng(30), 16, 16)
     h = 0.5 * (b + ckernel._qadj(b))
     monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
-    for args in ((h[0], h[1]), (h[0],)):
+    for p in (h, QMatrix(h[0]).p):
         with pytest.raises(NoConvergence, match="did not converge"):
-            hermitian_eig(*args)
+            hermitian_eig(p)
 
 
 def test_svd_orthogonal_input_takes_no_sweep():
     # the Gram check before the first sweep finds the columns of a unitary
     # orthogonal, so no rotation runs: v only sorts the columns
     a = quaternion_planes(np.random.default_rng(25), 12, 12)
-    u, _, v = svd(a[0], a[1])
+    u, _, v = svd(a)
     w = ckernel._qmul(u, ckernel._qadj(v))
-    _, s, vw = svd(w[0], w[1])
+    _, s, vw = svd(w)
     assert set(np.unique(vw[0])) <= {0.0, 1.0} and not vw[1].any()
     assert np.array_equal(vw[0] @ vw[0].T, np.eye(12))
     assert np.max(np.abs(s - 1.0)) <= 1e-13
@@ -475,7 +498,7 @@ def test_svd_conditioned_input_converges_in_ten_sweeps(monkeypatch):
     inputs = {n: conditioned_qmatrix(0, n, 1e8) for n in (16, 32, 48)}
     monkeypatch.setattr(ckernel, "MAX_SWEEPS", 10)
     for n, t in inputs.items():
-        _, s, _ = svd(*t.p)
+        _, s, _ = svd(t.p)
         assert np.max(np.abs(s - np.logspace(0, -8, n))) <= 1e-13, n
 
 
@@ -492,7 +515,7 @@ def test_svd_planted_rank_solved_on_r_columns(monkeypatch):
     for n, r in cells + [(48, 1), (48, 12), (48, 24), (48, 47)]:
         t = random_ops.rank_deficient(SplitMix64(1000 * n + r), n, r)
         del cols[:]
-        _, s, _ = svd(*t.p)
+        _, s, _ = svd(t.p)
         assert ckernel.rank_from_singular_values(s, 2 * n) == r, (n, r)
         assert cols == ([r] if n > 1 else []), (n, r)
         cut = 64 * np.finfo(float).eps * 2 * n * s[0]
@@ -501,7 +524,7 @@ def test_svd_planted_rank_solved_on_r_columns(monkeypatch):
 
 def range_columns(a):
     """Planes of the columns a v_k / s_k up to the rank cut."""
-    _, s, v = svd(a[0], a[1])
+    _, s, v = svd(a)
     rank = ckernel.rank_from_singular_values(s, 2 * s.size)
     w = ckernel._qmul(a, v[:, :, :rank]) / s[:rank]
     return w, [w[:, :, k] for k in range(rank)]
@@ -531,7 +554,7 @@ def check_svd_completion(a):
     """svd's u is unitary to 1e-12 and its first r columns are a v_r / s_r
     within 1e-12; its v is v_r followed by the trailing columns of
     householder of v_r, the null basis, bit for bit."""
-    u, s, v = svd(a[0], a[1])
+    u, s, v = svd(a)
     r = ckernel.rank_from_singular_values(s, 2 * s.size)
     check_unitary(u)
     assert np.max(np.abs(u[:, :, :r] - range_columns(a)[0]),
@@ -571,8 +594,8 @@ def test_complete_unitary_tall(rows, cols):
 
 def test_complete_unitary_zero_matrix_and_empty_cols():
     eye = np.stack([np.eye(6), np.zeros((6, 6))])
-    assert np.array_equal(svd(np.zeros((6, 6)), np.zeros((6, 6)))[0], eye)
-    assert np.array_equal(svd(np.zeros((6, 6), dtype=complex))[0], eye)
+    assert np.array_equal(svd(np.zeros((2, 6, 6)))[0], eye)
+    assert np.array_equal(svd(QMatrix.zeros(6).p)[0], eye)
     for cols in (0, 3):
         q, _, kept = ckernel.householder(np.zeros((2, 5, cols), dtype=complex))
         assert np.array_equal(q, eye[:, :5, :5]) and kept == 0

@@ -186,7 +186,7 @@ def test_polar_report_eigensolves(monkeypatch):
 
 def test_cmd_polar_without_eigensolver(tmp_path, monkeypatch):
     # below full rank too, qpolar polar runs with no Hermitian eigensolver
-    def refuse(m, m2=None):
+    def refuse(p):
         raise AssertionError("qpolar polar solved an eigenproblem")
 
     monkeypatch.setattr(ckernel, "hermitian_eig", refuse)
@@ -207,6 +207,20 @@ def test_eigensolves_run_on_planes(monkeypatch):
     assert inputs
     assert all(x.ndim == 3 and x.shape[0] == 2 and x.shape[1] <= 4
                for x in inputs)
+
+
+def test_factorizations_get_one_planes_array(monkeypatch):
+    # every SVD and positive root a battery pass or a polar report takes
+    # gets its operator as one planes array (2, rows, cols), QMatrix.p
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    svds = record_svd_inputs(monkeypatch)
+    roots = record_kernel_inputs(monkeypatch, "psd_sqrt")
+    assert cmd_verify(SuiteConfig(dim=4, trials=3, seed=42, tol=1e-9)).passed
+    assert polar_report(random_ops.rank_deficient(SplitMix64(13), 6, 3),
+                        1e-9)[0].passed
+    assert svds and roots
+    assert all(x.ndim == 3 and x.shape[0] == 2 for x in svds + roots)
 
 
 def test_battery_pass_solves_no_eigenproblem(monkeypatch):

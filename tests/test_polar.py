@@ -18,7 +18,7 @@ from qpolar import (BadPerturbation, NotPositive,
                     sqrt_strictly_positive,
                     weight_matrix, z_inverse, z_transform)
 from qpolar import ckernel, parse_qmat, random_ops
-from qpolar.qlinalg import _svd_bases, positivity
+from qpolar.qlinalg import _svd_bases
 from qpolar.quaternion import I, J, K
 from qpolar.rng import SplitMix64
 
@@ -116,6 +116,22 @@ def test_sqrt_composite_relative_accuracy_on_small_input(k):
     composite = sqrt_positive_composite(p)
     assert ((composite - spectral).frobenius_norm()
             <= 1e-12 * spectral.frobenius_norm())
+
+
+def test_sqrt_spectral_roots_the_positive_part():
+    # a negative part admitted within SQRT_TOL is left out of the root,
+    # which roots H+, not |H|: r^2 misses p by the negative part, where a
+    # root of |H| would miss it by twice that, 1e-8, at the report's gate
+    p = QMatrix.diag([1.0, -5e-9])
+    r = sqrt_positive_spectral(p)
+    assert not r.p[:, 1, 1].any() and r.a1[0, 0] == 1.0
+    assert (r @ r - p).frobenius_norm() == pytest.approx(5e-9, rel=1e-12)
+    # the same in a quaternion eigenbasis: r squares to H+
+    u = random_ops.unitary(SplitMix64(7), 3)
+    h = u @ QMatrix.diag([2.0, 1.0, -4e-9]) @ u.adjoint()
+    h = 0.5 * (h + h.adjoint())
+    r = sqrt_positive_spectral(h)
+    assert abs((r @ r - h).frobenius_norm() - 4e-9) <= 1e-13
 
 
 def test_sqrt_routes_agree_on_nearly_hermitian_input(monkeypatch):
@@ -236,7 +252,7 @@ def test_abs_positivity_certificate_matches_eigensolve(monkeypatch):
 
 def test_abs_positivity_rank_deficient_takes_the_eigensolve(monkeypatch):
     # below full rank the certificate takes no factorization; the SVD of
-    # positivity(abs_t), taken here to check it, gives the same verdict
+    # classify(abs_t), taken here to check it, gives the same verdict
     # and a residual no larger than the certificate's, and both bound the
     # negative part numpy's eigensolve finds, to its rounding
     rr = trial_rng(58)
@@ -245,7 +261,8 @@ def test_abs_positivity_rank_deficient_takes_the_eigensolve(monkeypatch):
         inputs = record_svd_inputs(monkeypatch)
         certified = f.abs_positivity()
         assert inputs == []
-        solved = positivity(f.abs_t)
+        oc = classify(f.abs_t)
+        solved = oc.residuals["positive"], oc.positive
         assert len(inputs) == 1 and np.array_equal(inputs[0], f.abs_t.p)
         monkeypatch.undo()
         assert certified[1] and solved[1]

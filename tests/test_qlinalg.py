@@ -10,7 +10,7 @@ from qpolar import (QMatrix, Quaternion, ShapeMismatch,
                     null_range_bases, operator_norm, parse_qmat,
                     polar_decompose, projector_onto, quaternionic_rank,
                     weight_matrix)
-from qpolar.qlinalg import _svd_bases, frobenius_norm, positivity
+from qpolar.qlinalg import _svd_bases, frobenius_norm
 from qpolar.slices import chi, pullback_vector
 from qpolar.quaternion import I, J, K
 from qpolar import ckernel, qlinalg, random_ops
@@ -190,7 +190,8 @@ def _gram_schmidt_cases():
     # pulled-back singular vectors of block images come in dependent
     # pairs, as in the coimage and null/range bases
     for n, rank in ((2, 2), (5, 3), (8, 8), (8, 1)):
-        v = ckernel.svd(chi(random_ops.rank_deficient(rr, n, rank)))[2][0]
+        image = QMatrix(chi(random_ops.rank_deficient(rr, n, rank)))
+        v = ckernel.svd(image.p)[2][0]
         b = _hstack(*[pullback_vector(v[:, k]) for k in range(2 * n)])
         yield b
         yield QMatrix(*b.p[:, :, 2 * rank:])
@@ -342,6 +343,8 @@ def test_classify_expected_flags_per_class():
 
 
 def test_positivity_matches_classify():
+    # classify's positivity residual and flag are ckernel.positivity's on
+    # the one SVD, a.fac, with the self-adjoint residual of a
     rr = trial_rng(22)
     h = random_ops.hermitian(rr, 4)
     ops = [h, random_ops.psd(rr, 4), random_ops.projection(rr, 4, rank=2),
@@ -353,16 +356,17 @@ def test_positivity_matches_classify():
     for a in ops:
         for tol in (1e-9, 1e-6):
             oc = classify(a, tol)
-            residual, positive = positivity(a, tol)
+            residual, positive = ckernel.positivity(
+                frobenius_norm(a - a.adjoint()), a.fac, tol)
             assert residual == oc.residuals["positive"]
             assert positive == oc.positive
-            flags.append(positive)
+            flags.append(oc.positive)
     assert True in flags and False in flags
-    assert positivity(QMatrix.diag([100.0, -5e-8]), 1e-9)[1]
+    assert classify(QMatrix.diag([100.0, -5e-8]), 1e-9).positive
     with pytest.raises(ShapeMismatch):
-        positivity(QMatrix.zeros(2, 3))
+        classify(QMatrix.zeros(2, 3))
     with pytest.raises(ValueError):
-        positivity(h, tol=0.0)
+        classify(h, tol=0.0)
 
 
 def test_classify_takes_one_factorization(monkeypatch):
@@ -550,7 +554,7 @@ def test_class_tolerance_must_be_finite_and_positive(tol):
     from qpolar import cli
     from qpolar.slices import equivalence_suite
     a = random_ops.rand_qmatrix(SplitMix64(1), 3)
-    for check in (classify, positivity, equivalence_suite):
+    for check in (classify, equivalence_suite):
         for m in (QMatrix.identity(2), a):
             with pytest.raises(ValueError, match="finite and positive"):
                 check(m, tol)

@@ -252,6 +252,21 @@ def test_equivalence_suite_class_constructions():
             assert rep.all_agree, [r.name for r in rep.disagreements()]
 
 
+def test_equivalence_positivity_row_reads_chi(monkeypatch):
+    # the complex side reads the negative part of chi(A) itself, as
+    # chi(A) - chi(|A|): chi holds every entry twice, so it is sqrt(2)
+    # times the quaternion residual, with no factorization of chi(A)
+    h = random_ops.hermitian(SplitMix64(3), 4)
+    assert operator_norm(h) > 0.0  # factors h before the suite runs
+    inputs = record_svd_inputs(monkeypatch)
+    rep = equivalence_suite(h)
+    assert inputs == []
+    row = {r.name: r for r in rep.rows}["positive"]
+    assert not row.flag_quaternionic and not row.flag_complex
+    assert row.residual_complex == pytest.approx(
+        np.sqrt(2.0) * row.residual_quaternionic, rel=1e-12)
+
+
 def test_classify_positive_matches_complex_side():
     rr = trial_rng(43)
     p = random_ops.psd(rr, 4)
@@ -282,7 +297,7 @@ def test_class_residual_overflow_is_rejected():
     # inf - inf; that is an error, not a flag read from a NaN
     a = random_ops.rand_qmatrix(SplitMix64(3), 4)
     big = a * 2.0 ** 996
-    assert ckernel.svd(big.a1, big.a2)[1][0] < np.inf  # the SVD still factors
+    assert ckernel.svd(big.p)[1][0] < np.inf  # the SVD still factors
     with pytest.raises(ckernel.NonFiniteInput):
         equivalence_suite(big)
     with pytest.raises(ckernel.NonFiniteInput):

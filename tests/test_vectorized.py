@@ -103,11 +103,10 @@ def test_as_planes_matches_stacked():
         for m in (x[0], x[0].real):
             assert _same(ckernel._as_planes(m),
                          np.stack([m, np.zeros_like(m)]).astype(complex))
-        assert _same(ckernel._as_planes(x[0], x[1]), np.stack([x[0], x[1]]))
         assert _same(QMatrix(x[0], x[1]).p, np.stack([x[0], x[1]]))
         assert _same(QMatrix(x[0]).p, np.stack([x[0], np.zeros_like(x[0])]))
     with pytest.raises(ValueError):
-        ckernel._as_planes(np.eye(2), np.eye(3))
+        QMatrix(np.eye(2), np.eye(3))
 
 
 def test_frobenius_matches_linalg_norm():
