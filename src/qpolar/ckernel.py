@@ -430,8 +430,9 @@ class Factorization:
     them; a complex matrix M is the planes (M, 0).
 
     (u, s, v) = svd(p), computed on first use and kept, is the one
-    factorization everything derived from A reads: polar(), the modulus
-    |A| = v diag(s) v* (kept), which decides positivity, and the root.
+    factorization everything derived from A reads: polar() and each
+    v diag(f(s)) v* (congruence), the modulus |A| (kept), which decides
+    positivity, and the root.
     rank is the cut of the complex image, which has each s twice.
     """
 
@@ -447,20 +448,20 @@ class Factorization:
     rank = property(lambda self: rank_from_singular_values(
         self.s, 2 * self.s.size))
 
-    def _congruence(self, d):
+    def congruence(self, d):
         """v diag(d) v* as planes, made exactly self-adjoint."""
         v = self.v
         r = _qmul(v * d, _qadj(v))
         return 0.5 * (r + _qadj(r))
 
-    modulus = functools.cached_property(lambda self: self._congruence(self.s))
+    modulus = functools.cached_property(lambda self: self.congruence(self.s))
 
     @property
     def root(self):
         """v diag(sqrt(s_k) [Re(u_k* v_k) > 0]) v*: as u_k = v_k sign(lambda_k)
         for a self-adjoint A, the root of its positive part, not of |A|."""
         up = np.sum((self.u.conj() * self.v).real, axis=(0, 1)) > 0.0
-        return self._congruence(np.where(up, np.sqrt(self.s), 0.0))
+        return self.congruence(np.where(up, np.sqrt(self.s), 0.0))
 
     @functools.cached_property
     def hermitian_part(self):

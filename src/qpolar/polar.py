@@ -13,9 +13,10 @@ positive operators: inversion of a strictly positive operator (take the
 bounded square root of the inverse and invert back), and the composite
 S^(1/2) C with S = (I+P)^(-1) P and C = sqrt(I+P). All three agree
 with each other, which is the uniqueness statement made executable.
-Every root is Factorization.root of an SVD on the planes (the spectral
-route's is its positivity test's); every inverse is Gauss-Jordan on the
-complex image, pulled back before a root is taken.
+Every root, the constructive routes' included, is sqrt_positive_spectral:
+one positivity gate (SQRT_TOL) and Factorization.root, both on the
+operator's own fac. Every inverse is Gauss-Jordan on the complex image,
+pulled back before a root is taken.
 """
 
 from __future__ import annotations
@@ -109,11 +110,6 @@ def _require_positive(p: QMatrix) -> ckernel.Factorization:
     return fac
 
 
-def _root(h: QMatrix) -> QMatrix:
-    """ckernel.psd_sqrt of the self-adjoint h, on its planes."""
-    return QMatrix._adopt(ckernel.psd_sqrt(h.p))
-
-
 def _inverse(h: QMatrix) -> QMatrix:
     """Inverse of the self-adjoint part of h, made exactly self-adjoint.
 
@@ -143,9 +139,9 @@ def sqrt_positive_composite(p: QMatrix) -> QMatrix:
     eye = QMatrix.identity(p.shape[0])
     k_inv = _inverse(eye + p)
     s = k_inv @ p
-    s_half = _root(0.5 * (s + s.adjoint()))
+    s_half = sqrt_positive_spectral(0.5 * (s + s.adjoint()))
     # strictly-positive route for C = sqrt(I + P)
-    c = _inverse(_root(k_inv))
+    c = _inverse(sqrt_positive_spectral(k_inv))
     out = s_half @ c
     return 0.5 * (out + out.adjoint())
 
@@ -164,7 +160,7 @@ def sqrt_strictly_positive(p: QMatrix, lambda_min: float) -> QMatrix:
     if low < lambda_min:
         raise NotStrictlyPositive(
             f"minimum eigenvalue bound {low:.3e} below {lambda_min:.3e}")
-    return _inverse(_root(_inverse(p)))
+    return _inverse(sqrt_positive_spectral(_inverse(p)))
 
 
 def modulus(t: QMatrix) -> QMatrix:

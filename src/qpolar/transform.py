@@ -2,8 +2,11 @@
 
 Z_T is a contraction with the same null space, range, and polar isometry
 as T; when ||Z|| < 1 the original operator is recovered as
-T = Z (I - Z* Z)^(-1/2). A diagonal shift-and-weight operator family with
-growing weights exercises the transform against closed-form values.
+T = Z (I - Z* Z)^(-1/2). Each damping factor is a function of a modulus,
+V diag(d) V* on the operator's own SVD (Factorization.congruence), so
+nothing forms T* T, and T may have any scale its SVD takes. A diagonal
+shift-and-weight operator family with growing weights exercises the
+transform against closed-form values.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ import math
 
 import numpy as np
 
-from .polar import _inverse, _root
 from .qlinalg import QMatrix, ShapeMismatch, operator_norm
 
 
@@ -29,22 +31,21 @@ NORM_MARGIN = 1e-8
 
 
 def inv_sqrt_shifted_gram(t: QMatrix) -> QMatrix:
-    """(I + T* T)^(-1/2), the damping factor of the bounded transform.
-
-    Computed as the PSD square root of the explicit inverse.
-    """
-    return _root(_inverse(QMatrix.identity(t.shape[1]) + t.adjoint() @ t))
+    """(I + T* T)^(-1/2) = V diag(1 / hypot(1, s)) V*, the damping factor
+    of the bounded transform, from T's SVD T.fac."""
+    if t.shape[0] != t.shape[1]:
+        raise ShapeMismatch("the bounded transform needs a square operator")
+    return QMatrix._adopt(t.fac.congruence(1.0 / np.hypot(1.0, t.fac.s)))
 
 
 def z_transform(t: QMatrix) -> QMatrix:
     """Bounded transform Z_T = T (I + T* T)^(-1/2), a contraction."""
-    if t.shape[0] != t.shape[1]:
-        raise ShapeMismatch("the bounded transform needs a square operator")
     return t @ inv_sqrt_shifted_gram(t)
 
 
 def z_inverse(z: QMatrix) -> QMatrix:
-    """Recover T from its bounded transform: T = Z (I - Z* Z)^(-1/2).
+    """Recover T from its bounded transform: T = Z (I - Z* Z)^(-1/2), the
+    factor V diag(1 / sqrt((1 - s)(1 + s))) V* read from Z's SVD.
 
     Requires ||Z|| < 1 - NORM_MARGIN; at norm one the preimage is unbounded
     and has no finite-dimensional representative, so NormTooLarge is raised.
@@ -55,7 +56,8 @@ def z_inverse(z: QMatrix) -> QMatrix:
     if nz >= 1.0 - NORM_MARGIN:
         raise NormTooLarge(
             f"||Z|| = {nz:.12f} is not below 1 - {NORM_MARGIN:.1e}")
-    return z @ _root(_inverse(QMatrix.identity(z.shape[0]) - z.adjoint() @ z))
+    d = 1.0 / np.sqrt((1.0 - z.fac.s) * (1.0 + z.fac.s))
+    return z @ QMatrix._adopt(z.fac.congruence(d))
 
 
 def weight_matrix(n: int) -> QMatrix:

@@ -199,19 +199,23 @@ def test_cmd_polar_without_eigensolver(tmp_path, monkeypatch):
 
 
 def test_eigensolves_run_on_planes(monkeypatch):
-    # every root the battery takes of its quaternion operators, the SVD
-    # that replaced their eigensolve, gets the n x n planes, never the
-    # 2n x 2n complex image
-    inputs = record_kernel_inputs(monkeypatch, "psd_sqrt")
-    assert cmd_verify(SuiteConfig(dim=4, trials=3, seed=42, tol=1e-9)).passed
+    # every SVD the battery takes of its quaternion operators, the one
+    # factorization every root and damping factor reads, gets the n x n
+    # planes, never the 2n x 2n complex image; the chi suite alone
+    # factors such an image, on purpose, to compare norms with it
+    inputs = record_svd_inputs(monkeypatch)
+    for suite in ("sqrt", "polar", "dichotomy", "transform"):
+        for trial in range(3):
+            _run_suite_trial((suite, 4, 1e-9, 42, trial))
     assert inputs
     assert all(x.ndim == 3 and x.shape[0] == 2 and x.shape[1] <= 4
                for x in inputs)
 
 
 def test_factorizations_get_one_planes_array(monkeypatch):
-    # every SVD and positive root a battery pass or a polar report takes
-    # gets its operator as one planes array (2, rows, cols), QMatrix.p
+    # every SVD a battery pass or a polar report takes gets its operator
+    # as one planes array (2, rows, cols), QMatrix.p; every positive root
+    # reads such an SVD, and none is a ckernel.psd_sqrt call
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
     svds = record_svd_inputs(monkeypatch)
@@ -219,8 +223,8 @@ def test_factorizations_get_one_planes_array(monkeypatch):
     assert cmd_verify(SuiteConfig(dim=4, trials=3, seed=42, tol=1e-9)).passed
     assert polar_report(random_ops.rank_deficient(SplitMix64(13), 6, 3),
                         1e-9)[0].passed
-    assert svds and roots
-    assert all(x.ndim == 3 and x.shape[0] == 2 for x in svds + roots)
+    assert svds and roots == []
+    assert all(x.ndim == 3 and x.shape[0] == 2 for x in svds)
 
 
 def test_battery_pass_solves_no_eigenproblem(monkeypatch):
@@ -511,12 +515,15 @@ def test_cmd_polar_matches_pinned_digests(tmp_path):
 
 
 def test_transform_trial_reads_abs_t_from_polar_decompose(monkeypatch):
-    # the damping factors of t, t* and the normal draw take one psd_sqrt
-    # each, z_inverse one more; t's factor serves z and the modulus
-    # identity, and |Z| and |T| come from the two polar_decompose calls
-    inputs = record_kernel_inputs(monkeypatch, "psd_sqrt")
+    # six SVDs: the draw bounded_norm scales, t, t*, z, the unitary draw
+    # of the normal operator and that operator. Every damping factor reads
+    # its operator's SVD, and so do |Z| and |T|; nothing is inverted and
+    # no root is taken apart from them
+    svds = record_svd_inputs(monkeypatch)
+    roots = record_kernel_inputs(monkeypatch, "psd_sqrt")
+    inverses = record_kernel_inputs(monkeypatch, "gauss_inv")
     _run_suite_trial(("transform", 4, 1e-9, 42, 0))
-    assert len(inputs) == 4
+    assert (len(svds), len(roots), len(inverses)) == (6, 0, 0)
 
 
 def test_cmd_verify_deterministic_and_parallel():

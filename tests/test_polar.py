@@ -583,14 +583,24 @@ def test_one_factorization_per_operator(monkeypatch):
 
 
 def test_z_inverse_and_polar_share_one_factorization(monkeypatch):
-    # z is factored once; the one other SVD is of the operator z_inverse
-    # takes the root of
+    # z is factored once: its norm check, its damping factor
+    # (I - Z* Z)^(-1/2) and its polar factors all read z.fac
     z = z_transform(random_ops.bounded_norm(trial_rng(72), 4, 10.0))
     inputs = record_svd_inputs(monkeypatch)
     z_inverse(z)
     polar_decompose(z)
-    assert len(inputs) == 2
-    assert sum(np.array_equal(x, z.p) for x in inputs) == 1
+    assert len(inputs) == 1
+    assert np.array_equal(inputs[0], z.p)
+
+
+def test_constructive_roots_pass_the_one_root_gate(monkeypatch):
+    # the composite and strictly positive routes take each of their roots
+    # through sqrt_positive_spectral, never through ckernel.psd_sqrt
+    roots = record_kernel_inputs(monkeypatch, "psd_sqrt")
+    p = random_ops.psd(trial_rng(77), 4)
+    sqrt_positive_composite(p)
+    sqrt_strictly_positive(p + QMatrix.identity(4), 0.5)
+    assert roots == []
 
 
 def test_sqrt_routes_solve_the_hermitian_part_once(monkeypatch):

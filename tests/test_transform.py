@@ -48,6 +48,23 @@ def test_z_inverse_examples():
         z_inverse(random_ops.rand_qmatrix(trial_rng(76), 4) * 2.0 ** 520)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("e", [600, 1000])
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_z_transform_of_a_huge_operator_is_its_isometry(n, e):
+    # T* T overflows a double here; the damping factor reads T's SVD,
+    # which takes T at any finite scale, and every s / hypot(1, s) rounds
+    # to 1, so Z_T is the polar isometry of T, whose preimage z_inverse
+    # refuses as unbounded
+    t = random_ops.rand_qmatrix(trial_rng(77), n) * 2.0 ** e
+    z = z_transform(t)
+    assert np.isfinite(z.p).all()
+    assert operator_norm(z) <= 1.0 + 1e-12
+    assert (z - polar_decompose(t).u0).frobenius_norm() < 1e-13
+    with pytest.raises(NormTooLarge):
+        z_inverse(z)
+
+
 def test_roundtrip():
     rr = trial_rng(71)
     for _ in range(50):
