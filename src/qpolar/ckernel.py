@@ -7,9 +7,18 @@ one quaternion Householder QR (householder). The SVD, a pivoted QR,
 then _jacobi on R*, is an operator's one factorization (Factorization):
 the polar factors, the positivity test A = |A| and the root of the
 positive part read it, and hermitian_eig is the SVD of H + ||H||_F I.
-Every orthonormal basis is householder's. Gauss-Jordan is the one
-complex routine. All routines are deterministic: fixed pivot and sweep
-order, no data-dependent threading, stable ties.
+A Jacobi round computes its rotations in Python floats (_scalar_maps)
+if it holds at most SCALAR_PAIRS pairs, else in numpy (_vector_maps),
+with the same bits: the scalar engine takes |alpha| and |beta| from one
+np.abs call, every other hypot as abs(complex(x, y)), divides by a real
+d as numpy divides by d + 0j, and multiplies as numpy's fused complex
+product (_fmul). The last two rules are those of numpy's SIMD loops on a
+CPU with FMA3 and AVX2 (checked on numpy 2.4.6, x86-64 Xeon); where
+numpy's complex multiply is not fused, the engines may differ in the sign
+of a zero where a product underflows. Every orthonormal basis is
+householder's. Gauss-Jordan is the one complex routine. All routines are
+deterministic: fixed pivot and sweep order, no data-dependent threading,
+stable ties.
 """
 
 from __future__ import annotations
@@ -262,17 +271,29 @@ def _jacobi(a):
     column k of a over column k of v. Pairs of columns both below RANK_TOL
     times the largest, which hold singular values below the rank cut, are
     left alone. A sweep runs only while the Gram matrix finds a pair to
-    rotate. Each pair's 4 x 4 complex map is written into one buffer.
+    rotate. A round forms its 4 x 4 Gram blocks in one product and applies
+    every pair's 4 x 4 complex map in one product.
+
+    The maps have two engines, chosen per call from the pair count
+    cols // 2: _scalar_maps in Python floats if it is at most SCALAR_PAIRS
+    (the crossover of the per-call times tabled there), else _vector_maps
+    in numpy. They give the same bits, as _scalar_maps keeps numpy's
+    rounding: |alpha| and |beta| from one np.abs call, every other hypot
+    as abs(complex(x, y)), division by a real d as numpy divides by d + 0j,
+    and products as numpy's fused complex product (numpy's FMA3/AVX2
+    loops; see the module docstring).
     """
     rows, cols = a.shape[1:]
     x = np.zeros((cols, 2, rows + cols), dtype=complex)
     x[:, :, :rows] = a.transpose(2, 0, 1)
     x[:, 0, rows:] = np.eye(cols)
-    tol = ORTH_TOL * np.sqrt(rows)
+    tol = float(ORTH_TOL * np.sqrt(rows))
     rounds = _rotation_rounds(cols)
-    maps = np.empty((rounds.shape[1], 4, 4), dtype=complex)
-    r = np.empty((rounds.shape[1], 2, 2), dtype=complex)
-    eye = np.eye(2)
+    k = rounds.shape[1]
+    scalar = k <= SCALAR_PAIRS
+    maps_of = _scalar_maps if scalar else _vector_maps
+    bufs = () if scalar else (np.empty((k, 4, 4), dtype=complex),
+                              np.empty((k, 2, 2), dtype=complex), np.eye(2))
     for sweep in range(MAX_SWEEPS + 1):
         c = x[:, :, :rows].transpose(1, 2, 0)
         big = _live_columns(_qmul(_qadj(c), c), rows)
@@ -283,42 +304,147 @@ def _jacobi(a):
                 f"Jacobi iteration did not converge in {sweep} sweeps")
         # pairs with a column above the rank cut, one row per round
         live = big[rounds[..., 0]] | big[rounds[..., 1]]
-        for pq, pair_live in zip(rounds, live):
-            z = x[pq].reshape(len(pq), 4, -1)
+        for pq, pair_live in zip(rounds, live.tolist() if scalar else live):
+            z = x.take(pq, 0).reshape(len(pq), 4, -1)
             # h[i, j] = <z_i, z_j> over the rows (p1, p2, q1, q2)
             h = z[:, :, :rows].conj() @ z[:, :, :rows].transpose(0, 2, 1)
-            alpha = h[:, 0, 2] + h[:, 1, 3].conj()
-            beta = h[:, 0, 3] - h[:, 2, 1]
-            npp = (h[:, 0, 0] + h[:, 1, 1]).real
-            nqq = (h[:, 2, 2] + h[:, 3, 3]).real
-            mag = np.hypot(np.abs(alpha), np.abs(beta))
-            on = ((mag > np.maximum(tol * np.sqrt(npp) * np.sqrt(nqq), _TINY))
-                  & pair_live)
-            if not on.all():
-                if not on.any():
-                    continue
-                pq, z, mag = pq[on], z[on], mag[on]
-                alpha, beta, npp, nqq = alpha[on], beta[on], npp[on], nqq[on]
-            d = nqq - npp
-            # t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), zeta = d / (2 mag)
-            t = (np.where(d >= 0.0, 2.0, -2.0) * mag
-                 / (np.abs(d) + np.hypot(2.0 * mag, d)))
-            cs = (1.0 / np.sqrt(1.0 + t * t))[:, None, None]
-            sn = t[:, None, None] * cs
-            # rk maps planes x to those of x mu: (x1 mu1 - x2 conj(mu2),
-            # x1 mu2 + x2 conj(mu1)); then (x_p, x_q mu) is rotated by
-            # m = [[cs I, -sn rk], [sn I, cs rk]]
-            k = len(pq)
-            mu1, mu2 = alpha.conj() / mag, -beta / mag
-            rk, m = r[:k], maps[:k]
-            rk[:, 0, 0], rk[:, 0, 1] = mu1, -mu2.conj()
-            rk[:, 1, 0], rk[:, 1, 1] = mu2, mu1.conj()
-            m[:, :2, :2] = cs * eye
-            m[:, 2:, :2] = sn * eye
-            m[:, :2, 2:] = -sn * rk
-            m[:, 2:, 2:] = cs * rk
-            x[pq] = (m @ z).reshape(k, 2, 2, -1)
+            on, m = maps_of(h, pair_live, tol, *bufs)
+            if m is None:
+                continue
+            if on is not None:
+                pq, z = pq.take(on, 0), z.take(on, 0)
+            x[pq.ravel()] = (m @ z).reshape(-1, 2, rows + cols)
     return x[:, :, :rows].transpose(1, 2, 0), x[:, :, rows:].transpose(1, 2, 0)
+
+
+# _jacobi computes the maps of a round of at most SCALAR_PAIRS pairs in
+# Python floats, where numpy's dispatch on arrays of 4 values or fewer costs
+# more than the arithmetic. CPU time of one _jacobi call on R* of a Gaussian
+# quaternion matrix of 2 x pairs columns, every round on _scalar_maps over
+# every round on _vector_maps: median and quartiles of the ratio over 30
+# interleaved repeats (2-vCPU Xeon, numpy 2.4). Up to 6 pairs the third
+# quartile is below 1 (also at the odd column counts, 0.93 at 13 columns);
+# at 7 it reaches 0.99 (14 columns) and 1.17 (15):
+#   pairs   1     2     3     4     5     6     7     8     9
+#   median  0.78  0.66  0.73  0.76  0.82  0.90  0.95  1.04  1.10
+#   Q1      0.76  0.64  0.68  0.70  0.77  0.86  0.93  0.96  1.04
+#   Q3      0.82  0.68  0.76  0.80  0.92  0.91  0.99  1.13  1.18
+SCALAR_PAIRS = 6
+
+
+def _vector_maps(h, live, tol, maps, rk, eye):
+    """(on, m) of a round with Gram blocks h (k, 4, 4): m the (j, 4, 4)
+    maps of the j pairs that rotate, written into the buffer maps (rk a
+    buffer of (k, 2, 2), eye the 2 x 2 identity), on the indices of those
+    pairs (None if all k do), and m None if none does.
+
+    A pair rotates if it is live and |gamma| exceeds tol times the product
+    of its column norms (and _TINY). Each map is [[cs I, -sn rk], [sn I,
+    cs rk]], rk the right multiplication by mu = conj(gamma) / |gamma|.
+    """
+    alpha = h[:, 0, 2] + h[:, 1, 3].conj()
+    beta = h[:, 0, 3] - h[:, 2, 1]
+    npp = (h[:, 0, 0] + h[:, 1, 1]).real
+    nqq = (h[:, 2, 2] + h[:, 3, 3]).real
+    mag = np.hypot(np.abs(alpha), np.abs(beta))
+    on = ((mag > np.maximum(tol * np.sqrt(npp) * np.sqrt(nqq), _TINY))
+          & live)
+    if not on.all():
+        if not on.any():
+            return None, None
+        mag, alpha, beta = mag[on], alpha[on], beta[on]
+        npp, nqq = npp[on], nqq[on]
+    d = nqq - npp
+    # t = sign(zeta) / (|zeta| + sqrt(1 + zeta^2)), zeta = d / (2 mag)
+    t = (np.where(d >= 0.0, 2.0, -2.0) * mag
+         / (np.abs(d) + np.hypot(2.0 * mag, d)))
+    cs = (1.0 / np.sqrt(1.0 + t * t))[:, None, None]
+    sn = t[:, None, None] * cs
+    # rk maps planes x to those of x mu: (x1 mu1 - x2 conj(mu2),
+    # x1 mu2 + x2 conj(mu1)); then (x_p, x_q mu) is rotated by
+    # m = [[cs I, -sn rk], [sn I, cs rk]]
+    k = len(mag)
+    mu1, mu2 = alpha.conj() / mag, -beta / mag
+    rk, m = rk[:k], maps[:k]
+    rk[:, 0, 0], rk[:, 0, 1] = mu1, -mu2.conj()
+    rk[:, 1, 0], rk[:, 1, 1] = mu2, mu1.conj()
+    m[:, :2, :2] = cs * eye
+    m[:, 2:, :2] = sn * eye
+    m[:, :2, 2:] = -sn * rk
+    m[:, 2:, 2:] = cs * rk
+    return (None if k == len(h) else np.flatnonzero(on)), m
+
+
+def _scalar_maps(h, live, tol):
+    """What _vector_maps returns, in Python floats, bit for bit; live is a
+    list of bools. numpy's rounding is kept by four rules: |alpha| and
+    |beta| come from one np.abs call on the round's values (numpy's complex
+    absolute, not libm's hypot); every other hypot is abs(complex(x, y)),
+    libm's hypot as np.hypot; z / d is (re + im 0.0, im - re 0.0) times
+    1.0 / d, as numpy divides by d + 0j; and complex(f, 0.0) times a map
+    entry is _fmul, each part one fused multiply-add, as numpy multiplies.
+    """
+    # g[i][4 r + c] = h[i, r, c]
+    g = h.reshape(len(h), 16).tolist()
+    ab = []
+    for hb in g:
+        ab += (hb[2] + hb[7].conjugate(), hb[3] - hb[9])
+    mods = np.abs(ab).tolist()
+    sqrt = math.sqrt
+    on, flat = [], []
+    for i, (hb, alpha, beta, ma, mb) in enumerate(
+            zip(g, ab[::2], ab[1::2], mods[::2], mods[1::2])):
+        if not live[i]:
+            continue
+        mag = abs(complex(ma, mb))
+        npp = hb[0].real + hb[5].real
+        nqq = hb[10].real + hb[15].real
+        if not (mag > tol * sqrt(npp) * sqrt(nqq) and mag > _TINY):
+            continue
+        d = nqq - npp
+        t = ((2.0 if d >= 0.0 else -2.0) * mag
+             / (abs(d) + abs(complex(2.0 * mag, d))))
+        cs = 1.0 / sqrt(1.0 + t * t)
+        sn = t * cs
+        # mu1 = conj(alpha) / mag = (a, b), mu2 = -beta / mag = (c, e)
+        inv = 1.0 / mag
+        re, im = alpha.real, -alpha.imag
+        a, b = (re + im * 0.0) * inv, (im - re * 0.0) * inv
+        re, im = -beta.real, -beta.imag
+        c, e = (re + im * 0.0) * inv, (im - re * 0.0) * inv
+        # rk = [[mu1, -conj(mu2)], [mu2, conj(mu1)]] times -sn and cs: the
+        # plain product is numpy's fused one unless f x underflows for a
+        # nonzero part x, which cs >= 1 / sqrt(2) cannot
+        r0, r1, r2, r3 = rk = (complex(a, b), complex(-c, e), complex(c, e),
+                               complex(a, -b))
+        if (a and not sn * a or b and not sn * b or c and not sn * c
+                or e and not sn * e):
+            t0, t1, t2, t3 = [_fmul(-sn, r) for r in rk]
+        else:
+            f = complex(-sn, 0.0)
+            t0, t1, t2, t3 = f * r0, f * r1, f * r2, f * r3
+        f = complex(cs, 0.0)
+        sn0 = sn * 0.0  # -0.0 where sn < 0, as sn * I has it
+        flat += (cs, 0.0, t0, t1, 0.0, cs, t2, t3,
+                 sn, sn0, f * r0, f * r1, sn0, sn, f * r2, f * r3)
+        on.append(i)
+    if not on:
+        return None, None
+    m = np.array(flat, dtype=complex).reshape(len(on), 4, 4)
+    return (None if len(on) == len(g) else on), m
+
+
+def _fmul(f, r):
+    """complex(f, 0.0) * r as numpy rounds it: each part one fused
+    multiply-add, f x - 0.0 y and f y + 0.0 x, which is the product f x
+    (f y) unless x (y) is zero. This is the rounding of numpy's FMA3/AVX2
+    complex multiply (checked on numpy 2.4.6, x86-64 Xeon with FMA); a
+    numpy build or CPU without a fused complex multiply rounds each part as
+    two products and a sum, and where f x underflows the sign of that zero
+    differs from this one."""
+    x, y = r.real, r.imag
+    re, im = f * x, f * y
+    return complex(re if x else re - 0.0 * y, im if y else im + 0.0 * x)
 
 
 # pairs with a smaller inner product are left alone: products of entries
@@ -449,8 +575,10 @@ class Factorization:
         self.s, 2 * self.s.size))
 
     def congruence(self, d):
-        """v diag(d) v* as planes, made exactly self-adjoint."""
+        """v diag(d) v* as planes, made exactly self-adjoint; d is padded
+        with zeros to v's columns, which a wide A has more of than s."""
         v = self.v
+        d = np.append(d, np.zeros(v.shape[2] - len(d)))
         r = _qmul(v * d, _qadj(v))
         return 0.5 * (r + _qadj(r))
 

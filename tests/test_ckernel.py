@@ -465,10 +465,14 @@ def test_svd_scale_equivariant_bit_exact(e):
 
 
 def test_svd_no_convergence(monkeypatch):
-    a = quaternion_planes(np.random.default_rng(24), 16, 16)
+    # 16 columns take the vectorized rounds, 4 the scalar ones; the sweep
+    # loop both share raises
+    assert 4 // 2 <= ckernel.SCALAR_PAIRS < 16 // 2
     monkeypatch.setattr(ckernel, "MAX_SWEEPS", 1)
-    with pytest.raises(NoConvergence, match="did not converge"):
-        svd(a)
+    for n in (16, 4):
+        a = quaternion_planes(np.random.default_rng(24), n, n)
+        with pytest.raises(NoConvergence, match="did not converge"):
+            svd(a)
 
 
 def test_eig_no_convergence(monkeypatch):
@@ -478,6 +482,19 @@ def test_eig_no_convergence(monkeypatch):
     for p in (h, QMatrix(h[0]).p):
         with pytest.raises(NoConvergence, match="did not converge"):
             hermitian_eig(p)
+
+
+def test_polar_of_shift_section_and_its_adjoint():
+    # the 7 x 6 section of the unilateral shift and its 6 x 7 adjoint: a
+    # wide A has 7 columns in v and 6 singular values, which the modulus
+    # pads with a zero
+    shift = np.eye(7, 6, -1)
+    for t in (QMatrix(shift).p, QMatrix(shift.T).p):
+        fac = ckernel.Factorization(t)
+        u0, modulus = fac.polar()
+        assert fac.rank == 6
+        assert modulus.shape == (2, t.shape[2], t.shape[2])
+        assert frobenius(ckernel._qmul(u0, modulus) - t) == 0.0
 
 
 def test_svd_orthogonal_input_takes_no_sweep():

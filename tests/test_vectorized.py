@@ -5,9 +5,12 @@ operands in the same order."""
 import numpy as np
 import pytest
 
-from helpers import (chi_block, frobenius_linalg, gauss_inv_rowwise,
-                     live_columns_eye, qadj_stacked, qmul_stacked)
-from qpolar import QMatrix, chi, ckernel
+from helpers import (chi_block, conditioned_qmatrix, frobenius_linalg,
+                     gauss_inv_rowwise, live_columns_eye, qadj_stacked,
+                     qmul_stacked)
+from qpolar import QMatrix, chi, ckernel, random_ops
+from qpolar.cli import SuiteConfig, cmd_verify
+from qpolar.rng import SplitMix64
 
 
 def _draw(g, *shape):
@@ -155,3 +158,101 @@ def test_live_columns_matches_eye_form():
     gram = ckernel._qmul(ckernel._qadj(planes), planes)
     assert ckernel._live_columns(gram, 5) is None
     assert live_columns_eye(gram, 5) is None
+
+
+def _svd_inputs():
+    """Planes on which the two engines of _jacobi must agree."""
+    for n in range(1, 21):  # the planted-rank cells of test_ckernel, n <= 20
+        for r in range(1, n + 1):
+            yield random_ops.rank_deficient(SplitMix64(1000 * n + r), n, r).p
+    g = np.random.default_rng(27)
+    for n in (2, 3, 5, 8, 12, 16):
+        yield conditioned_qmatrix(0, n, 1e12).p
+        x = _draw(g, 2, n, n)
+        x[1] = 0.0  # a zero j-plane, as a complex matrix is held
+        yield x
+        yield _draw(g, 2, n + 3, n)
+        yield _draw(g, 2, n, n + 3)
+        # subnormal columns, and columns whose Gram entries are subnormal
+        for e in (-1060, -530):
+            x = _draw(g, 2, n, n)
+            x[:, :, 1::2] *= 2.0 ** e
+            yield x
+
+
+_fmul = ckernel._fmul
+
+
+def test_jacobi_engines_agree_byte_for_byte(monkeypatch):
+    # every round on _vector_maps (0), then every round on _scalar_maps
+    inputs = list(_svd_inputs())
+    factors, reports = [], []
+    for pairs in (0, 10 ** 9):
+        monkeypatch.setattr(ckernel, "SCALAR_PAIRS", pairs)
+        factors.append([ckernel.svd(p) for p in inputs])
+        reports.append(cmd_verify(SuiteConfig(16, 6, 3, 1e-9)).format())
+    for vector, scalar in zip(*factors):
+        assert all(_same(a, b) for a, b in zip(vector, scalar))
+    assert reports[0] == reports[1]
+
+
+def _gram_rounds():
+    """Gram blocks h (k, 4, 4) of rounds of k pairs."""
+    g = np.random.default_rng(28)
+    special = [0.0, -0.0, 2.0 ** -1074, -2.0 ** -1074, 2.0 ** -540, 1.0]
+    for k in (1, 2, 3, 4, 8):
+        for _ in range(300):
+            # exact zeros of both signs, subnormal parts, rows 2**600 apart
+            z = _draw(g, k, 4, 6) * 2.0 ** g.integers(-600, 1, (k, 4, 1))
+            hit = g.random(z.shape) < 0.3
+            z.real[hit] = g.choice(special, int(hit.sum()))
+            hit = g.random(z.shape) < 0.5
+            z.imag[hit] = g.choice(special, int(hit.sum()))
+            yield z
+
+
+def _underflow_rounds():
+    """Rounds of one pair where sn * Im(mu1) underflows: a real column p
+    against a column q of 2**-540 with one imaginary part the least
+    subnormal, so sn and Im(mu1) are about 2**-540."""
+    for sp in (1.0, -1.0):
+        for sq in (1.0, -1.0):
+            z = np.zeros((1, 4, 6), dtype=complex)
+            z[0, 0] = 0.9 * sp
+            z[0, 2] = 2.0 ** -540
+            z[0, 2, 0] = complex(2.0 ** -540, sq * 2.0 ** -1074)
+            yield z
+
+
+# numpy's fused complex product keeps the sign of such a zero; _fmul copies
+# it, which holds where numpy's multiply is its FMA3/AVX2 loop
+FUSED = ("_fmul assumes numpy's fused (FMA3/AVX2) complex multiply, as "
+         "numpy 2.4.6 on an x86-64 CPU with FMA has it")
+
+
+def test_scalar_maps_match_vector_maps(monkeypatch):
+    fused = []
+    monkeypatch.setattr(ckernel, "_fmul", lambda f, r: fused.append(r)
+                        or _fmul(f, r))
+    g = np.random.default_rng(29)
+    for z in _gram_rounds():
+        _assert_engines_agree(z, g)
+    assert not fused  # no random round takes the underflow branch
+    for z in _underflow_rounds():
+        _assert_engines_agree(z, g, FUSED)
+    assert len(fused) == 4 * 4  # four map entries of each crafted round
+
+
+def _assert_engines_agree(z, g, why=None):
+    h = z.conj() @ z.transpose(0, 2, 1)
+    k = len(h)
+    live = g.random(k) < 0.9 if k > 1 else np.ones(1, bool)
+    on, m = ckernel._vector_maps(
+        h, live, 1e-15, np.empty((k, 4, 4), dtype=complex),
+        np.empty((k, 2, 2), dtype=complex), np.eye(2))
+    son, sm = ckernel._scalar_maps(h, live.tolist(), 1e-15)
+    assert (m is None) == (sm is None)
+    if m is not None:
+        want = range(k) if on is None else on
+        assert list(want) == list(range(k) if son is None else son)
+        assert _same(m, sm), why
