@@ -586,10 +586,17 @@ class Factorization:
 
     @property
     def root(self):
-        """v diag(sqrt(s_k) [Re(u_k* v_k) > 0]) v*: as u_k = v_k sign(lambda_k)
-        for a self-adjoint A, the root of its positive part, not of |A|."""
-        up = np.sum((self.u.conj() * self.v).real, axis=(0, 1)) > 0.0
-        return self.congruence(np.where(up, np.sqrt(self.s), 0.0))
+        """v diag(sqrt(s)) ((I + v* u) / 2) v*, made exactly self-adjoint.
+        For a self-adjoint A, v* u is the sign of A in v's basis, so
+        (I + v* u) / 2 projects onto its positive eigenspace and commutes
+        with diag(s) on every cluster of tied s, whichever basis of the
+        cluster the SVD returns: the root of A's positive part, not of |A|.
+        """
+        u, v = self.u, self.v
+        m = _qmul(_qadj(v), u)
+        m[0] += np.eye(m.shape[1])
+        r = _qmul(_qmul(v * (0.5 * np.sqrt(self.s)), m), _qadj(v))
+        return 0.5 * (r + _qadj(r))
 
     @functools.cached_property
     def hermitian_part(self):
@@ -630,6 +637,17 @@ def positivity(sa: float, fac: Factorization, tol: float, lift=np.asarray):
 DEFAULT_CLASS_TOL = 1e-9
 
 
+def partial_isometry_residual(a, g, coimage) -> float:
+    """How far the planes a are from a partial isometry whose initial space
+    is spanned by the orthonormal columns v_k of the planes coimage, g =
+    _qmul(_qadj(a), a): the largest of ||g^2 - g||_F and ||g - g*||_F (a* a
+    is an orthogonal projection) and of | ||a v_k|| - 1 | (a keeps the norm
+    of each v_k). NaN if a norm overflows to NaN."""
+    return float(np.max([frobenius(_qmul(g, g) - g), frobenius(g - _qadj(g))]
+                        + [abs(frobenius(col) - 1.0)
+                           for col in np.moveaxis(_qmul(a, coimage), 2, 0)]))
+
+
 def class_residuals(a, fac: Factorization, coimage, tol, lift=np.asarray):
     """Structural class residuals of the square operator with planes a.
 
@@ -653,12 +671,7 @@ def class_residuals(a, fac: Factorization, coimage, tol, lift=np.asarray):
             "normal": [frobenius(g - gg)],
             "unitary": [frobenius(g - eye), frobenius(gg - eye)],
             "projection": [frobenius(_qmul(a, a) - a), frobenius(a - astar)],
-            # a* a is an orthogonal projection, and a preserves norms on
-            # the orthogonal complement of its null space
-            "partial_isometry": [frobenius(_qmul(g, g) - g),
-                                 frobenius(g - _qadj(g))]
-            + [abs(frobenius(col) - 1.0)
-               for col in np.moveaxis(_qmul(a, coimage), 2, 0)],
+            "partial_isometry": [partial_isometry_residual(a, g, coimage)],
         }
     if np.isnan(sum(parts.values(), [])).any():
         raise NonFiniteInput("a class residual overflows a double")

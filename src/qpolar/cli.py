@@ -21,8 +21,8 @@ from . import ckernel, random_ops, rng, transform
 from .polar import (BadPerturbation, canonical_perturbation, perturb_polar,
                     polar_decompose, sqrt_positive_composite,
                     sqrt_positive_spectral, sqrt_strictly_positive)
-from .qlinalg import (QMatrix, check_tol, classify, operator_norm,
-                      projector_onto, quaternionic_rank, _svd_bases)
+from .qlinalg import (QMatrix, check_tol, operator_norm, projector_onto,
+                      quaternionic_rank, _svd_bases)
 from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
@@ -207,14 +207,15 @@ def _sqrt_trial(dim: int, tol: float, rr, trial: int) -> list:
     return out
 
 
-def _polar_identities(t: QMatrix, f) -> list:
-    """(name, value) of the four polar identities, relative to ||T||."""
+def _polar_identities(t: QMatrix, f, g: QMatrix) -> list:
+    """(name, value) of the four polar identities, relative to ||T||; g is
+    U0* U0, the bytes of u0.adjoint() @ u0."""
     scale = max(1.0, t.frobenius_norm())
     u0, p = f.u0, f.abs_t
     u0s = u0.adjoint()
     return [
         ("reconstruction_rel", (u0 @ p - t).frobenius_norm() / scale),
-        ("identity_isometry_rel", (u0s @ u0 @ p - p).frobenius_norm() / scale),
+        ("identity_isometry_rel", (g @ p - p).frobenius_norm() / scale),
         ("identity_adjoint_rel", (u0s @ t - p).frobenius_norm() / scale),
         ("identity_range_rel", (u0 @ u0s @ t - t).frobenius_norm() / scale),
     ]
@@ -227,7 +228,8 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
          else random_ops.rank_deficient(rr, n, rank))
     f = polar_decompose(t)
     u0, scale = f.u0, max(1.0, t.frobenius_norm())
-    out = [("polar." + name, value) for name, value in _polar_identities(t, f)]
+    out = [("polar." + name, value)
+           for name, value in _polar_identities(t, f, u0.adjoint() @ u0)]
     out.append(("polar.null_rank_mismatches",
                 0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
     null_basis = _svd_bases(f.fac)[0]
@@ -379,19 +381,36 @@ def cmd_verify(cfg: SuiteConfig, jobs: int = 1) -> Report:
 # ---------------------------------------------------------------------------
 
 def polar_report(a: QMatrix, tol: float):
+    """(report, factors) of T = a: seven checks on the polar factors, all
+    read from T's one SVD, f.fac, and from g = U0* U0, formed once.
+
+    u0_partial_isometry is ckernel.partial_isometry_residual of U0 on the
+    columns v_k of T's V_r, an orthonormal basis of N(T)-perp, so it also
+    fails a partial isometry whose initial space is not N(T)-perp.
+    null_rank_match compares n - null_rank with round(Re tr g), which is
+    round(||U0||_F^2). With delta that residual and H = (g + g*) / 2, H^2 - H
+    is the Hermitian part of g^2 - g minus ((g - g*) / 2)^2, so each of the
+    n eigenvalues of H has |lam^2 - lam| <= delta + delta^2 / 4 and lies
+    within twice that of 0 or 1. Re tr g is their sum, so when n delta < 1/5
+    its rounding (the sum rounds by about n eps) counts those near 1: the
+    rank of the partial isometry U0 is within delta of. At the default tol
+    this holds whenever u0_partial_isometry passes, for every n up to
+    MAX_DIM.
+    """
     f = polar_decompose(a)
-    u0_class = classify(f.u0)
+    g = f.u0.adjoint() @ f.u0
+    coimage = f.fac.v[:, :, :f.fac.rank]
     checks = [CheckResult(name, value, tol)
-              for name, value in _polar_identities(a, f)]
+              for name, value in _polar_identities(a, f, g)]
     checks += [
-        CheckResult("u0_partial_isometry",
-                    u0_class.residuals["partial_isometry"], tol),
+        CheckResult("u0_partial_isometry", ckernel.partial_isometry_residual(
+            f.u0.p, g.p, coimage), tol),
         # relative like the positivity flag: the residual is the
         # certificate delta of the SVD, O(n eps sigma_max)
         CheckResult("abs_positive_rel",
                     f.abs_positivity()[0] / max(1.0, f.fac.sigma_max), tol),
         CheckResult("null_rank_match",
-                    0.0 if u0_class.rank == a.shape[0] - f.null_rank
+                    0.0 if round(g.a1.trace().real) == a.shape[0] - f.null_rank
                     else 1.0, 0.0),
     ]
     header = [f"qpolar polar tol={tol:.6e}",
@@ -425,7 +444,7 @@ def cmd_polar(in_path: str, tol: float, out_path: str | None = None) -> int:
               file=sys.stderr)
         return 3
     except ckernel.NoConvergence as exc:
-        print(f"error: the Jacobi SVD (of T or U0) did not converge: {exc}",
+        print(f"error: the Jacobi SVD of T did not converge: {exc}",
               file=sys.stderr)
         return 3
     body = report.format()

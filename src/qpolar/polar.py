@@ -50,7 +50,9 @@ class PolarFactors:
 
     unique is true exactly when the null space or the corange is trivial;
     otherwise distinct partial isometries U with U |T| = T exist. fac
-    factors T; what is later derived from T reads it.
+    factors T; what is later derived from T reads it, and so do the checks
+    of u0 in a polar report: they read u0's entries and fac.v's first
+    rank columns, a basis of N(T)-perp, and factor u0 itself nowhere.
     """
 
     u0: QMatrix

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import math
 import os
 import subprocess
@@ -11,8 +12,9 @@ import pytest
 
 from helpers import (conditioned_qmatrix, gaussian_qmatrix,
                      record_kernel_inputs, record_svd_inputs)
-from qpolar import (BlockStructureViolation, QMatrix, chi, ckernel, cli,
-                    emit_qmat, parse_qmat, polar_decompose, weight_matrix)
+from qpolar import (BlockStructureViolation, QMatrix, chi, ckernel, classify,
+                    cli, emit_qmat, parse_qmat, polar_decompose,
+                    weight_matrix)
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         default_tol, example_report, main, polar_report,
                         run_suite, _run_suite_trial)
@@ -155,18 +157,87 @@ def test_cmd_polar_overflow_exit(tmp_path, capsys):
 
 
 def test_polar_report_factors_each_operator_once(monkeypatch):
-    # one SVD each for T and U0: the rank of T comes from the polar
-    # factorization and the rank of U0 from its classification; the
+    # one SVD, of T, at every rank: U0 is checked from g = U0* U0 and
+    # T's coimage V_r, its rank counted by the trace of g, and the
     # positivity of |T| is certified from the SVD of T, with no
-    # factorization of |T|
+    # factorization of U0 or |T|
     from qpolar import random_ops
     from qpolar.rng import SplitMix64
-    t = random_ops.rank_deficient(SplitMix64(11), 5, 3)
-    inputs = record_svd_inputs(monkeypatch)
-    report, f = polar_report(t, 1e-9)
-    assert report.passed and f.null_rank == 2
-    assert len(inputs) == 2
-    assert len({m.tobytes() for m in inputs}) == 2
+    full = gaussian_qmatrix(np.random.default_rng(11), 5)
+    deficient = random_ops.rank_deficient(SplitMix64(11), 5, 3)
+    for t, null_rank in ((full, 0), (deficient, 2)):
+        inputs = record_svd_inputs(monkeypatch)
+        report, f = polar_report(t, 1e-9)
+        assert report.passed and f.null_rank == null_rank
+        assert len(inputs) == 1 and np.array_equal(inputs[0], t.p)
+        monkeypatch.undo()
+
+
+def test_cmd_polar_takes_one_svd_per_op(tmp_path, monkeypatch):
+    # the cost model of a qpolar polar op: every pinned input, full rank
+    # and deficient, from 2 x 2 to n = 47, is one SVD
+    out = tmp_path / "r.txt"
+    for name, text in _pinned_polar_inputs():
+        src = tmp_path / "in.qmat"
+        src.write_text(text, encoding="utf-8")
+        inputs = record_svd_inputs(monkeypatch)
+        assert cmd_polar(str(src), 1e-9, str(out)) == 0, name
+        assert len(inputs) == 1, name
+        monkeypatch.undo()
+
+
+def _planted_report(monkeypatch, u0_of):
+    """polar_report of a rank-deficient T (n = 6, rank 4) whose U0 is
+    u0_of(u_r, v, r), planes, u_r and v read from T's SVD."""
+    from qpolar import random_ops
+    from qpolar.rng import SplitMix64
+    t = random_ops.rank_deficient(SplitMix64(17), 6, 4)
+    f = polar_decompose(t)
+    r = f.fac.rank
+    u0 = QMatrix._adopt(u0_of(f.fac.u[:, :, :r].copy(), f.fac.v, r))
+    planted = dataclasses.replace(f, u0=u0)
+    monkeypatch.setattr(cli, "polar_decompose", lambda a: planted)
+    report, _ = polar_report(t, 1e-9)
+    return {c.name: c.passed for c in report.checks}, u0
+
+
+def test_polar_report_fails_a_scaled_column_of_u0(monkeypatch):
+    def scaled(u_r, v, r):
+        u_r[:, :, 0] *= 1 + 1e-6
+        return ckernel._qmul(u_r, ckernel._qadj(v[:, :, :r]))
+
+    passed, _ = _planted_report(monkeypatch, scaled)
+    assert not passed["u0_partial_isometry"]
+    assert passed["null_rank_match"]
+
+
+def test_polar_report_fails_a_u0_of_lower_rank(monkeypatch):
+    # U0 from r - 1 columns is a partial isometry of rank r - 1: its
+    # trace counts r - 1, and it kills v_r of N(T)-perp
+    def short(u_r, v, r):
+        return ckernel._qmul(u_r[:, :, :r - 1],
+                             ckernel._qadj(v[:, :, :r - 1]))
+
+    passed, _ = _planted_report(monkeypatch, short)
+    assert not passed["null_rank_match"]
+    assert not passed["u0_partial_isometry"]
+
+
+def test_polar_report_ties_u0_to_the_coimage_of_t(monkeypatch):
+    # U0 = U_r W*, W an orthonormal basis of another r-dimensional space
+    # (v_1 turned towards v_{r+1} of N(T) by 1e-3): a partial isometry of
+    # rank r, which a check on U0's own coimage passes, but its initial
+    # space is not N(T)-perp
+    def turned(u_r, v, r):
+        w = v[:, :, :r].copy()
+        c, s = math.cos(1e-3), math.sin(1e-3)
+        w[:, :, 0] = c * v[:, :, 0] + s * v[:, :, r]
+        return ckernel._qmul(u_r, ckernel._qadj(w))
+
+    passed, u0 = _planted_report(monkeypatch, turned)
+    assert not passed["u0_partial_isometry"]
+    assert passed["null_rank_match"]
+    assert classify(u0).partial_isometry
 
 
 def test_polar_report_eigensolves(monkeypatch):
@@ -312,22 +383,21 @@ def test_cmd_polar_no_convergence_exit(tmp_path, monkeypatch, capsys):
     assert cmd_polar(str(path), 1e-9, str(out)) == 3
     err = capsys.readouterr().err
     assert err.startswith(
-        "error: the Jacobi SVD (of T or U0) did not converge")
+        "error: the Jacobi SVD of T did not converge")
     assert not out.exists()
 
 
 def test_cmd_polar_block_violation_after_factoring_propagates(
         tmp_path, monkeypatch, capsys):
     # no exit code maps a block-structure violation: one raised after
-    # factoring is a fault and keeps its traceback
-    from qpolar import cli
-
+    # factoring, here from the check of U0, is a fault and keeps its
+    # traceback
     def planted(*args, **kwargs):
         raise BlockStructureViolation("planted")
 
     path = tmp_path / "eye.qmat"
     path.write_text(emit_qmat(QMatrix.identity(3)))
-    monkeypatch.setattr(cli, "classify", planted)
+    monkeypatch.setattr(ckernel, "partial_isometry_residual", planted)
     with pytest.raises(BlockStructureViolation, match="planted"):
         cmd_polar(str(path), 1e-9)
     assert capsys.readouterr().out == ""

@@ -134,6 +134,19 @@ def test_sqrt_spectral_roots_the_positive_part():
     assert abs((r @ r - h).frobenius_norm() - 4e-9) <= 1e-13
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_sqrt_spectral_roots_the_positive_part_on_a_tied_cluster(seed):
+    # eigenvalues +-1e-10 tie in the singular values, and the SVD may
+    # return any basis of the cluster: a sign read per singular vector
+    # roots neither H+ nor |H| there (r^2 missed H+ by 5e-11 to 6e-11),
+    # the projector (I + V* U) / 2 roots H+
+    w = random_ops.unitary(SplitMix64(seed), 3)
+    h = w @ QMatrix.diag([1.0, 1e-10, -1e-10]) @ w.adjoint()
+    h_plus = w @ QMatrix.diag([1.0, 1e-10, 0.0]) @ w.adjoint()
+    r = sqrt_positive_spectral(h)
+    assert (r @ r - h_plus).frobenius_norm() <= 1e-13
+
+
 def test_sqrt_routes_agree_on_nearly_hermitian_input(monkeypatch):
     # a self-adjoint residual of 1e-10 passes the 1e-8 positivity test, far
     # above what psd_sqrt accepts as Hermitian: the spectral root is the
