@@ -586,16 +586,14 @@ class Factorization:
 
     @property
     def root(self):
-        """v diag(sqrt(s)) ((I + v* u) / 2) v*, made exactly self-adjoint.
-        For a self-adjoint A, v* u is the sign of A in v's basis, so
-        (I + v* u) / 2 projects onto its positive eigenspace and commutes
-        with diag(s) on every cluster of tied s, whichever basis of the
-        cluster the SVD returns: the root of A's positive part, not of |A|.
+        """((u + v) / 2) diag(sqrt(s)) v*, made exactly self-adjoint. For a
+        self-adjoint A, v* u is the sign of A in v's basis, so this is
+        v diag(sqrt(s)) ((I + v* u) / 2) v*: (I + v* u) / 2 projects onto
+        A's positive eigenspace and commutes with diag(s) on every cluster
+        of tied s, whichever basis of the cluster the SVD returns: the root
+        of A's positive part, not of |A|.
         """
-        u, v = self.u, self.v
-        m = _qmul(_qadj(v), u)
-        m[0] += np.eye(m.shape[1])
-        r = _qmul(_qmul(v * (0.5 * np.sqrt(self.s)), m), _qadj(v))
+        r = _qmul((self.u + self.v) * (0.5 * np.sqrt(self.s)), _qadj(self.v))
         return 0.5 * (r + _qadj(r))
 
     @functools.cached_property
@@ -637,15 +635,31 @@ def positivity(sa: float, fac: Factorization, tol: float, lift=np.asarray):
 DEFAULT_CLASS_TOL = 1e-9
 
 
+def projection_residual(x) -> float:
+    """How far the square planes x are from an orthogonal projection: the
+    larger of ||x^2 - x||_F and ||x - x*||_F. NaN if either norm is NaN."""
+    return float(np.max([frobenius(_qmul(x, x) - x), frobenius(x - _qadj(x))]))
+
+
 def partial_isometry_residual(a, g, coimage) -> float:
     """How far the planes a are from a partial isometry whose initial space
     is spanned by the orthonormal columns v_k of the planes coimage, g =
-    _qmul(_qadj(a), a): the largest of ||g^2 - g||_F and ||g - g*||_F (a* a
-    is an orthogonal projection) and of | ||a v_k|| - 1 | (a keeps the norm
-    of each v_k). NaN if a norm overflows to NaN."""
-    return float(np.max([frobenius(_qmul(g, g) - g), frobenius(g - _qadj(g))]
+    _qmul(_qadj(a), a): the larger of projection_residual(g) (a* a is an
+    orthogonal projection) and of | ||a v_k|| - 1 | (a keeps the norm of
+    each v_k). NaN if a norm overflows to NaN."""
+    return float(np.max([projection_residual(g)]
                         + [abs(frobenius(col) - 1.0)
                            for col in np.moveaxis(_qmul(a, coimage), 2, 0)]))
+
+
+def partial_isometry_rank(g) -> int:
+    """The rank of a partial isometry a, round(Re tr g), g = a* a as planes.
+    With delta = projection_residual(g), H^2 - H, H = (g + g*) / 2, is the
+    Hermitian part of g^2 - g minus ((g - g*) / 2)^2, so each of the n
+    eigenvalues of H lies within 2 (delta + delta^2 / 4) of 0 or 1; when
+    n delta < 1/5, Re tr g, their sum rounded by about n eps, rounds to the
+    count of those near 1."""
+    return round(g[0].trace().real)
 
 
 def class_residuals(a, fac: Factorization, coimage, tol, lift=np.asarray):
@@ -670,7 +684,7 @@ def class_residuals(a, fac: Factorization, coimage, tol, lift=np.asarray):
             "anti_self_adjoint": [frobenius(a + astar)],
             "normal": [frobenius(g - gg)],
             "unitary": [frobenius(g - eye), frobenius(gg - eye)],
-            "projection": [frobenius(_qmul(a, a) - a), frobenius(a - astar)],
+            "projection": [projection_residual(a)],
             "partial_isometry": [partial_isometry_residual(a, g, coimage)],
         }
     if np.isnan(sum(parts.values(), [])).any():

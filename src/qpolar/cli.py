@@ -27,23 +27,11 @@ from .qmatio import QMatFormatError, emit_qmat, parse_qmat
 from .slices import chi, chi_pullback, equivalence_suite
 
 DEFAULT_TOL = 1e-9
-ENV_TOL = "QPOLAR_TOL"
 # the largest verify --dim and example --n: 256 complex n x n arrays fit the
 # MEMORY_BUDGET of a process, where tracemalloc (n = 8..96) saw a verify
 # trial peak at about 150 and an example or polar report at 27 to 38
 MEMORY_BUDGET = 2 ** 30
 MAX_DIM = math.isqrt(MEMORY_BUDGET // (256 * 16))
-
-
-def default_tol() -> float:
-    raw = os.environ.get(ENV_TOL)
-    if raw is None:
-        return DEFAULT_TOL
-    try:
-        val = float(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_TOL}={raw!r} is not a number") from None
-    return check_tol(val, ENV_TOL)
 
 
 @dataclass(frozen=True)
@@ -228,10 +216,11 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
          else random_ops.rank_deficient(rr, n, rank))
     f = polar_decompose(t)
     u0, scale = f.u0, max(1.0, t.frobenius_norm())
+    g = u0.adjoint() @ u0
     out = [("polar." + name, value)
-           for name, value in _polar_identities(t, f, u0.adjoint() @ u0)]
+           for name, value in _polar_identities(t, f, g)]
     out.append(("polar.null_rank_mismatches",
-                0.0 if quaternionic_rank(u0) == n - f.null_rank else 1.0))
+                float(ckernel.partial_isometry_rank(g.p) != n - f.null_rank)))
     null_basis = _svd_bases(f.fac)[0]
     # a product per column: one u0 @ null_basis product rounds differently
     annihilation = max(((u0 @ null_basis.column(k)).frobenius_norm()
@@ -387,15 +376,11 @@ def polar_report(a: QMatrix, tol: float):
     u0_partial_isometry is ckernel.partial_isometry_residual of U0 on the
     columns v_k of T's V_r, an orthonormal basis of N(T)-perp, so it also
     fails a partial isometry whose initial space is not N(T)-perp.
-    null_rank_match compares n - null_rank with round(Re tr g), which is
-    round(||U0||_F^2). With delta that residual and H = (g + g*) / 2, H^2 - H
-    is the Hermitian part of g^2 - g minus ((g - g*) / 2)^2, so each of the
-    n eigenvalues of H has |lam^2 - lam| <= delta + delta^2 / 4 and lies
-    within twice that of 0 or 1. Re tr g is their sum, so when n delta < 1/5
-    its rounding (the sum rounds by about n eps) counts those near 1: the
-    rank of the partial isometry U0 is within delta of. At the default tol
-    this holds whenever u0_partial_isometry passes, for every n up to
-    MAX_DIM.
+    null_rank_match compares n - null_rank with
+    ckernel.partial_isometry_rank(g), round(Re tr g), which is U0's rank
+    while n delta < 1/5, delta that residual: at the default tol whenever
+    u0_partial_isometry passes, for every n up to MAX_DIM. U0 itself is
+    factored nowhere.
     """
     f = polar_decompose(a)
     g = f.u0.adjoint() @ f.u0
@@ -409,9 +394,8 @@ def polar_report(a: QMatrix, tol: float):
         # certificate delta of the SVD, O(n eps sigma_max)
         CheckResult("abs_positive_rel",
                     f.abs_positivity()[0] / max(1.0, f.fac.sigma_max), tol),
-        CheckResult("null_rank_match",
-                    0.0 if round(g.a1.trace().real) == a.shape[0] - f.null_rank
-                    else 1.0, 0.0),
+        CheckResult("null_rank_match", float(ckernel.partial_isometry_rank(
+            g.p) != a.shape[0] - f.null_rank), 0.0),
     ]
     header = [f"qpolar polar tol={tol:.6e}",
               f"null_rank {f.null_rank}",
@@ -587,8 +571,8 @@ def _build_parser():
     p_polar = sub.add_parser("polar", help="polar-decompose a matrix file")
     p_polar.add_argument("--in", dest="in_path", required=True,
                          help="input file in QMAT format")
-    p_polar.add_argument("--tol", type=float, default=None,
-                         help="residual tolerance (default QPOLAR_TOL or 1e-9)")
+    p_polar.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                         help="residual tolerance (default 1e-9)")
     p_polar.add_argument("--out", dest="out_path", default=None,
                          help="write the report to this file")
 
@@ -596,7 +580,9 @@ def _build_parser():
     p_verify.add_argument("--dim", type=int, required=True)
     p_verify.add_argument("--trials", type=int, required=True)
     p_verify.add_argument("--seed", type=int, required=True)
-    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--tol", type=float, default=DEFAULT_TOL, help=(
+        "tolerance of the chi suite's class verdicts, as max(tol, 1e-9), "
+        "and of the header only; other checks keep fixed thresholds"))
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes (results identical to serial)")
     p_verify.add_argument("--out", dest="out_path", default=None)
@@ -616,8 +602,7 @@ def main(argv=None) -> int:
     if args.command == "example":
         return cmd_example(args.which, args.n, args.out_path)
     try:
-        tol = (default_tol() if args.tol is None
-               else check_tol(args.tol, "--tol"))
+        tol = check_tol(args.tol, "--tol")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ckernel
-from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, ShapeMismatch, classify,
+from .qlinalg import (DEFAULT_CLASS_TOL, QMatrix, ShapeMismatch,
                       frobenius_norm, projector_onto, _svd_bases)
 from .slices import PULLBACK_SQRT_TOL, chi, chi_pullback
 
@@ -51,8 +51,8 @@ class PolarFactors:
     unique is true exactly when the null space or the corange is trivial;
     otherwise distinct partial isometries U with U |T| = T exist. fac
     factors T; what is later derived from T reads it, and so do the checks
-    of u0 in a polar report: they read u0's entries and fac.v's first
-    rank columns, a basis of N(T)-perp, and factor u0 itself nowhere.
+    of u0 in a polar report and of V in perturb_polar: they read u0's or
+    V's entries and fac's bases, and factor neither u0 nor V.
     """
 
     u0: QMatrix
@@ -189,8 +189,9 @@ def polar_decompose(t: QMatrix) -> PolarFactors:
 def perturb_polar(f: PolarFactors, v: QMatrix) -> QMatrix:
     """Second factorization U = U0 + V P of T from a partial isometry V.
 
-    f is polar_decompose(T). V must vanish on N(T)-perp (initial space
-    inside N(T)) and map into the corange R(T)-perp; P projects onto
+    f is polar_decompose(T). V* V must be an orthogonal projection within
+    DEFAULT_CLASS_TOL (NaN fails), and V must vanish on N(T)-perp and map
+    into R(T)-perp, all read from V's entries and f.fac; P projects onto
     N(T). Violations raise BadPerturbation. The zero V returns U0 itself.
     """
     v_norm = v.frobenius_norm()
@@ -199,11 +200,10 @@ def perturb_polar(f: PolarFactors, v: QMatrix) -> QMatrix:
     if f.null_rank == 0:
         raise BadPerturbation(
             "N(T) is trivial, only the zero perturbation is admissible")
-    oc = classify(v)
-    if not oc.partial_isometry:
-        raise BadPerturbation(
-            f"perturbation is not a partial isometry "
-            f"(residual {oc.residuals['partial_isometry']:.3e})")
+    residual = ckernel.projection_residual((v.adjoint() @ v).p)
+    if not residual <= DEFAULT_CLASS_TOL:
+        raise BadPerturbation("perturbation is not a partial isometry "
+                              f"(residual {residual:.3e})")
     scale = max(1.0, v_norm)
     null_basis, range_basis, _ = _svd_bases(f.fac)
     p_null = projector_onto(null_basis)

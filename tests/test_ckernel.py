@@ -662,3 +662,21 @@ def test_householder_reflects_onto_e1(alpha, beta):
     hx = ckernel._qmul(ckernel._qadj(q), x)
     assert np.max(np.abs(hx - want)) < 1e-14 * norm
     assert np.max(np.abs(q - ckernel._qadj(q))) < 1e-15
+
+
+def test_projection_residual_is_the_one_projection_test():
+    # class_residuals' projection entry and the g part of a partial
+    # isometry's residual are both projection_residual, bit for bit
+    rr = SplitMix64(29)
+    for n in (1, 3, 6):
+        p = random_ops.projection(rr, n, rank=1 + rr.randint(n)).p
+        res, flags = ckernel.class_residuals(p, ckernel.Factorization(p),
+                                             np.zeros((2, n, 0)), 1e-9)
+        assert res["projection"] == ckernel.projection_residual(p) < 1e-13
+        assert flags["projection"]
+        assert ckernel.projection_residual(2.0 * p) > 0.5
+        v = random_ops.partial_isometry(rr, n, rank=n - 1)
+        g = ckernel._qmul(ckernel._qadj(v.p), v.p)
+        assert ckernel.partial_isometry_residual(
+            v.p, g, np.zeros((2, n, 0))) == ckernel.projection_residual(g)
+        assert ckernel.partial_isometry_rank(g) == n - 1

@@ -16,8 +16,8 @@ from qpolar import (BlockStructureViolation, QMatrix, chi, ckernel, classify,
                     cli, emit_qmat, parse_qmat, polar_decompose,
                     weight_matrix)
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
-                        default_tol, example_report, main, polar_report,
-                        run_suite, _run_suite_trial)
+                        example_report, main, polar_report, run_suite,
+                        _run_suite_trial)
 
 DATA = Path(__file__).parent / "data"
 
@@ -44,34 +44,10 @@ def test_suite_config_validation():
             SuiteConfig(dim=1, trials=1, seed=0, tol=tol)
 
 
-def test_default_tol_env(monkeypatch, tmp_path, weight_file, capsys):
-    monkeypatch.delenv("QPOLAR_TOL", raising=False)
-    assert default_tol() == 1e-9
-    monkeypatch.setenv("QPOLAR_TOL", "1e-7")
-    assert default_tol() == 1e-7
-    monkeypatch.setenv("QPOLAR_TOL", "zero")
-    with pytest.raises(ValueError):
-        default_tol()
-    # only polar and verify take a tolerance, so only they read it
-    assert main(["polar", "--in", weight_file]) == 2
-    assert main(["verify", "--dim", "2", "--trials", "1", "--seed", "1"]) == 2
-    assert capsys.readouterr().err.count("is not a number") == 2
+def test_tol_flag_is_checked(tmp_path, weight_file, capsys):
     # a tolerance that is not finite and positive would let every check
-    # pass (inf, nan) or fail (negative), so it is refused before any work
-    for raw in ("nan", "inf", "-1"):
-        monkeypatch.setenv("QPOLAR_TOL", raw)
-        with pytest.raises(ValueError):
-            default_tol()
-        assert main(["polar", "--in", weight_file]) == 2
-        assert main(["verify", "--dim", "2", "--trials", "1",
-                     "--seed", "1"]) == 2
-    assert capsys.readouterr().err.count(
-        "error: QPOLAR_TOL must be finite and positive") == 6
-    assert main(["example", "bounded", "--n", "9",
-                 "--out", str(tmp_path / "e.txt")]) == 0
-    assert "summary" in (tmp_path / "e.txt").read_text()
-    # --tol goes through the same check
-    monkeypatch.delenv("QPOLAR_TOL")
+    # pass (inf, nan) or fail (negative), so --tol refuses it before any
+    # work; only polar and verify take a tolerance
     for raw in ("nan", "inf", "-1", "0"):
         assert main(["polar", "--in", weight_file, "--tol", raw]) == 2
         assert main(["verify", "--dim", "2", "--trials", "1", "--seed", "1",
@@ -79,6 +55,9 @@ def test_default_tol_env(monkeypatch, tmp_path, weight_file, capsys):
     err = capsys.readouterr().err
     assert err.count("error: --tol must be finite and positive") == 8
     assert main(["polar", "--in", weight_file, "--tol", "1e-9"]) == 0
+    assert main(["example", "bounded", "--n", "9",
+                 "--out", str(tmp_path / "e.txt")]) == 0
+    assert "summary" in (tmp_path / "e.txt").read_text()
 
 
 def test_cmd_polar_weight_matrix(weight_file, tmp_path, capsys):
@@ -221,6 +200,44 @@ def test_polar_report_fails_a_u0_of_lower_rank(monkeypatch):
     passed, _ = _planted_report(monkeypatch, short)
     assert not passed["null_rank_match"]
     assert not passed["u0_partial_isometry"]
+
+
+def test_polar_trial_counts_a_u0_of_lower_rank(monkeypatch):
+    # the polar suite counts U0's rank from the trace of g = U0* U0, as
+    # the polar report does: a U0 from r - 1 columns of U_r is a mismatch
+    real = cli.polar_decompose
+    ranks = []
+
+    def short(a):
+        f = real(a)
+        r = f.fac.rank
+        ranks.append(r)
+        u0 = ckernel._qmul(f.fac.u[:, :, :r - 1],
+                           ckernel._qadj(f.fac.v[:, :, :r - 1]))
+        return dataclasses.replace(f, u0=QMatrix._adopt(u0)) if r else f
+
+    monkeypatch.setattr(cli, "polar_decompose", short)
+    out = dict(_run_suite_trial(("polar", 4, 1e-9, 42, 0)))
+    assert ranks[0] >= 1
+    assert out["polar.null_rank_mismatches"] == 1.0
+
+
+def test_battery_factors_no_derived_partial_isometry(monkeypatch):
+    # the polar suite counts U0's rank from g = U0* U0 and perturb_polar
+    # checks V from V* V, so neither is factored: per trial the polar
+    # suite takes 5 SVDs and the dichotomy suite 1
+    svds, counts = record_svd_inputs(monkeypatch), {}
+
+    def counted(suite, cfg, jobs=1):
+        before = len(svds)
+        checks = run_suite(suite, cfg, jobs)
+        counts[suite] = len(svds) - before
+        return checks
+
+    monkeypatch.setattr(cli, "run_suite", counted)
+    assert cmd_verify(SuiteConfig(dim=4, trials=5, seed=42, tol=1e-9)).passed
+    assert counts == {"chi": 75, "sqrt": 25, "polar": 25, "dichotomy": 5,
+                      "transform": 30}
 
 
 def test_polar_report_ties_u0_to_the_coimage_of_t(monkeypatch):

@@ -139,8 +139,7 @@ def _matrix_files(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["verify", "example", "polar"])
-def test_every_command_line_keeps_the_contract(command, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.ENV_TOL, raising=False)
+def test_every_command_line_keeps_the_contract(command, tmp_path):
     outs = [str(tmp_path / "out.txt"), str(tmp_path / "no_dir" / "out.txt")]
     argv = {"verify": verify_argv(), "example": example_argv(),
             "polar": polar_argv(_matrix_files(tmp_path), outs)}[command]
@@ -194,8 +193,7 @@ def qmat_bytes(draw):
     return raw
 
 
-def test_every_matrix_file_keeps_the_contract(tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.ENV_TOL, raising=False)
+def test_every_matrix_file_keeps_the_contract(tmp_path):
     path = tmp_path / "in.qmat"
 
     @PROPERTY

@@ -139,7 +139,8 @@ def test_sqrt_spectral_roots_the_positive_part_on_a_tied_cluster(seed):
     # eigenvalues +-1e-10 tie in the singular values, and the SVD may
     # return any basis of the cluster: a sign read per singular vector
     # roots neither H+ nor |H| there (r^2 missed H+ by 5e-11 to 6e-11),
-    # the projector (I + V* U) / 2 roots H+
+    # the projector (I + V* U) / 2, which the root applies as
+    # V (I + V* U) / 2 = (U + V) / 2, roots H+
     w = random_ops.unitary(SplitMix64(seed), 3)
     h = w @ QMatrix.diag([1.0, 1e-10, -1e-10]) @ w.adjoint()
     h_plus = w @ QMatrix.diag([1.0, 1e-10, 0.0]) @ w.adjoint()
@@ -472,6 +473,52 @@ def test_perturb_polar_trivial_null_space_rejected_first(monkeypatch):
     with pytest.raises(BadPerturbation, match="trivial"):
         perturb_polar(f, random_ops.rand_qmatrix(rr, 3))
     assert inputs == []
+
+
+def test_perturb_polar_factors_no_partial_isometry(monkeypatch):
+    # V is checked from V* V, an orthogonal projection, and f.fac: the
+    # second factorization takes no SVD, and its bytes are pinned
+    import hashlib
+    from qpolar import emit_qmat
+    t = random_ops.rank_deficient(SplitMix64(19), 6, 3)
+    f = polar_decompose(t)
+    inputs = record_svd_inputs(monkeypatch)
+    u = perturb_polar(f, canonical_perturbation(f))
+    assert inputs == []
+    assert hashlib.sha256(emit_qmat(u).encode()).hexdigest() == (
+        "ac4861304230015f6837a2b3adbdd614c6f7e62df19c9ddc222aef9e4caecece")
+
+
+def test_perturb_polar_rejects_what_is_not_a_partial_isometry():
+    # each V below keeps N(T) and R(T)-perp nearly or exactly, so it is
+    # the V* V projection gate that refuses it; a NaN entry makes the
+    # residual NaN, which fails the gate rather than passing it
+    t = random_ops.rank_deficient(SplitMix64(19), 6, 3)
+    f = polar_decompose(t)
+    v = canonical_perturbation(f)
+    col = int(np.argmax([np.linalg.norm(v.p[:, :, k])
+                         for k in range(v.shape[1])]))
+    stretched = v.p.copy()
+    stretched[:, :, col] *= 1.0 + 1e-6
+    nan = v.p.copy()
+    nan[0, 0, col] = np.nan
+    for bad in (QMatrix(*stretched), 0.5 * v, QMatrix(*nan)):
+        with pytest.raises(BadPerturbation, match="not a partial isometry"):
+            perturb_polar(f, bad)
+
+
+def test_perturbation_gate_agrees_with_classify_on_partial_isometries():
+    # on a partial isometry sigma_max = 1, so classify's threshold
+    # tol * max(1, sigma_max) is tol, and a projection V* V already
+    # implies the norm term it adds
+    rr = trial_rng(73)
+    for _ in range(10):
+        n = 1 + rr.randint(6)
+        v = random_ops.partial_isometry(rr, n)
+        gate = ckernel.projection_residual((v.adjoint() @ v).p)
+        assert classify(v).partial_isometry
+        assert gate <= ckernel.DEFAULT_CLASS_TOL
+        assert gate <= classify(v).residuals["partial_isometry"]
 
 
 def test_uniqueness_verdict_and_dichotomy():
