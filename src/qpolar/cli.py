@@ -153,8 +153,7 @@ def _chi_trial(dim: int, tol: float, rr, trial: int) -> list:
     rd = random_ops.rank_deficient(rr, n, rank)
     null_c = 2 * n - QMatrix(chi(rd)).fac.rank
     null_h = n - quaternionic_rank(rd)
-    out.append(("chi.null_dim_mismatches",
-                0.0 if null_c == 2 * null_h else 1.0))
+    out.append(("chi.null_dim_mismatches", float(null_c != 2 * null_h)))
     disagreements = 0
     for op in _class_constructions(rr, n):
         rep = equivalence_suite(op, max(tol, ckernel.DEFAULT_CLASS_TOL))
@@ -219,8 +218,10 @@ def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
     g = u0.adjoint() @ u0
     out = [("polar." + name, value)
            for name, value in _polar_identities(t, f, g)]
-    out.append(("polar.null_rank_mismatches",
-                float(ckernel.partial_isometry_rank(g.p) != n - f.null_rank)))
+    # round(Re tr g) is U0's rank only while n projection_residual(g) < 1/5
+    rank_ok = (n * ckernel.projection_residual(g.p) < 0.2
+               and ckernel.partial_isometry_rank(g.p) == n - f.null_rank)
+    out.append(("polar.null_rank_mismatches", float(not rank_ok)))
     null_basis = _svd_bases(f.fac)[0]
     # a product per column: one u0 @ null_basis product rounds differently
     annihilation = max(((u0 @ null_basis.column(k)).frobenius_norm()
@@ -256,17 +257,14 @@ def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
     t = (random_ops.rand_qmatrix(rr, n) if rank == n
          else random_ops.rank_deficient(rr, n, rank))
     f = polar_decompose(t)
-    want_unique = rank == n
-    out = [("dichotomy.verdict_mismatches",
-            0.0 if f.unique == want_unique else 1.0)]
+    out = [("dichotomy.verdict_mismatches", float(f.unique != (rank == n)))]
     scale = max(1.0, t.frobenius_norm())
     if not f.unique:
         u = perturb_polar(f, canonical_perturbation(f))
         recon = (u @ f.abs_t - t).frobenius_norm() / scale
         out.append(("dichotomy.second_factorization_rel", recon))
-        distinct = (u - f.u0).frobenius_norm()
-        out.append(("dichotomy.degenerate_perturbations",
-                    0.0 if distinct > 0.5 else 1.0))
+        distinct = (u - f.u0).frobenius_norm() > 0.5
+        out.append(("dichotomy.degenerate_perturbations", float(not distinct)))
         out.append(("dichotomy.surviving_perturbations", 0.0))
     else:
         survivors = 0

@@ -189,10 +189,12 @@ def polar_decompose(t: QMatrix) -> PolarFactors:
 def perturb_polar(f: PolarFactors, v: QMatrix) -> QMatrix:
     """Second factorization U = U0 + V P of T from a partial isometry V.
 
-    f is polar_decompose(T). V* V must be an orthogonal projection within
-    DEFAULT_CLASS_TOL (NaN fails), and V must vanish on N(T)-perp and map
-    into R(T)-perp, all read from V's entries and f.fac; P projects onto
-    N(T). Violations raise BadPerturbation. The zero V returns U0 itself.
+    f is polar_decompose(T). ||V - V V* V||_F, s |1 - s^2| per singular
+    value s of V, must be within DEFAULT_CLASS_TOL (NaN fails): V is then
+    within 4/3 of that of a partial isometry, and classify(v) passes it
+    unless an s lies between its rank cut and about that tol. V must also
+    vanish on N(T)-perp and map into R(T)-perp; P projects onto N(T).
+    Violations raise BadPerturbation. The zero V returns U0 itself.
     """
     v_norm = v.frobenius_norm()
     if v_norm == 0.0:
@@ -200,7 +202,7 @@ def perturb_polar(f: PolarFactors, v: QMatrix) -> QMatrix:
     if f.null_rank == 0:
         raise BadPerturbation(
             "N(T) is trivial, only the zero perturbation is admissible")
-    residual = ckernel.projection_residual((v.adjoint() @ v).p)
+    residual = (v - v @ (v.adjoint() @ v)).frobenius_norm()
     if not residual <= DEFAULT_CLASS_TOL:
         raise BadPerturbation("perturbation is not a partial isometry "
                               f"(residual {residual:.3e})")

@@ -222,6 +222,29 @@ def test_polar_trial_counts_a_u0_of_lower_rank(monkeypatch):
     assert out["polar.null_rank_mismatches"] == 1.0
 
 
+def test_polar_trial_counts_a_u0_whose_trace_alone_matches(monkeypatch):
+    # U0 = U_r diag(sqrt(3/2), sqrt(1/2), 1, ...) V_r*: Re tr g is still r,
+    # but g is no projection, so the trace reads no rank and the trial
+    # counts a mismatch
+    real = cli.polar_decompose
+    ranks = []
+
+    def skewed(a):
+        f = real(a)
+        r = f.fac.rank
+        ranks.append(r)
+        d = np.ones(r)
+        d[:2] = np.sqrt([1.5, 0.5])[:r]
+        u0 = ckernel._qmul(f.fac.u[:, :, :r] * d,
+                           ckernel._qadj(f.fac.v[:, :, :r]))
+        return dataclasses.replace(f, u0=QMatrix._adopt(u0))
+
+    monkeypatch.setattr(cli, "polar_decompose", skewed)
+    out = dict(_run_suite_trial(("polar", 4, 1e-9, 2, 2)))
+    assert ranks[0] >= 2
+    assert out["polar.null_rank_mismatches"] == 1.0
+
+
 def test_battery_factors_no_derived_partial_isometry(monkeypatch):
     # the polar suite counts U0's rank from g = U0* U0 and perturb_polar
     # checks V from V* V, so neither is factored: per trial the polar

@@ -491,34 +491,52 @@ def test_perturb_polar_factors_no_partial_isometry(monkeypatch):
 
 def test_perturb_polar_rejects_what_is_not_a_partial_isometry():
     # each V below keeps N(T) and R(T)-perp nearly or exactly, so it is
-    # the V* V projection gate that refuses it; a NaN entry makes the
-    # residual NaN, which fails the gate rather than passing it
+    # the V V* V = V gate that refuses it: singular values near 1, at 1/2
+    # and at 1e-5, which a test of V* V alone passes as |s^2 - s^4| is
+    # 1e-10; a NaN entry makes the residual NaN, which fails the gate
     t = random_ops.rank_deficient(SplitMix64(19), 6, 3)
     f = polar_decompose(t)
     v = canonical_perturbation(f)
+    null_basis, _, corange_basis = _svd_bases(f.fac)
     col = int(np.argmax([np.linalg.norm(v.p[:, :, k])
                          for k in range(v.shape[1])]))
     stretched = v.p.copy()
     stretched[:, :, col] *= 1.0 + 1e-6
     nan = v.p.copy()
     nan[0, 0, col] = np.nan
-    for bad in (QMatrix(*stretched), 0.5 * v, QMatrix(*nan)):
+    mixed = (corange_basis.column(0) @ null_basis.column(0).adjoint()
+             + 1e-5 * (corange_basis.column(1)
+                       @ null_basis.column(1).adjoint()))
+    for bad in (QMatrix(*stretched), 0.5 * v, QMatrix(*nan), 1e-5 * v,
+                mixed):
         with pytest.raises(BadPerturbation, match="not a partial isometry"):
             perturb_polar(f, bad)
 
 
-def test_perturbation_gate_agrees_with_classify_on_partial_isometries():
-    # on a partial isometry sigma_max = 1, so classify's threshold
-    # tol * max(1, sigma_max) is tol, and a projection V* V already
-    # implies the norm term it adds
+def test_perturbation_gate_agrees_with_classify():
+    # V = u_1 v_1* + s u_2 v_2* from N(T) into R(T)-perp: perturb_polar
+    # takes V exactly when classify(v) finds a partial isometry, for s
+    # from 0 through values near 1 to 2; the gate lets through only an s
+    # between classify's rank cut and about DEFAULT_CLASS_TOL
+    t = random_ops.rank_deficient(SplitMix64(19), 6, 3)
+    f = polar_decompose(t)
+    null_basis, _, corange_basis = _svd_bases(f.fac)
+    legs = [corange_basis.column(k) @ null_basis.column(k).adjoint()
+            for k in range(2)]
+    for s in (0.0, 1e-5, 1e-3, 0.5, 1 - 1e-6, 1 - 1e-8, 1.0, 1 + 1e-8,
+              1 + 1e-6, 2.0):
+        v = legs[0] + s * legs[1]
+        try:
+            perturb_polar(f, v)
+            accepted = True
+        except BadPerturbation:
+            accepted = False
+        assert accepted == classify(v).partial_isometry, s
     rr = trial_rng(73)
     for _ in range(10):
-        n = 1 + rr.randint(6)
-        v = random_ops.partial_isometry(rr, n)
-        gate = ckernel.projection_residual((v.adjoint() @ v).p)
+        v = random_ops.partial_isometry(rr, 1 + rr.randint(6))
         assert classify(v).partial_isometry
-        assert gate <= ckernel.DEFAULT_CLASS_TOL
-        assert gate <= classify(v).residuals["partial_isometry"]
+        assert (v - v @ (v.adjoint() @ v)).frobenius_norm() <= 1e-13
 
 
 def test_uniqueness_verdict_and_dichotomy():
