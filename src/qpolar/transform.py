@@ -60,6 +60,15 @@ def z_inverse(z: QMatrix) -> QMatrix:
     return z @ QMatrix._adopt(z.fac.congruence(d))
 
 
+def partial_permutation(n: int, moves) -> QMatrix:
+    """The n x n matrix that sends e_k to e_j w for each (k, j, w) in
+    moves, k and j counting from 1, and every other e_k to 0."""
+    a = np.zeros((n, n), dtype=complex)
+    for k, j, w in moves:
+        a[j - 1, k - 1] = w
+    return QMatrix(a)
+
+
 def weight_matrix(n: int) -> QMatrix:
     """The contracted companion of the weight operator, built directly.
 
@@ -69,12 +78,9 @@ def weight_matrix(n: int) -> QMatrix:
     """
     if n < 7:
         raise DimensionTooSmall("need dimension at least 7")
-    a = np.zeros((n, n), dtype=complex)
-    a[1, 0] = 1.0 / math.sqrt(2.0)
-    a[3, 1] = 1.0 / math.sqrt(2.0)
-    for k in range(6, n + 1):
-        a[k - 1, k - 1] = k / math.sqrt(k * k + 1.0)
-    return QMatrix(a)
+    half = 1.0 / math.sqrt(2.0)
+    return partial_permutation(n, [(1, 2, half), (2, 4, half)] + [
+        (k, k, k / math.sqrt(k * k + 1.0)) for k in range(6, n + 1)])
 
 
 def null_swap_perturbation(n: int) -> QMatrix:
@@ -86,11 +92,7 @@ def null_swap_perturbation(n: int) -> QMatrix:
     """
     if n < 7:
         raise DimensionTooSmall("need dimension at least 7")
-    a = np.zeros((n, n), dtype=complex)
-    a[0, 2] = 1.0
-    a[2, 3] = 1.0
-    a[4, 4] = 1.0
-    return QMatrix(a)
+    return partial_permutation(n, [(3, 1, 1.0), (4, 3, 1.0), (5, 5, 1.0)])
 
 
 def truncated_example(n: int) -> tuple[QMatrix, QMatrix]:
@@ -104,10 +106,6 @@ def truncated_example(n: int) -> tuple[QMatrix, QMatrix]:
     """
     if n < 7:
         raise DimensionTooSmall("need dimension at least 7")
-    a = np.zeros((n, n), dtype=complex)
-    a[1, 0] = 1.0
-    a[3, 1] = 1.0
-    for k in range(6, n + 1):
-        a[k - 1, k - 1] = float(k)
-    s = QMatrix(a)
+    s = partial_permutation(n, [(1, 2, 1.0), (2, 4, 1.0)] + [
+        (k, k, float(k)) for k in range(6, n + 1)])
     return s, z_transform(s)

@@ -14,7 +14,7 @@ from helpers import (conditioned_qmatrix, gaussian_qmatrix,
                      record_kernel_inputs, record_svd_inputs)
 from qpolar import (BlockStructureViolation, QMatrix, chi, ckernel, classify,
                     cli, emit_qmat, parse_qmat, polar_decompose,
-                    weight_matrix)
+                    transform, weight_matrix)
 from qpolar.cli import (SuiteConfig, cmd_example, cmd_polar, cmd_verify,
                         example_report, main, polar_report, run_suite,
                         _run_suite_trial)
@@ -509,22 +509,99 @@ def test_cmd_polar_invariant_failure_exit(tmp_path):
     assert cmd_polar(str(path), 1e-30, str(tmp_path / "r.txt")) == 3
 
 
+# the lines of either example report, in order
+EXAMPLE_LINES = ["u0", "modulus", "null_space_span", "corange_span",
+                 "verdict_nonunique", "second_factorization",
+                 "perturbed_isometry", "transform_coincides",
+                 "contraction_excess", "polar_transport"]
+
+
+def _check_names(body):
+    return [line.split()[0] for line in body.splitlines()[1:-1]]
+
+
 def test_cmd_example_bounded(tmp_path):
     out = tmp_path / "ex.txt"
     assert cmd_example("bounded", 10, str(out)) == 0
     body = out.read_text()
-    assert "modulus_diagonal" in body
-    assert "perturbed_e4_to_e3" in body
+    assert _check_names(body) == EXAMPLE_LINES
     assert "FAIL" not in body
 
 
 def test_cmd_example_unbounded(tmp_path):
+    # the unbounded variant checks U0, |S|, the spans, the verdict and the
+    # second factorization as well as the transform lines
     out = tmp_path / "ex.txt"
     assert cmd_example("unbounded", 10, str(out)) == 0
     body = out.read_text()
-    assert "transform_coincides" in body
-    assert "polar_transport" in body
+    assert _check_names(body) == EXAMPLE_LINES
     assert "FAIL" not in body
+
+
+@pytest.mark.parametrize("n", [7, 9, 64])
+@pytest.mark.parametrize("which", cli.EXAMPLES)
+def test_example_variants_pass(which, n):
+    # n = 7 is the smallest truncation, with two entries in the k >= 6 block
+    report = example_report(which, n)
+    assert [c.name for c in report.checks] == EXAMPLE_LINES
+    assert report.passed, report.format()
+
+
+def _failed(which):
+    return {c.name for c in example_report(which, 9).checks if not c.passed}
+
+
+def test_example_planted_u0_column_fails_u0(monkeypatch):
+    real = cli.polar_decompose
+
+    def planted(t):
+        f = real(t)
+        p = f.u0.p.copy()
+        p[:, :, 0] *= 1 + 1e-6
+        return dataclasses.replace(f, u0=QMatrix._adopt(p))
+
+    monkeypatch.setattr(cli, "polar_decompose", planted)
+    for which in cli.EXAMPLES:
+        assert "u0" in _failed(which)
+
+
+def test_example_planted_first_factor_fails_second_factor_line(monkeypatch):
+    # U0 itself satisfies U |T| = T, so only the closed-form permutation
+    # tells it from U0 + V P
+    monkeypatch.setattr(cli, "perturb_polar", lambda f, v: f.u0.copy())
+    for which in cli.EXAMPLES:
+        assert _failed(which) == {"perturbed_isometry"}
+
+
+def test_example_planted_swap_fails_second_factor_line(monkeypatch):
+    # another admissible V (e3 -> e3, e4 -> e1, e5 -> e5) gives another
+    # second factorization: the report's closed form is its own entry list
+    monkeypatch.setattr(
+        transform, "null_swap_perturbation",
+        lambda n: transform.partial_permutation(
+            n, [(3, 3, 1.0), (4, 1, 1.0), (5, 5, 1.0)]))
+    for which in cli.EXAMPLES:
+        assert _failed(which) == {"perturbed_isometry"}
+
+
+def test_example_planted_undamped_transform_fails(monkeypatch):
+    monkeypatch.setattr(transform, "z_transform", lambda t: t)
+    assert _failed("unbounded") == {"transform_coincides",
+                                    "contraction_excess"}
+    # the weight matrix is a contraction already
+    assert _failed("bounded") == {"transform_coincides"}
+
+
+def test_example_planted_verdict_fails(monkeypatch):
+    real = cli.polar_decompose
+
+    def planted(t):
+        f = real(t)
+        return dataclasses.replace(f, unique=not f.unique)
+
+    monkeypatch.setattr(cli, "polar_decompose", planted)
+    for which in cli.EXAMPLES:
+        assert _failed(which) == {"verdict_nonunique"}
 
 
 def test_cmd_example_small_n_variants(tmp_path):
