@@ -1,9 +1,12 @@
 """Command-line front end: matrix file polar reports, closed-form example
 reproduction, and randomized verification suites.
 
-Reports are line-oriented text. Every check emits one line in the grammar
-"name value threshold PASS|FAIL"; value is a residual (relative where the
-name says _rel) or a violation count. Runs are deterministic for a given
+Reports are line-oriented text. Every check is one CheckResult (name,
+value, gate), made where its value is measured, and emits one line in the
+grammar "name value threshold PASS|FAIL"; value is a violation count where
+the gate is 0 and a residual otherwise (relative where the name says
+_rel). A verify line adds up a count over the trials and takes the worst
+value of a residual, NaN included. Runs are deterministic for a given
 seed: trial k of a suite draws from its own generator stream, so serial
 and parallel execution produce byte-identical reports.
 """
@@ -90,44 +93,9 @@ class Report:
 # ---------------------------------------------------------------------------
 # verification battery
 #
-# Each suite maps a per-trial generator to (name, value) samples; values
-# aggregate across trials by max (residuals) or sum (violation counts).
+# Each suite maps a per-trial generator to CheckResults, each gated where
+# its value is measured; run_suite aggregates them by name.
 # ---------------------------------------------------------------------------
-
-_CHECKS = {
-    "chi.add_residual": (1e-11, "max"),
-    "chi.scalar_residual": (1e-11, "max"),
-    "chi.mul_residual": (1e-11, "max"),
-    "chi.adjoint_residual": (1e-11, "max"),
-    "chi.norm_equality": (1e-9, "max"),
-    "chi.pullback_roundtrip": (1e-13, "max"),
-    "chi.null_dim_mismatches": (0.0, "sum"),
-    "chi.class_disagreements": (0.0, "sum"),
-    "sqrt.spectral_square_rel": (1e-8, "max"),
-    "sqrt.composite_agreement": (1e-7, "max"),
-    "sqrt.strict_agreement": (1e-7, "max"),
-    "polar.reconstruction_rel": (1e-9, "max"),
-    "polar.identity_isometry_rel": (1e-9, "max"),
-    "polar.identity_adjoint_rel": (1e-9, "max"),
-    "polar.identity_range_rel": (1e-9, "max"),
-    "polar.null_rank_mismatches": (0.0, "sum"),
-    "polar.null_annihilation_rel": (1e-9, "max"),
-    "polar.structure_self_adjoint": (1e-8, "max"),
-    "polar.structure_anti_self_adjoint": (1e-8, "max"),
-    "polar.structure_normal": (1e-8, "max"),
-    "polar.structure_normal_commute": (1e-8, "max"),
-    "dichotomy.verdict_mismatches": (0.0, "sum"),
-    "dichotomy.second_factorization_rel": (1e-9, "max"),
-    "dichotomy.degenerate_perturbations": (0.0, "sum"),
-    "dichotomy.surviving_perturbations": (0.0, "sum"),
-    "transform.roundtrip_rel": (1e-7, "max"),
-    "transform.contraction_excess": (1e-10, "max"),
-    "transform.modulus_identity": (1e-8, "max"),
-    "transform.polar_transport": (1e-8, "max"),
-    "transform.adjoint_identity": (1e-9, "max"),
-    "transform.normal_preserved": (1e-9, "max"),
-}
-
 
 def _chi_trial(dim: int, tol: float, rr, trial: int) -> list:
     n = 1 + rr.randint(dim)
@@ -136,30 +104,33 @@ def _chi_trial(dim: int, tol: float, rr, trial: int) -> list:
     ca, cb = chi(a), chi(b)
     lam = complex(rr.uniform(-1, 1), rr.uniform(-1, 1))
     lam_op = QMatrix(lam * np.eye(n, dtype=complex))
-    out = [
-        ("chi.add_residual", ckernel.frobenius(chi(a + b) - (ca + cb))),
-        ("chi.scalar_residual",
-         ckernel.frobenius(chi(lam_op @ a) - chi(lam_op) @ ca)),
-        ("chi.mul_residual", ckernel.frobenius(chi(a @ b) - ca @ cb)),
-        ("chi.adjoint_residual",
-         ckernel.frobenius(chi(a.adjoint()) - ca.conj().T)),
-        ("chi.pullback_roundtrip",
-         (chi_pullback(ca) - a).frobenius_norm()),
-    ]
-    out.append(("chi.norm_equality",
-                abs(operator_norm(a) - QMatrix(ca).fac.sigma_max)))
     # planted-rank draw: chi(rd) has twice the null dimension of rd
     rank = rr.randint(n + 1)
     rd = random_ops.rank_deficient(rr, n, rank)
     null_c = 2 * n - QMatrix(chi(rd)).fac.rank
     null_h = n - quaternionic_rank(rd)
-    out.append(("chi.null_dim_mismatches", float(null_c != 2 * null_h)))
     disagreements = 0
     for op in _class_constructions(rr, n):
         rep = equivalence_suite(op, max(tol, ckernel.DEFAULT_CLASS_TOL))
         disagreements += len(rep.disagreements())
-    out.append(("chi.class_disagreements", float(disagreements)))
-    return out
+    return [
+        CheckResult("chi.add_residual",
+                    ckernel.frobenius(chi(a + b) - (ca + cb)), 1e-11),
+        CheckResult("chi.scalar_residual",
+                    ckernel.frobenius(chi(lam_op @ a) - chi(lam_op) @ ca),
+                    1e-11),
+        CheckResult("chi.mul_residual",
+                    ckernel.frobenius(chi(a @ b) - ca @ cb), 1e-11),
+        CheckResult("chi.adjoint_residual",
+                    ckernel.frobenius(chi(a.adjoint()) - ca.conj().T), 1e-11),
+        CheckResult("chi.pullback_roundtrip",
+                    (chi_pullback(ca) - a).frobenius_norm(), 1e-13),
+        CheckResult("chi.norm_equality",
+                    abs(operator_norm(a) - QMatrix(ca).fac.sigma_max), 1e-9),
+        CheckResult("chi.null_dim_mismatches",
+                    float(null_c != 2 * null_h), 0.0),
+        CheckResult("chi.class_disagreements", float(disagreements), 0.0),
+    ]
 
 
 def _class_constructions(rr, n: int) -> list:
@@ -181,73 +152,57 @@ def _sqrt_trial(dim: int, tol: float, rr, trial: int) -> list:
     scale = max(1.0, p.frobenius_norm())
     r_spec = sqrt_positive_spectral(p)
     r_composite = sqrt_positive_composite(p)
-    out = [
-        ("sqrt.spectral_square_rel",
-         (r_spec @ r_spec - p).frobenius_norm() / scale),
-        ("sqrt.composite_agreement", (r_composite - r_spec).frobenius_norm()),
-    ]
     pd = p + QMatrix.identity(n)
     r_spec_pd = sqrt_positive_spectral(pd)
     r_strict = sqrt_strictly_positive(pd, 1.0)
-    out.append(("sqrt.strict_agreement",
-                (r_strict - r_spec_pd).frobenius_norm()))
-    return out
-
-
-def _polar_identities(t: QMatrix, f, g: QMatrix) -> list:
-    """(name, value) of the four polar identities, relative to ||T||; g is
-    U0* U0, the bytes of u0.adjoint() @ u0."""
-    scale = max(1.0, t.frobenius_norm())
-    u0, p = f.u0, f.abs_t
-    u0s = u0.adjoint()
     return [
-        ("reconstruction_rel", (u0 @ p - t).frobenius_norm() / scale),
-        ("identity_isometry_rel", (g @ p - p).frobenius_norm() / scale),
-        ("identity_adjoint_rel", (u0s @ t - p).frobenius_norm() / scale),
-        ("identity_range_rel", (u0 @ u0s @ t - t).frobenius_norm() / scale),
+        CheckResult("sqrt.spectral_square_rel",
+                    (r_spec @ r_spec - p).frobenius_norm() / scale, 1e-8),
+        CheckResult("sqrt.composite_agreement",
+                    (r_composite - r_spec).frobenius_norm(), 1e-7),
+        CheckResult("sqrt.strict_agreement",
+                    (r_strict - r_spec_pd).frobenius_norm(), 1e-7),
     ]
 
 
 def _polar_trial(dim: int, tol: float, rr, trial: int) -> list:
+    """polar_report's seven lines at DEFAULT_TOL, then the battery's own:
+    U0 kills N(T) and keeps the structure of three class draws."""
     n = 1 + rr.randint(dim)
     rank = rr.randint(n + 1)
     t = (random_ops.rand_qmatrix(rr, n) if rank == n
          else random_ops.rank_deficient(rr, n, rank))
-    f = polar_decompose(t)
-    u0, scale = f.u0, max(1.0, t.frobenius_norm())
-    g = u0.adjoint() @ u0
-    out = [("polar." + name, value)
-           for name, value in _polar_identities(t, f, g)]
-    # round(Re tr g) is U0's rank only while n projection_residual(g) < 1/5
-    rank_ok = (n * ckernel.projection_residual(g.p) < 0.2
-               and ckernel.partial_isometry_rank(g.p) == n - f.null_rank)
-    out.append(("polar.null_rank_mismatches", float(not rank_ok)))
+    report, f = polar_report(t, DEFAULT_TOL)
     null_basis = _svd_bases(f.fac)[0]
     # a product per column: one u0 @ null_basis product rounds differently
-    annihilation = max(((u0 @ null_basis.column(k)).frobenius_norm()
+    annihilation = max(((f.u0 @ null_basis.column(k)).frobenius_norm()
                         for k in range(null_basis.shape[1])), default=0.0)
-    out.append(("polar.null_annihilation_rel", annihilation / scale))
     # structure transfer on class-constructed draws
     h = random_ops.hermitian(rr, n)
     uh = polar_decompose(h).u0
-    out.append(("polar.structure_self_adjoint",
-                (uh - uh.adjoint()).frobenius_norm()
-                / max(1.0, h.frobenius_norm())))
     w = random_ops.anti_self_adjoint(rr, n)
     uw = polar_decompose(w).u0
-    out.append(("polar.structure_anti_self_adjoint",
-                (uw + uw.adjoint()).frobenius_norm()
-                / max(1.0, w.frobenius_norm())))
     nm = random_ops.normal(rr, n)
     fn = polar_decompose(nm)
     un = fn.u0
     nscale = max(1.0, nm.frobenius_norm())
-    out.append(("polar.structure_normal",
-                (un @ un.adjoint() - un.adjoint() @ un).frobenius_norm()
-                / nscale))
-    out.append(("polar.structure_normal_commute",
-                (un @ fn.abs_t - fn.abs_t @ un).frobenius_norm() / nscale))
-    return out
+    return [CheckResult("polar." + c.name, c.value, c.threshold)
+            for c in report.checks] + [
+        CheckResult("polar.null_annihilation_rel",
+                    annihilation / max(1.0, t.frobenius_norm()), 1e-9),
+        CheckResult("polar.structure_self_adjoint",
+                    (uh - uh.adjoint()).frobenius_norm()
+                    / max(1.0, h.frobenius_norm()), 1e-8),
+        CheckResult("polar.structure_anti_self_adjoint",
+                    (uw + uw.adjoint()).frobenius_norm()
+                    / max(1.0, w.frobenius_norm()), 1e-8),
+        CheckResult("polar.structure_normal",
+                    (un @ un.adjoint() - un.adjoint() @ un).frobenius_norm()
+                    / nscale, 1e-8),
+        CheckResult("polar.structure_normal_commute",
+                    (un @ fn.abs_t - fn.abs_t @ un).frobenius_norm()
+                    / nscale, 1e-8),
+    ]
 
 
 def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
@@ -257,17 +212,13 @@ def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
     t = (random_ops.rand_qmatrix(rr, n) if rank == n
          else random_ops.rank_deficient(rr, n, rank))
     f = polar_decompose(t)
-    out = [("dichotomy.verdict_mismatches", float(f.unique != (rank == n)))]
-    scale = max(1.0, t.frobenius_norm())
+    recon, degenerate, survivors = 0.0, 0.0, 0.0
     if not f.unique:
         u = perturb_polar(f, canonical_perturbation(f))
-        recon = (u @ f.abs_t - t).frobenius_norm() / scale
-        out.append(("dichotomy.second_factorization_rel", recon))
-        distinct = (u - f.u0).frobenius_norm() > 0.5
-        out.append(("dichotomy.degenerate_perturbations", float(not distinct)))
-        out.append(("dichotomy.surviving_perturbations", 0.0))
+        recon = ((u @ f.abs_t - t).frobenius_norm()
+                 / max(1.0, t.frobenius_norm()))
+        degenerate = float(not (u - f.u0).frobenius_norm() > 0.5)
     else:
-        survivors = 0
         for _ in range(50):
             v_src = random_ops.rand_qmatrix(rr, n, 1)
             v_dst = random_ops.rand_qmatrix(rr, n, 1)
@@ -279,10 +230,13 @@ def _dichotomy_trial(dim: int, tol: float, rr, trial: int) -> list:
                 survivors += 1
             except BadPerturbation:
                 pass
-        out.append(("dichotomy.second_factorization_rel", 0.0))
-        out.append(("dichotomy.degenerate_perturbations", 0.0))
-        out.append(("dichotomy.surviving_perturbations", float(survivors)))
-    return out
+    return [
+        CheckResult("dichotomy.verdict_mismatches",
+                    float(f.unique != (rank == n)), 0.0),
+        CheckResult("dichotomy.second_factorization_rel", recon, 1e-9),
+        CheckResult("dichotomy.degenerate_perturbations", degenerate, 0.0),
+        CheckResult("dichotomy.surviving_perturbations", survivors, 0.0),
+    ]
 
 
 def _transform_trial(dim: int, tol: float, rr, trial: int) -> list:
@@ -293,21 +247,24 @@ def _transform_trial(dim: int, tol: float, rr, trial: int) -> list:
     z = t @ damp  # transform.z_transform(t)
     back = transform.z_inverse(z)
     fz, ft = polar_decompose(z), polar_decompose(t)
-    out = [
-        ("transform.roundtrip_rel", (back - t).frobenius_norm() / scale),
-        ("transform.contraction_excess", max(0.0, fz.fac.sigma_max - 1.0)),
-        ("transform.adjoint_identity",
-         (transform.z_transform(t.adjoint()) - z.adjoint()).frobenius_norm()),
-        ("transform.modulus_identity",
-         (fz.abs_t - ft.abs_t @ damp).frobenius_norm()),
-        ("transform.polar_transport", (fz.u0 - ft.u0).frobenius_norm()),
-    ]
     nm = random_ops.normal(rr, n)
     zn = transform.z_transform(nm)
-    out.append(("transform.normal_preserved",
-                (zn @ zn.adjoint() - zn.adjoint() @ zn).frobenius_norm()
-                / max(1.0, nm.frobenius_norm())))
-    return out
+    return [
+        CheckResult("transform.roundtrip_rel",
+                    (back - t).frobenius_norm() / scale, 1e-7),
+        CheckResult("transform.contraction_excess",
+                    max(0.0, fz.fac.sigma_max - 1.0), 1e-10),
+        CheckResult("transform.adjoint_identity",
+                    (transform.z_transform(t.adjoint())
+                     - z.adjoint()).frobenius_norm(), 1e-9),
+        CheckResult("transform.modulus_identity",
+                    (fz.abs_t - ft.abs_t @ damp).frobenius_norm(), 1e-8),
+        CheckResult("transform.polar_transport",
+                    (fz.u0 - ft.u0).frobenius_norm(), 1e-8),
+        CheckResult("transform.normal_preserved",
+                    (zn @ zn.adjoint() - zn.adjoint() @ zn).frobenius_norm()
+                    / max(1.0, nm.frobenius_norm()), 1e-9),
+    ]
 
 
 # suite name -> (stream tag, trial function), in battery order; the tag
@@ -341,16 +298,14 @@ def run_suite(suite: str, cfg: SuiteConfig, jobs: int = 1) -> list:
             samples = list(pool.map(_run_suite_trial, args, chunksize=8))
     else:
         samples = [_run_suite_trial(a) for a in args]
-    totals: dict[str, float] = {}
+    values: dict[str, tuple] = {}
     for trial_out in samples:
-        for name, value in trial_out:
-            threshold, kind = _CHECKS[name]
-            if kind == "sum":
-                totals[name] = totals.get(name, 0.0) + value
-            else:
-                totals[name] = max(totals.get(name, 0.0), value)
-    return [CheckResult(name, totals[name], _CHECKS[name][0])
-            for name in sorted(totals)]
+        for c in trial_out:
+            values.setdefault(c.name, (c.threshold, []))[1].append(c.value)
+    # a gate of 0 marks a violation count, which adds up over the trials;
+    # any other gate a residual, which takes its worst value, NaN included
+    return [CheckResult(name, sum(v) if gate == 0 else float(np.max(v)), gate)
+            for name, (gate, v) in sorted(values.items())]
 
 
 def cmd_verify(cfg: SuiteConfig, jobs: int = 1) -> Report:
@@ -371,29 +326,38 @@ def polar_report(a: QMatrix, tol: float):
     """(report, factors) of T = a: seven checks on the polar factors, all
     read from T's one SVD, f.fac, and from g = U0* U0, formed once.
 
-    u0_partial_isometry is ckernel.partial_isometry_residual of U0 on the
-    columns v_k of T's V_r, an orthonormal basis of N(T)-perp, so it also
-    fails a partial isometry whose initial space is not N(T)-perp.
+    u0_partial_isometry is delta = ckernel.partial_isometry_residual of U0
+    on the columns v_k of T's V_r, an orthonormal basis of N(T)-perp, so it
+    also fails a partial isometry whose initial space is not N(T)-perp.
     null_rank_match compares n - null_rank with
     ckernel.partial_isometry_rank(g), round(Re tr g), which is U0's rank
-    while n delta < 1/5, delta that residual: at the default tol whenever
-    u0_partial_isometry passes, for every n up to MAX_DIM. U0 itself is
-    factored nowhere.
+    while n delta < 1/5, and counts a mismatch where that precondition
+    fails. U0 itself is factored nowhere.
     """
     f = polar_decompose(a)
-    g = f.u0.adjoint() @ f.u0
-    coimage = f.fac.v[:, :, :f.fac.rank]
-    checks = [CheckResult(name, value, tol)
-              for name, value in _polar_identities(a, f, g)]
-    checks += [
-        CheckResult("u0_partial_isometry", ckernel.partial_isometry_residual(
-            f.u0.p, g.p, coimage), tol),
+    n, u0, p = a.shape[0], f.u0, f.abs_t
+    u0s = u0.adjoint()
+    g = u0s @ u0
+    scale = max(1.0, a.frobenius_norm())
+    delta = ckernel.partial_isometry_residual(u0.p, g.p,
+                                              f.fac.v[:, :, :f.fac.rank])
+    rank_ok = (n * delta < 0.2
+               and ckernel.partial_isometry_rank(g.p) == n - f.null_rank)
+    checks = [
+        CheckResult("reconstruction_rel",
+                    (u0 @ p - a).frobenius_norm() / scale, tol),
+        CheckResult("identity_isometry_rel",
+                    (g @ p - p).frobenius_norm() / scale, tol),
+        CheckResult("identity_adjoint_rel",
+                    (u0s @ a - p).frobenius_norm() / scale, tol),
+        CheckResult("identity_range_rel",
+                    (u0 @ u0s @ a - a).frobenius_norm() / scale, tol),
+        CheckResult("u0_partial_isometry", delta, tol),
         # relative like the positivity flag: the residual is the
         # certificate delta of the SVD, O(n eps sigma_max)
         CheckResult("abs_positive_rel",
                     f.abs_positivity()[0] / max(1.0, f.fac.sigma_max), tol),
-        CheckResult("null_rank_match", float(ckernel.partial_isometry_rank(
-            g.p) != a.shape[0] - f.null_rank), 0.0),
+        CheckResult("null_rank_match", float(not rank_ok), 0.0),
     ]
     header = [f"qpolar polar tol={tol:.6e}",
               f"null_rank {f.null_rank}",
@@ -470,31 +434,34 @@ def example_report(which: str, n: int) -> Report:
     """Reproduce the diagonal-weight operator family at truncation n: T =
     U0 diag(w) is the truncation S of the weight operator (`unbounded`, w =
     (1, 1, 0, 0, 0, 6, ..., n)) or its transform Z_S, the weight matrix
-    (`bounded`, w damped), and both run _weight_family_checks."""
+    (`bounded`, w damped), and both run _weight_family_checks on T, Z_T."""
     if which not in EXAMPLES:
         raise ValueError(f"unknown example {which!r}")
     bounded = which == "bounded"
     # DimensionTooSmall below n = 7, before anything of size n is built
-    t = (transform.weight_matrix(n) if bounded
-         else transform.truncated_example(n)[0])
+    if bounded:
+        t = transform.weight_matrix(n)
+        t_z = t, transform.z_transform(t)
+    else:
+        t_z = transform.truncated_example(n)
     w = np.array([1.0, 1.0, 0.0, 0.0, 0.0] + list(range(6, n + 1)), float)
-    checks = _weight_family_checks(t, _damped(w) if bounded else w)
+    checks = _weight_family_checks(*t_z, _damped(w) if bounded else w)
     header = [f"qpolar example {which} n={n} tol={EXAMPLE_TOL:.6e}"]
     return Report(header, checks)
 
 
-def _weight_family_checks(t: QMatrix, w) -> list:
-    """The library's factors of T = U0 diag(w) against closed forms; U0
-    sends e1 -> e2, e2 -> e4, e_k -> e_k for k >= 6 and kills N(T) =
-    span(e3, e4, e5), and R(T)-perp is span(e1, e3, e5), so the verdict is
-    "not unique". The swap V (e3 -> e1, e4 -> e3, e5 -> e5) gives U = U0 +
-    V P, a permutation: N(U) = {0} is not N(T). Z_T = U0 diag(_damped(w)).
-    Each norm is taken as its residual is formed."""
+def _weight_family_checks(t: QMatrix, z: QMatrix, w) -> list:
+    """The library's factors of T = U0 diag(w) and of its transform z
+    against closed forms; U0 sends e1 -> e2, e2 -> e4, e_k -> e_k for k >=
+    6 and kills N(T) = span(e3, e4, e5), and R(T)-perp is span(e1, e3,
+    e5), so the verdict is "not unique". The swap V (e3 -> e1, e4 -> e3,
+    e5 -> e5) gives U = U0 + V P, a permutation: N(U) = {0} is not N(T).
+    Z_T = U0 diag(_damped(w)). Each norm is taken as its residual is
+    formed."""
     n = t.shape[0]
     f = polar_decompose(t)
     null_basis, _, corange_basis = _svd_bases(f.fac)
     u = perturb_polar(f, transform.null_swap_perturbation(n))
-    z = transform.z_transform(t)
     fz = polar_decompose(z)
 
     def gap(x, pairs, weights=None):
@@ -504,23 +471,26 @@ def _weight_family_checks(t: QMatrix, w) -> list:
             for k, j in pairs])).frobenius_norm()
 
     u0_pairs = [(1, 2), (2, 4)] + [(k, k) for k in range(6, n + 1)]
-    values = [
-        ("u0", gap(f.u0, u0_pairs)),
-        ("modulus", gap(f.abs_t, [(k, k) for k in range(1, n + 1)], w)),
-        ("null_space_span",
-         gap(projector_onto(null_basis), [(3, 3), (4, 4), (5, 5)])),
-        ("corange_span",
-         gap(projector_onto(corange_basis), [(1, 1), (3, 3), (5, 5)])),
-        ("verdict_nonunique", float(f.unique)),
-        ("second_factorization", (u @ f.abs_t - t).frobenius_norm()),
-        ("perturbed_isometry", gap(u, u0_pairs + [(3, 1), (4, 3), (5, 5)])),
-        ("transform_coincides", gap(z, u0_pairs, _damped(w))),
-        ("contraction_excess", max(0.0, fz.fac.sigma_max - 1.0)),
-        ("polar_transport", (fz.u0 - f.u0).frobenius_norm()),
+    tol = EXAMPLE_TOL
+    return [
+        CheckResult("u0", gap(f.u0, u0_pairs), tol),
+        CheckResult("modulus",
+                    gap(f.abs_t, [(k, k) for k in range(1, n + 1)], w), tol),
+        CheckResult("null_space_span", gap(projector_onto(null_basis),
+                                           [(3, 3), (4, 4), (5, 5)]), tol),
+        CheckResult("corange_span", gap(projector_onto(corange_basis),
+                                        [(1, 1), (3, 3), (5, 5)]), tol),
+        CheckResult("verdict_nonunique", float(f.unique), 0.0),
+        CheckResult("second_factorization",
+                    (u @ f.abs_t - t).frobenius_norm(), tol),
+        CheckResult("perturbed_isometry",
+                    gap(u, u0_pairs + [(3, 1), (4, 3), (5, 5)]), tol),
+        CheckResult("transform_coincides",
+                    gap(z, u0_pairs, _damped(w)), tol),
+        CheckResult("contraction_excess",
+                    max(0.0, fz.fac.sigma_max - 1.0), tol),
+        CheckResult("polar_transport", (fz.u0 - f.u0).frobenius_norm(), 1e-8),
     ]
-    gates = {"verdict_nonunique": 0.0, "polar_transport": 1e-8}
-    return [CheckResult(name, value, gates.get(name, EXAMPLE_TOL))
-            for name, value in values]
 
 
 def cmd_example(which: str, n: int, out_path: str | None = None) -> int:

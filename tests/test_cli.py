@@ -202,9 +202,27 @@ def test_polar_report_fails_a_u0_of_lower_rank(monkeypatch):
     assert not passed["u0_partial_isometry"]
 
 
+def test_polar_report_fails_a_u0_whose_trace_alone_matches(monkeypatch):
+    # U0 = U_r diag(sqrt(3/2), sqrt(1/2), 1, ...) V_r*: Re tr g is still r,
+    # but g is no projection, so n u0_partial_isometry >= 1/5 and the trace
+    # reads no rank: the report checks the rank rule's precondition itself
+    def skewed(u_r, v, r):
+        u_r[:, :, :2] *= np.sqrt([1.5, 0.5])
+        return ckernel._qmul(u_r, ckernel._qadj(v[:, :, :r]))
+
+    passed, u0 = _planted_report(monkeypatch, skewed)
+    assert round(ckernel.frobenius(u0.p) ** 2) == 4
+    assert not passed["null_rank_match"]
+    assert not passed["u0_partial_isometry"]
+
+
+def _trial_values(args) -> dict:
+    return {c.name: c.value for c in _run_suite_trial(args)}
+
+
 def test_polar_trial_counts_a_u0_of_lower_rank(monkeypatch):
-    # the polar suite counts U0's rank from the trace of g = U0* U0, as
-    # the polar report does: a U0 from r - 1 columns of U_r is a mismatch
+    # the polar suite reads polar_report, which counts U0's rank from the
+    # trace of g = U0* U0: a U0 from r - 1 columns of U_r is a mismatch
     real = cli.polar_decompose
     ranks = []
 
@@ -217,9 +235,9 @@ def test_polar_trial_counts_a_u0_of_lower_rank(monkeypatch):
         return dataclasses.replace(f, u0=QMatrix._adopt(u0)) if r else f
 
     monkeypatch.setattr(cli, "polar_decompose", short)
-    out = dict(_run_suite_trial(("polar", 4, 1e-9, 42, 0)))
+    out = _trial_values(("polar", 4, 1e-9, 42, 0))
     assert ranks[0] >= 1
-    assert out["polar.null_rank_mismatches"] == 1.0
+    assert out["polar.null_rank_match"] == 1.0
 
 
 def test_polar_trial_counts_a_u0_whose_trace_alone_matches(monkeypatch):
@@ -240,9 +258,119 @@ def test_polar_trial_counts_a_u0_whose_trace_alone_matches(monkeypatch):
         return dataclasses.replace(f, u0=QMatrix._adopt(u0))
 
     monkeypatch.setattr(cli, "polar_decompose", skewed)
-    out = dict(_run_suite_trial(("polar", 4, 1e-9, 2, 2)))
+    out = _trial_values(("polar", 4, 1e-9, 2, 2))
     assert ranks[0] >= 2
-    assert out["polar.null_rank_mismatches"] == 1.0
+    assert out["polar.null_rank_match"] == 1.0
+
+
+def test_polar_trial_reads_the_polar_report(monkeypatch):
+    # the trial's seven report lines are polar_report's on the same T, at
+    # DEFAULT_TOL whatever the suite's tol
+    real = cli.polar_report
+    seen = []
+
+    def recorded(a, tol):
+        seen.append((a, tol))
+        return real(a, tol)
+
+    monkeypatch.setattr(cli, "polar_report", recorded)
+    for trial in range(4):
+        seen.clear()
+        out = [(c.name, c.value, c.threshold)
+               for c in _run_suite_trial(("polar", 4, 1e-3, 42, trial))]
+        [(t, tol)] = seen
+        assert tol == cli.DEFAULT_TOL == 1e-9
+        report, _ = real(t, 1e-9)
+        assert out[:7] == [("polar." + c.name, c.value, c.threshold)
+                           for c in report.checks]
+        assert [name for name, _, _ in out[7:]] == [
+            "polar.null_annihilation_rel", "polar.structure_self_adjoint",
+            "polar.structure_anti_self_adjoint", "polar.structure_normal",
+            "polar.structure_normal_commute"]
+
+
+def test_polar_trial_fails_a_scaled_column_of_u0(monkeypatch):
+    real = cli.polar_decompose
+    ranks = []
+
+    def scaled(a):
+        f = real(a)
+        ranks.append(f.fac.rank)
+        p = f.u0.p.copy()
+        p[:, :, 0] *= 1 + 1e-6
+        return dataclasses.replace(f, u0=QMatrix._adopt(p))
+
+    monkeypatch.setattr(cli, "polar_decompose", scaled)
+    checks = {c.name: c for c in _run_suite_trial(("polar", 4, 1e-9, 42, 0))}
+    assert ranks[0] >= 1
+    assert not checks["polar.u0_partial_isometry"].passed
+
+
+COUNT_LINES = {"chi.null_dim_mismatches", "chi.class_disagreements",
+               "polar.null_rank_match", "dichotomy.verdict_mismatches",
+               "dichotomy.degenerate_perturbations",
+               "dichotomy.surviving_perturbations"}
+
+
+def test_every_trial_states_the_same_checks():
+    # each check is gated where its value is measured: every trial of a
+    # suite emits the same (name, gate) pairs in the same order, a gate of
+    # 0 marks exactly the count lines, and the names are the report's
+    names = []
+    for suite in cli._SUITES:
+        pairs = {tuple((c.name, c.threshold) for c in
+                       _run_suite_trial((suite, 4, 1e-9, 11, k)))
+                 for k in range(25)}
+        assert len(pairs) == 1, suite
+        [pairs] = pairs
+        assert {name for name, gate in pairs if gate == 0} == (
+            {name for name in COUNT_LINES if name.startswith(suite + ".")})
+        names += sorted(name for name, _ in pairs)
+    want = (DATA / "verify_d4_t25_s11.txt").read_text(encoding="utf-8")
+    assert names == [line.split()[0] for line in want.splitlines()[1:-1]]
+
+
+def test_run_suite_fails_a_nan_residual(monkeypatch):
+    # a NaN entry in trial 1's U0 makes its reconstruction_rel NaN: the
+    # residual line takes its worst value, NaN included, and FAILs
+    real_trial, real_decompose = cli._run_suite_trial, cli.polar_decompose
+    plant = []
+
+    def trial(args):
+        plant[:] = [args[4] == 1]
+        return real_trial(args)
+
+    def decompose(a):
+        f = real_decompose(a)
+        if plant and plant.pop():  # T of trial 1, not its class draws
+            p = f.u0.p.copy()
+            p[0, 0, 0] = math.nan
+            return dataclasses.replace(f, u0=QMatrix._adopt(p))
+        return f
+
+    monkeypatch.setattr(cli, "_run_suite_trial", trial)
+    monkeypatch.setattr(cli, "polar_decompose", decompose)
+    checks = {c.name: c
+              for c in run_suite("polar", SuiteConfig(4, 3, 42, 1e-9))}
+    line = checks["polar.reconstruction_rel"]
+    assert math.isnan(line.value) and not line.passed
+    assert line.format().startswith("polar.reconstruction_rel nan ")
+
+
+def test_run_suite_fails_a_nan_count(monkeypatch):
+    # a count line adds up its trials, so a NaN count is NaN and FAILs
+    real = cli._run_suite_trial
+
+    def planted(args):
+        return [dataclasses.replace(c, value=math.nan)
+                if args[4] == 1 and c.name == "polar.null_rank_match" else c
+                for c in real(args)]
+
+    monkeypatch.setattr(cli, "_run_suite_trial", planted)
+    checks = run_suite("polar", SuiteConfig(4, 3, 42, 1e-9))
+    assert [c.name for c in checks if not c.passed] == [
+        "polar.null_rank_match"]
+    assert all(math.isnan(c.value) for c in checks if not c.passed)
 
 
 def test_battery_factors_no_derived_partial_isometry(monkeypatch):
